@@ -10,8 +10,8 @@ while uniform averaging and majority vote take the damage.
 
 from fedseg.benchmark import (default_net_config, default_plan,
                               make_benchmark_domains)
-from fedseg.ensembling import aggregate, average_vote, popular_vote
-from fedseg.evaluation import dice, model_target_dice
+from fedseg.ensembling import aggregate, average_vote, popular_vote, stack_probs
+from fedseg.evaluation import dice
 from fedseg.federation import audit_check, run_msuda
 
 config = default_net_config()
@@ -28,14 +28,15 @@ for corrupted in (False, True):
         print(f"  {message.sender.name} -> {message.receiver.name}: "
               f"{message.payload_kind} ({message.byte_size} bytes)")
 
+    # each adapted model runs once on the target; every score reads that stack
     models = result.adapted.models
-    for am in models:
-        print(f"  {am.source_id}: weight {result.weights.weights[models.index(am)]:.3f} "
-              f"target Dice {model_target_dice(am.model, target):.3f}")
-
-    images = target.image_stack()
     truth = target.mask_stack()
-    print(f"  weighted ensemble : {dice(aggregate(models, result.weights, images).mask, truth):.3f}")
-    print(f"  uniform average   : {dice(average_vote(models, images, seed=0).mask, truth):.3f}")
-    print(f"  majority vote     : {dice(popular_vote(models, images, seed=0), truth):.3f}")
+    probs = stack_probs(models, target.image_stack())
+    for am, weight, p in zip(models, result.weights.weights, probs):
+        print(f"  {am.source_id}: weight {weight:.3f} "
+              f"target Dice {dice(p.argmax(axis=1), truth):.3f}")
+
+    print(f"  weighted ensemble : {dice(aggregate(probs, result.weights).mask, truth):.3f}")
+    print(f"  uniform average   : {dice(average_vote(probs, seed=0).mask, truth):.3f}")
+    print(f"  majority vote     : {dice(popular_vote(probs, seed=0), truth):.3f}")
     print()

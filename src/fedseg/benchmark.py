@@ -21,13 +21,17 @@ actually separate.
 from dataclasses import dataclass, field
 
 from .data import DomainShift, generate_domains
-from .ensembling import aggregate, average_vote, popular_vote
-from .evaluation import (bound_right_hand_side, bound_terms, dice,
-                         measure_joint_error, mixture_target_ce, model_target_dice)
+from .evaluation import evaluate_run
 from .federation import FederationResult, run_msuda
 from .network import NetConfig
 from .training import TrainPlan
 from .util import derive_seed
+
+# Bound here only because perfbench/tracing.py wraps each of these names on
+# this module and fails when one is missing.
+from .ensembling import aggregate, average_vote, popular_vote  # noqa: F401
+from .evaluation import (bound_right_hand_side, bound_terms, dice,  # noqa: F401
+                         measure_joint_error, mixture_target_ce, model_target_dice)
 
 IMAGE_SIZE = 32
 IMAGES_PER_DOMAIN = 12
@@ -109,31 +113,16 @@ def run_benchmark(seed: int = 0, corrupted: bool = False, workers: int = 1,
     result = run_msuda(sources, target, plan, config, oracle_mode=True,
                        workers=workers)
 
-    bench = BenchmarkResult(seed=seed, corrupted=corrupted, result=result)
-    models = result.adapted.models
-    for src, am in zip(sources, models):
-        bench.pre_dice[src.domain_id] = model_target_dice(
-            result.pretrained[src.domain_id], target)
-        bench.post_dice[src.domain_id] = model_target_dice(am.model, target)
-        bench.swd_first[src.domain_id] = am.history[0].swd
-        bench.swd_last[src.domain_id] = am.history[-1].swd
-
-    images = target.image_stack()
-    truth = target.mask_stack()
-    tie_seed = derive_seed(seed, "benchmark-ties")
-    bench.mode_dice["fmuda"] = dice(aggregate(models, result.weights, images).mask, truth)
-    bench.mode_dice["av"] = dice(average_vote(models, images, seed=tie_seed).mask, truth)
-    bench.mode_dice["pv"] = dice(popular_vote(models, images, seed=tie_seed), truth)
-    bench.mode_dice["suda"] = max(bench.post_dice.values())
-
+    report, _ = evaluate_run(result.adapted.models, result.weights, sources, target,
+                             plan, config, True, seed, pretrained=result.pretrained,
+                             with_bound=with_bound)
+    bench = BenchmarkResult(seed=seed, corrupted=corrupted, result=result,
+                            mode_dice=report.ensemble_dice)
+    for am in result.adapted.models:
+        bench.pre_dice[am.source_id], bench.post_dice[am.source_id] = \
+            report.per_model_dice[am.source_id]
+        bench.swd_first[am.source_id] = am.history[0].swd
+        bench.swd_last[am.source_id] = am.history[-1].swd
     if with_bound:
-        joint = {
-            src.domain_id: measure_joint_error(src, target, plan, config)
-            for src in sources
-        }
-        terms = bound_terms(models, sources, target, plan.swd_L, plan.embed_sites,
-                            seed=derive_seed(seed, "benchmark-bound"),
-                            joint_errors=joint)
-        bench.bound_lhs = mixture_target_ce(models, result.weights.weights, target)
-        bench.bound_rhs = bound_right_hand_side(terms, result.weights.weights)
+        bench.bound_lhs, bench.bound_rhs = report.bound_lhs, report.bound_rhs
     return bench

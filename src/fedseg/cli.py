@@ -20,15 +20,19 @@ from .autodiff import load_params, save_params
 from .benchmark import benchmark_shifts
 from .data import (DomainShift, ManifestEntry, generate_domains, load_domain,
                    read_manifest, write_manifest, write_raster)
-from .ensembling import (EnsembleWeights, add_source, aggregate, average_vote,
-                         compute_weights, popular_vote)
-from .evaluation import (MetricsReport, bound_right_hand_side, bound_terms, dice,
-                         emit_report, export_embeddings, measure_joint_error,
-                         mixture_target_ce, model_target_dice)
-from .federation import AuditLog, audit_check, run_msuda
+from .ensembling import (AdaptedModelSet, EnsembleWeights, aggregate,
+                         compute_weights, confidence_weights, stack_probs)
+from .evaluation import dice, emit_report, evaluate_run, export_embeddings
+from .federation import AuditLog, FederationResult, audit_check, extend_run, run_msuda
 from .network import NetConfig, SegModel, embed
 from .training import AdaptedModel, TrainPlan, write_step_log
 from .util import derive_seed
+
+# Bound here only because perfbench/tracing.py wraps each of these names on
+# this module and fails when one is missing.
+from .ensembling import average_vote, popular_vote  # noqa: F401
+from .evaluation import (bound_right_hand_side, bound_terms,  # noqa: F401
+                         measure_joint_error, mixture_target_ce, model_target_dice)
 
 
 class UsageError(Exception):
@@ -83,12 +87,6 @@ def _plan(args) -> TrainPlan:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _settings(plan: TrainPlan, config: NetConfig) -> dict:
-    out = {f"plan.{k}": v for k, v in dataclasses.asdict(plan).items()}
-    out.update({f"net.{k}": v for k, v in dataclasses.asdict(config).items()})
-    return out
 
 
 def _load_datasets(manifest_path, oracle_mode):
@@ -182,99 +180,42 @@ def _write_ensemble(path, weights: EnsembleWeights, source_ids):
 
 
 def _read_ensemble(path):
+    """Source ids and weights stored in ensemble.txt. A malformed file raises
+    ValueError naming the path and the bad line or field."""
     header, counts, ids = {}, [], []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
             if not line or line == "source_id,raw_count":
                 continue
             if ":" in line:
                 key, value = line.split(":", 1)
                 header[key.strip()] = value.strip()
-            else:
-                sid, count = line.split(",")
-                ids.append(sid)
-                counts.append(int(count))
-    total = sum(counts)
-    if total == 0:
-        weights = [1.0 / len(counts)] * len(counts)
-    else:
-        weights = [c / total for c in counts]
-    return ids, EnsembleWeights(counts, weights, float(header["lambda_conf"]),
-                                header.get("uniform_fallback") == "true",
-                                header.get("target_hash", ""))
-
-
-def _predictions(models, weights, target, mode, seed):
-    images = target.image_stack()
-    if mode == "fmuda":
-        return aggregate(models, weights, images).mask
-    if mode == "av":
-        return average_vote(models, images, seed=seed).mask
-    if mode == "pv":
-        return popular_vote(models, images, seed=seed)
-    raise ValueError(f"unknown aggregation mode {mode!r}")
-
-
-def _evaluate(models, weights, sources, target, plan, config, oracle, mode, seed,
-              pretrained=None, with_bound=True):
-    """Build the MetricsReport and the output masks for one model set."""
-    report = MetricsReport(seed=seed, oracle_mode=oracle, aggregation=mode,
-                           settings=_settings(plan, config))
-    report.settings["audit.target_label_reads_before_eval"] = target.label_reads
-    report.source_ids = [m.source_id for m in models]
-    report.raw_counts = list(weights.raw_counts)
-    report.weights = list(weights.weights)
-    report.lambda_conf = weights.lambda_conf
-    report.uniform_fallback = weights.uniform_fallback
-
-    if with_bound:
-        joint = None
-        if oracle:
-            joint = {src.domain_id: measure_joint_error(src, target, plan, config)
-                     for src in sources}
-        report.bound = bound_terms(models, sources, target, plan.swd_L,
-                                   plan.embed_sites, seed=derive_seed(seed, "bound"),
-                                   joint_errors=joint)
-
-    best_idx = 0
-    if oracle:
-        for am in models:
-            pre = float("nan")
-            if pretrained and am.source_id in pretrained:
-                pre = model_target_dice(pretrained[am.source_id], target)
-            report.per_model_dice[am.source_id] = (
-                pre, model_target_dice(am.model, target))
-        post = {sid: d for sid, (_, d) in report.per_model_dice.items()}
-        best_idx = report.source_ids.index(max(post, key=post.get))
-        images = target.image_stack()
-        truth = target.mask_stack()
-        report.ensemble_dice = {
-            "fmuda": dice(aggregate(models, weights, images).mask, truth),
-            "av": dice(average_vote(models, images, seed=seed).mask, truth),
-            "pv": dice(popular_vote(models, images, seed=seed), truth),
-            "suda": max(post.values()),
-        }
-        if with_bound:
-            report.bound_lhs = mixture_target_ce(models, weights.weights, target)
-            report.bound_rhs = bound_right_hand_side(terms=report.bound,
-                                                     weights=weights.weights)
-
-    if mode == "suda":
-        masks = np.asarray(
-            models[best_idx].predict_probs(target.image_stack())).argmax(axis=1)
-    else:
-        masks = _predictions(models, weights, target, mode, seed)
-    return report, masks.astype(np.uint8)
+                continue
+            sid, _, count = line.partition(",")
+            if not sid or not count.isdigit():
+                raise ValueError(f"{path}:{lineno}: expected 'source_id,raw_count', "
+                                 f"got {line!r}")
+            ids.append(sid)
+            counts.append(int(count))
+    if not ids:
+        raise ValueError(f"{path}: no 'source_id,raw_count' rows")
+    try:
+        lambda_conf = float(header["lambda_conf"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: missing or bad field 'lambda_conf'") from None
+    return ids, EnsembleWeights.from_counts(counts, lambda_conf,
+                                            header.get("target_hash", ""))
 
 
 def _write_outputs(out_dir, report, masks, mode, models, target, plan,
                    audit_log=None):
+    report.aggregation = mode
     emit_report(report, os.path.join(out_dir, "report.txt"))
     mask_dir = os.path.join(out_dir, "masks", mode)
     os.makedirs(mask_dir, exist_ok=True)
-    for i in range(masks.shape[0]):
-        write_raster(os.path.join(mask_dir, f"pred_{i:03d}.ndr"), masks[i])
+    for i, mask in enumerate(masks[mode].astype(np.uint8)):
+        write_raster(os.path.join(mask_dir, f"pred_{i:03d}.ndr"), mask)
     if audit_log is not None:
         audit_log.write(os.path.join(out_dir, "audit.log"))
     batches = []
@@ -283,6 +224,30 @@ def _write_outputs(out_dir, report, masks, mode, models, target, plan,
                              seed=derive_seed(plan.seed, "export", am.source_id),
                              domain_tag=f"{am.source_id}/target_post"))
     export_embeddings(batches, os.path.join(out_dir, "embeddings.csv"))
+
+
+def _write_run(args, result, trained, sources, target):
+    """Checkpoints and step logs of the `trained` models, then ensemble.txt,
+    the evaluated outputs and the audit log of the whole run."""
+    for am in trained:
+        ckpt = os.path.join(args.out, "checkpoints", am.source_id)
+        save_params(result.pretrained[am.source_id].state_dict(),
+                    f"{ckpt}_pretrained.fpar")
+        save_params(am.model.state_dict(), f"{ckpt}_adapted.fpar")
+        write_step_log(am, os.path.join(args.out, "curves", f"{am.source_id}.csv"))
+    _write_ensemble(os.path.join(args.out, "ensemble.txt"), result.weights,
+                    result.adapted.source_ids())
+
+    report, masks = evaluate_run(result.adapted.models, result.weights, sources,
+                                 target, result.plan, result.config,
+                                 result.oracle_mode, args.seed,
+                                 pretrained=result.pretrained)
+    report.settings["audit.target_label_reads"] = target.label_reads
+    if not result.oracle_mode and target.label_reads != 0:
+        raise RuntimeError("target labels were read outside oracle mode")
+    _write_outputs(args.out, report, masks, args.aggregation,
+                   result.adapted.models, target, result.plan,
+                   audit_log=result.audit_log)
 
 
 def cmd_run(args) -> int:
@@ -300,90 +265,65 @@ def cmd_run(args) -> int:
     workers = args.workers or len(sources)
     result = run_msuda(sources, target, plan, config, oracle_mode=oracle,
                        workers=workers)
-
-    ckpt_dir = os.path.join(args.out, "checkpoints")
-    curve_dir = os.path.join(args.out, "curves")
-    os.makedirs(ckpt_dir, exist_ok=True)
-    os.makedirs(curve_dir, exist_ok=True)
-    for am in result.adapted.models:
-        save_params(result.pretrained[am.source_id].state_dict(),
-                    os.path.join(ckpt_dir, f"{am.source_id}_pretrained.fpar"))
-        save_params(am.model.state_dict(),
-                    os.path.join(ckpt_dir, f"{am.source_id}_adapted.fpar"))
-        write_step_log(am, os.path.join(curve_dir, f"{am.source_id}.csv"))
-    _write_ensemble(os.path.join(args.out, "ensemble.txt"), result.weights,
-                    result.adapted.source_ids())
-
-    report, masks = _evaluate(result.adapted.models, result.weights, sources,
-                              target, plan, config, oracle, args.aggregation,
-                              args.seed, pretrained=result.pretrained)
-    report.settings["audit.target_label_reads"] = target.label_reads
-    if not oracle and target.label_reads != 0:
-        raise RuntimeError("target labels were read outside oracle mode")
-    _write_outputs(args.out, report, masks, args.aggregation,
-                   result.adapted.models, target, plan,
-                   audit_log=result.audit_log)
+    os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
+    os.makedirs(os.path.join(args.out, "curves"), exist_ok=True)
+    _write_run(args, result, result.adapted.models, sources, target)
     print(f"run complete: {args.out} "
           f"(weights {[round(w, 4) for w in result.weights.weights]})")
     return 0
 
 
-def _load_models_from_checkpoints(run_dir, source_ids, config):
-    models = []
-    for sid in source_ids:
-        path = os.path.join(run_dir, "checkpoints", f"{sid}_adapted.fpar")
-        if not os.path.exists(path):
-            raise UsageError(f"missing checkpoint {path}")
-        model = SegModel(config, seed=0)
-        model.load_state_dict(load_params(path))
-        models.append(AdaptedModel(model=model, source_id=sid))
-    return models
+def _checkpoint(run_dir, source_id, kind, config) -> SegModel:
+    path = os.path.join(run_dir, "checkpoints", f"{source_id}_{kind}.fpar")
+    if not os.path.exists(path):
+        raise UsageError(f"missing checkpoint {path}")
+    model = SegModel(config, seed=0)
+    model.load_state_dict(load_params(path))
+    return model
+
+
+def _load_run(run_dir, config):
+    """Source ids, ensemble weights and adapted models of a run directory."""
+    path = os.path.join(run_dir, "ensemble.txt")
+    if not os.path.exists(path):
+        raise UsageError(f"{run_dir} holds no ensemble.txt (not a run directory?)")
+    ids, weights = _read_ensemble(path)
+    models = [AdaptedModel(model=_checkpoint(run_dir, sid, "adapted", config),
+                           source_id=sid) for sid in ids]
+    return ids, weights, models
+
+
+def _run_sources(sources, ids):
+    by_id = {ds.domain_id: ds for ds in sources}
+    missing = [sid for sid in ids if sid not in by_id]
+    if missing:
+        raise UsageError(f"manifest lacks source domains {missing} from the run")
+    return [by_id[sid] for sid in ids]
 
 
 def _run_add_source(args, sources, target, plan, config) -> int:
-    from .training import adapt, pretrain
-
-    by_id = {ds.domain_id: ds for ds in sources}
-    if args.add_source not in by_id:
+    """Rebuild the run in args.out and extend it by one source over the bus."""
+    if args.add_source not in {ds.domain_id for ds in sources}:
         raise UsageError(f"--add-source {args.add_source!r} not in the manifest")
-    ensemble_path = os.path.join(args.out, "ensemble.txt")
-    if not os.path.exists(ensemble_path):
-        raise UsageError(f"{args.out} holds no ensemble.txt; run without "
-                         f"--add-source first")
-    ids, weights = _read_ensemble(ensemble_path)
+    ids, weights, models = _load_run(args.out, config)
     if args.add_source in ids:
         raise UsageError(f"source {args.add_source!r} already in the ensemble")
+    run_sources = _run_sources(sources, ids + [args.add_source])
+    audit_path = os.path.join(args.out, "audit.log")
+    if not os.path.exists(audit_path):
+        raise UsageError(f"audit log not found: {audit_path} "
+                         f"(--add-source extends the run's audit trail)")
 
-    existing = _load_models_from_checkpoints(args.out, ids, config)
-    new_source = by_id[args.add_source]
-    local_plan = dataclasses.replace(
-        plan, seed=derive_seed(plan.seed, "node", new_source.domain_id))
-    pre = pretrain(new_source, local_plan, config)
-    adapted = adapt(pre, new_source, target.unlabeled_copy(), local_plan)
-
-    ckpt_dir = os.path.join(args.out, "checkpoints")
-    save_params(pre.state_dict(),
-                os.path.join(ckpt_dir, f"{adapted.source_id}_pretrained.fpar"))
-    save_params(adapted.model.state_dict(),
-                os.path.join(ckpt_dir, f"{adapted.source_id}_adapted.fpar"))
-    write_step_log(adapted, os.path.join(args.out, "curves",
-                                         f"{adapted.source_id}.csv"))
-
-    updated = add_source(existing, weights, adapted, target.image_stack())
-    all_models = existing + [adapted]
-    _write_ensemble(os.path.join(args.out, "ensemble.txt"), updated,
-                    [m.source_id for m in all_models])
-
-    missing = [m.source_id for m in all_models if m.source_id not in by_id]
-    if missing:
-        raise UsageError(f"manifest lacks source domains {missing} from the run")
-    eval_sources = [by_id[m.source_id] for m in all_models]
-    report, masks = _evaluate(all_models, updated, eval_sources, target, plan,
-                              config, args.oracle, args.aggregation, args.seed)
-    _write_outputs(args.out, report, masks, args.aggregation, all_models,
-                   target, plan)
+    prior = FederationResult(
+        adapted=AdaptedModelSet(models), weights=weights,
+        audit_log=AuditLog.read(audit_path),
+        pretrained={sid: _checkpoint(args.out, sid, "pretrained", config)
+                    for sid in ids},
+        config=config, plan=plan, oracle_mode=args.oracle, target_label_reads=0)
+    result = extend_run(prior, run_sources[-1], target)
+    _write_run(args, result, result.adapted.models[-1:], run_sources, target)
     print(f"added source {args.add_source}: weights "
-          f"{[round(w, 4) for w in updated.weights]}")
+          f"{[round(w, 4) for w in result.weights.weights]}")
     return 0
 
 
@@ -393,25 +333,16 @@ def cmd_eval(args) -> int:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
     header, sources, target = _load_datasets(args.data, oracle)
     config = _net_config(args)
-    ensemble_path = os.path.join(args.run, "ensemble.txt")
-    if not os.path.exists(ensemble_path):
-        raise UsageError(f"{args.run} holds no ensemble.txt (not a run directory?)")
-    ids, weights = _read_ensemble(ensemble_path)
-    models = _load_models_from_checkpoints(args.run, ids, config)
+    ids, weights, models = _load_run(args.run, config)
+    eval_sources = _run_sources(sources, ids)
     if args.lambda_conf is not None and args.lambda_conf != weights.lambda_conf:
         weights = compute_weights(models, target.image_stack(), args.lambda_conf)
     plan = TrainPlan(seed=args.seed, lambda_conf=weights.lambda_conf,
                      swd_L=args.swd_l, embed_sites=args.sites)
     out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
-    by_id = {ds.domain_id: ds for ds in sources}
-    missing = [sid for sid in ids if sid not in by_id]
-    if missing:
-        raise UsageError(f"manifest lacks source domains {missing} from the run")
-    eval_sources = [by_id[sid] for sid in ids]
-    report, masks = _evaluate(models, weights, eval_sources, target, plan,
-                              config, oracle, args.aggregation, args.seed,
-                              with_bound=False)
+    report, masks = evaluate_run(models, weights, eval_sources, target, plan,
+                                 config, oracle, args.seed, with_bound=False)
     _write_outputs(out_dir, report, masks, args.aggregation, models, target, plan)
     print(f"eval complete: {out_dir}")
     return 0
@@ -445,9 +376,9 @@ def cmd_sweep(args) -> int:
     if args.parameter == "lambda":
         result = run_msuda(sources, target, plan, config, oracle_mode=True,
                            workers=args.workers or len(sources))
+        probs = stack_probs(result.adapted.models, images)
         for lam in parsed:
-            weights = compute_weights(result.adapted.models, images, lam)
-            score = dice(aggregate(result.adapted.models, weights, images).mask, truth)
+            score = dice(aggregate(probs, confidence_weights(probs, lam)).mask, truth)
             rows.append((lam, score))
     else:
         field = "swd_L" if args.parameter == "L" else "gamma"
@@ -455,8 +386,8 @@ def cmd_sweep(args) -> int:
             variant = dataclasses.replace(plan, **{field: value})
             result = run_msuda(sources, target, variant, config, oracle_mode=True,
                                workers=args.workers or len(sources))
-            score = dice(aggregate(result.adapted.models, result.weights,
-                                   images).mask, truth)
+            probs = stack_probs(result.adapted.models, images)
+            score = dice(aggregate(probs, result.weights).mask, truth)
             rows.append((value, score))
 
     csv_path = os.path.join(args.out, f"sweep_{args.parameter}.csv")

@@ -8,15 +8,20 @@ probability simplex. Popular vote and uniform averaging are provided as
 baselines, and a new source can be folded in by computing only its own raw
 count and renormalizing.
 
-Models are anything with predict_probs(images) -> (batch, classes, *spatial).
-All image arguments are batches; pass a single image as a batch of one.
+Every ensemble quantity is a function of one array: the probability stack
+(n_models, batch, classes, *spatial) that stack_probs builds by running each
+model once on the target images. confidence_weights, aggregate,
+average_vote and popular_vote take that stack, never the models.
+compute_weights and add_source take models (anything with
+predict_probs(images) -> (batch, classes, *spatial)) because they run at
+the target node as models arrive. All image arguments are batches; pass a
+single image as a batch of one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import dice
 from .util import derive_seed, hash_images
 
 
@@ -34,6 +39,17 @@ class EnsembleWeights:
         total = sum(self.weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1")
+
+    @classmethod
+    def from_counts(cls, counts, lambda_conf, target_hash="") -> "EnsembleWeights":
+        """Normalized raw counts; uniform (and flagged) when all are zero."""
+        total = sum(counts)
+        if total == 0:
+            n = len(counts)
+            return cls(list(counts), [1.0 / n] * n, lambda_conf,
+                       uniform_fallback=True, target_hash=target_hash)
+        return cls(list(counts), [c / total for c in counts], lambda_conf,
+                   target_hash=target_hash)
 
 
 @dataclass
@@ -65,9 +81,12 @@ def _as_image_batch(images) -> np.ndarray:
     return arr
 
 
-def _stacked_probs(models, images) -> np.ndarray:
-    """(n_models, batch, classes, *spatial) with shape agreement enforced."""
+def stack_probs(models, images) -> np.ndarray:
+    """(n_models, batch, classes, *spatial): one predict_probs call per model,
+    with shape agreement enforced."""
     probs = [np.asarray(m.predict_probs(images)) for m in models]
+    if not probs:
+        raise ValueError("need at least one model")
     base = probs[0].shape
     for k, p in enumerate(probs[1:], start=1):
         if p.shape != base:
@@ -75,43 +94,27 @@ def _stacked_probs(models, images) -> np.ndarray:
     return np.stack(probs)
 
 
-def _confident_pixels(probs: np.ndarray, lambda_conf: float, per_image: bool) -> int:
-    top = probs.max(axis=1)  # (batch, *spatial)
-    if per_image:
-        flat = top.reshape(top.shape[0], -1)
-        return int((flat.max(axis=1) > lambda_conf).sum())
-    return int((top > lambda_conf).sum())
+def _confident_pixels(probs: np.ndarray, lambda_conf: float) -> int:
+    return int((probs.max(axis=1) > lambda_conf).sum())
 
 
-def compute_weights(models, target_images, lambda_conf: float,
-                    per_image: bool = False) -> EnsembleWeights:
-    """Normalized confident-pixel counts over the target image set.
+def confidence_weights(probs, lambda_conf: float, target_hash: str = "") -> EnsembleWeights:
+    """Normalized confident-pixel counts of a probability stack.
 
-    per_image counts whole images whose most confident pixel clears the
-    threshold instead of individual pixels. If no model clears the threshold
-    anywhere, weights fall back to uniform and the result is flagged.
+    If no model clears the threshold anywhere, weights fall back to uniform
+    and the result is flagged.
     """
-    models = list(models)
-    if not models:
-        raise ValueError("need at least one model")
     if not 0.0 < lambda_conf < 1.0:
         raise ValueError(f"lambda_conf must be in (0,1), got {lambda_conf}")
+    counts = [_confident_pixels(p, lambda_conf) for p in probs]
+    return EnsembleWeights.from_counts(counts, lambda_conf, target_hash)
+
+
+def compute_weights(models, target_images, lambda_conf: float) -> EnsembleWeights:
+    """confidence_weights of the models' probabilities on the target images."""
     images = _as_image_batch(target_images)
-    counts = [
-        _confident_pixels(p, lambda_conf, per_image)
-        for p in _stacked_probs(models, images)
-    ]
-    return _normalize(counts, lambda_conf, hash_images(images))
-
-
-def _normalize(counts, lambda_conf, target_hash) -> EnsembleWeights:
-    total = sum(counts)
-    if total == 0:
-        n = len(counts)
-        return EnsembleWeights(list(counts), [1.0 / n] * n, lambda_conf,
-                               uniform_fallback=True, target_hash=target_hash)
-    return EnsembleWeights(list(counts), [c / total for c in counts], lambda_conf,
-                           target_hash=target_hash)
+    return confidence_weights(stack_probs(models, images), lambda_conf,
+                              hash_images(images))
 
 
 def add_source(models, weights: EnsembleWeights, new_model,
@@ -127,8 +130,9 @@ def add_source(models, weights: EnsembleWeights, new_model,
     if weights.target_hash and h != weights.target_hash:
         raise ValueError("target image set differs from the one weights were computed on")
     probs = np.asarray(new_model.predict_probs(images))
-    new_count = _confident_pixels(probs, weights.lambda_conf, per_image=False)
-    return _normalize(list(weights.raw_counts) + [new_count], weights.lambda_conf, h)
+    new_count = _confident_pixels(probs, weights.lambda_conf)
+    return EnsembleWeights.from_counts(list(weights.raw_counts) + [new_count],
+                                       weights.lambda_conf, h)
 
 
 def _tie_break_argmax(scores: np.ndarray, rng) -> np.ndarray:
@@ -141,56 +145,28 @@ def _tie_break_argmax(scores: np.ndarray, rng) -> np.ndarray:
     return np.where(tied, jitter, -1.0).argmax(axis=1)
 
 
-def aggregate(models, weights: EnsembleWeights, x) -> AggregatedPrediction:
+def aggregate(probs, weights: EnsembleWeights) -> AggregatedPrediction:
     """Pixel-wise convex combination of the models' class distributions."""
-    models = list(models)
-    if len(models) != len(weights.weights):
-        raise ValueError(f"{len(models)} models but {len(weights.weights)} weights")
-    images = _as_image_batch(x)
-    stacked = _stacked_probs(models, images)
-    w = np.asarray(weights.weights).reshape((-1,) + (1,) * (stacked.ndim - 1))
-    probs = (stacked * w).sum(axis=0)
-    return AggregatedPrediction(probs=probs, mask=probs.argmax(axis=1))
+    probs = np.asarray(probs)
+    if len(probs) != len(weights.weights):
+        raise ValueError(f"{len(probs)} models but {len(weights.weights)} weights")
+    w = np.asarray(weights.weights).reshape((-1,) + (1,) * (probs.ndim - 1))
+    mixed = (probs * w).sum(axis=0)
+    return AggregatedPrediction(probs=mixed, mask=mixed.argmax(axis=1))
 
 
-def average_vote(models, x, seed: int = 0) -> AggregatedPrediction:
+def average_vote(probs, seed: int = 0) -> AggregatedPrediction:
     """Uniform-weight aggregation; exact probability ties break by seed."""
-    images = _as_image_batch(x)
-    probs = _stacked_probs(list(models), images).mean(axis=0)
+    mean = np.asarray(probs).mean(axis=0)
     rng = np.random.default_rng(derive_seed(seed, "average-vote"))
-    return AggregatedPrediction(probs=probs, mask=_tie_break_argmax(probs, rng))
+    return AggregatedPrediction(probs=mean, mask=_tie_break_argmax(mean, rng))
 
 
-def popular_vote(models, x, seed: int = 0) -> np.ndarray:
+def popular_vote(probs, seed: int = 0) -> np.ndarray:
     """Per-pixel majority label across models; ties resolved by seed."""
-    images = _as_image_batch(x)
-    stacked = _stacked_probs(list(models), images)
-    n_classes = stacked.shape[2]
-    labels = stacked.argmax(axis=2)  # (models, batch, *spatial)
+    probs = np.asarray(probs)
+    n_classes = probs.shape[2]
+    labels = probs.argmax(axis=2)  # (models, batch, *spatial)
     votes = np.stack([(labels == c).sum(axis=0) for c in range(n_classes)], axis=1)
     rng = np.random.default_rng(derive_seed(seed, "popular-vote"))
     return _tie_break_argmax(votes.astype(np.float64), rng)
-
-
-def oracle_dice_weights(models, target_images, target_masks,
-                        foreground: int = 1) -> EnsembleWeights:
-    """Weights proportional to each model's target Dice score.
-
-    Reads target labels; evaluation-only tool for comparing against the
-    confidence rule, never part of the unsupervised pipeline.
-    """
-    models = list(models)
-    images = _as_image_batch(target_images)
-    truth = np.asarray(target_masks)
-    scores = []
-    for m in models:
-        pred = np.asarray(m.predict_probs(images)).argmax(axis=1)
-        scores.append(dice(pred, truth, foreground=foreground))
-    total = sum(scores)
-    h = hash_images(images)
-    if total == 0:
-        n = len(models)
-        return EnsembleWeights([0] * n, [1.0 / n] * n, 0.5, uniform_fallback=True,
-                               target_hash=h)
-    return EnsembleWeights([0] * len(models), [s / total for s in scores], 0.5,
-                           target_hash=h)

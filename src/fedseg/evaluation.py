@@ -11,15 +11,20 @@ computable.
 Cross-entropy is the error functional throughout, matching the convexity
 argument that makes the aggregated error at most the weighted mean of the
 per-model errors.
+
+evaluate_run is the one evaluation path: the CLI's run, eval and
+add-source reports and the benchmark's acceptance quantities all come
+from it.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor
+from .ensembling import aggregate, average_vote, popular_vote, stack_probs
 from .network import ce_loss, embed
 from .sliced import sample_projections, swd2
 from .util import derive_seed
@@ -58,14 +63,10 @@ def mean_ce(model, dataset) -> float:
     return ce_loss(logits, dataset.mask_stack()).item()
 
 
-def mixture_target_ce(models, weights, dataset) -> float:
-    """Cross-entropy of the weighted probability mixture on a labeled set."""
-    images = dataset.image_stack()
-    stacked = np.stack([np.asarray(m.predict_probs(images)) for m in models])
-    w = np.asarray(weights).reshape((-1,) + (1,) * (stacked.ndim - 1))
-    probs = (stacked * w).sum(axis=0)
-    labels = dataset.mask_stack()
-    picked = np.take_along_axis(probs, labels[:, None, ...], axis=1)[:, 0, ...]
+def mixture_target_ce(mixture, labels) -> float:
+    """Mean cross-entropy of a mixed probability field (batch, classes,
+    *spatial) against integer target labels."""
+    picked = np.take_along_axis(mixture, labels[:, None, ...], axis=1)[:, 0, ...]
     return float(-np.log(picked).mean())
 
 
@@ -169,6 +170,65 @@ class MetricsReport:
     bound_lhs: float = None
     bound_rhs: float = None
     timestamp: str = ""
+
+
+def evaluate_run(models, weights, sources, target, plan, config, oracle_mode,
+                 seed, pretrained=None, with_bound=True):
+    """The report and the masks of every aggregation mode for one model set.
+
+    Each adapted model runs once on the target stack; per-model Dice, the
+    fmuda/av/pv/suda masks and the bound's left-hand side all read that one
+    probability stack. In oracle mode each pretrained snapshot (by source
+    id, where given) runs once more for the pre-adaptation Dice. Returns
+    (MetricsReport, {mode: mask}); the suda mask needs oracle mode. Tie
+    breaks and bound projections draw from seeds derived from `seed`.
+    """
+    report = MetricsReport(seed=seed, oracle_mode=oracle_mode)
+    report.settings = {f"plan.{k}": v for k, v in asdict(plan).items()}
+    report.settings.update({f"net.{k}": v for k, v in asdict(config).items()})
+    report.settings["audit.target_label_reads_before_eval"] = target.label_reads
+    report.source_ids = [m.source_id for m in models]
+    report.raw_counts = list(weights.raw_counts)
+    report.weights = list(weights.weights)
+    report.lambda_conf = weights.lambda_conf
+    report.uniform_fallback = weights.uniform_fallback
+
+    images = target.image_stack()
+    probs = stack_probs(models, images)
+    fmuda = aggregate(probs, weights)
+    # the benchmark's seed labels: its acceptance figures depend on them
+    tie_seed = derive_seed(seed, "benchmark-ties")
+    masks = {"fmuda": fmuda.mask,
+             "av": average_vote(probs, seed=tie_seed).mask,
+             "pv": popular_vote(probs, seed=tie_seed)}
+
+    if with_bound:
+        joint = None
+        if oracle_mode:
+            joint = {src.domain_id: measure_joint_error(src, target, plan, config)
+                     for src in sources}
+        report.bound = bound_terms(models, sources, target, plan.swd_L,
+                                   plan.embed_sites,
+                                   seed=derive_seed(seed, "benchmark-bound"),
+                                   joint_errors=joint)
+    if not oracle_mode:
+        return report, masks
+
+    truth = target.mask_stack()
+    pretrained = pretrained or {}
+    for am, p in zip(models, probs):
+        pre = float("nan")
+        if am.source_id in pretrained:
+            pre_probs = pretrained[am.source_id].predict_probs(images)
+            pre = dice(np.asarray(pre_probs).argmax(axis=1), truth)
+        report.per_model_dice[am.source_id] = (pre, dice(p.argmax(axis=1), truth))
+    post = [d for _, d in report.per_model_dice.values()]
+    masks["suda"] = probs[int(np.argmax(post))].argmax(axis=1)
+    report.ensemble_dice = {mode: dice(mask, truth) for mode, mask in masks.items()}
+    if with_bound:
+        report.bound_lhs = mixture_target_ce(fmuda.probs, truth)
+        report.bound_rhs = bound_right_hand_side(report.bound, weights.weights)
+    return report, masks
 
 
 def _fmt(value) -> str:

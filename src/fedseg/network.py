@@ -160,11 +160,6 @@ class SegModel:
         return other
 
 
-def embed_full(model: SegModel, x) -> Tensor:
-    """Un-sampled latent field; classify(embed_full(x)) reproduces forward(x)."""
-    return model.encode(x)
-
-
 def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
           domain_tag: str = "") -> EmbeddingBatch:
     """Latent codes at a seeded uniform subsample of spatial sites.
@@ -206,7 +201,3 @@ def ce_loss(logits: Tensor, mask) -> Tensor:
     picked = tsum(mul(log_softmax(logits, axis=1), onehot))
     return mul(picked, -1.0 / labels.size)
 
-
-def pixel_accuracy(logits, mask) -> float:
-    pred = np.argmax(logits.data if isinstance(logits, Tensor) else logits, axis=1)
-    return float((pred == np.asarray(mask)).mean())

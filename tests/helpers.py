@@ -1,6 +1,9 @@
-"""Shared test utilities: finite-difference gradients and error measures."""
+"""Shared test utilities: finite-difference gradients, error measures, and
+a predict_probs call counter."""
 
 import numpy as np
+
+from fedseg.network import SegModel
 
 
 def numerical_grad(f, params, h=1e-5):
@@ -45,3 +48,16 @@ def gradient_check(f, params, h=1e-5, floor=1e-6):
         assert np.all(np.isfinite(p.grad)), "non-finite gradient"
         worst = max(worst, max_rel_error(p.grad, num, floor=floor))
     return worst
+
+
+def count_predict_probs(monkeypatch):
+    """Count SegModel.predict_probs calls; returns the list of calling models."""
+    calls = []
+    original = SegModel.predict_probs
+
+    def counted(self, images):
+        calls.append(self)
+        return original(self, images)
+
+    monkeypatch.setattr(SegModel, "predict_probs", counted)
+    return calls

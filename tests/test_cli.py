@@ -8,6 +8,8 @@ import pytest
 
 from fedseg.cli import main
 from fedseg.data import read_manifest
+from fedseg.federation import AuditLog
+from helpers import count_predict_probs
 
 FAST = ["--epochs-pretrain", "4", "--epochs-adapt", "3", "--batch-size", "3",
         "--swd-l", "8", "--sites", "16", "--depth", "2", "--base-width", "4",
@@ -99,7 +101,7 @@ def test_run_bad_manifest_is_usage_error(tmp_path):
     assert code == 1
 
 
-def test_add_source_keeps_prior_checkpoints(tmp_path):
+def test_add_source_keeps_prior_checkpoints(tmp_path, capsys):
     data = tmp_path / "data4"
     assert main(gen_args(data, domains=4)) == 0
     manifest = data / "manifest.txt"
@@ -117,13 +119,33 @@ def test_add_source_keeps_prior_checkpoints(tmp_path):
     before = {rel: file_hash(out / "checkpoints" / rel)
               for rel in os.listdir(out / "checkpoints")}
 
-    assert main(["run", "--data", str(manifest), "--out", str(out), "--seed", "2",
-                 "--add-source", "site_c", *FAST]) == 0
+    add = ["run", "--data", str(manifest), "--out", str(out), "--seed", "2",
+           "--add-source", "site_c", *FAST]
+
+    # without the run's audit log there is no trail to extend
+    audit = out / "audit.log"
+    audit.rename(tmp_path / "audit.log")
+    capsys.readouterr()
+    assert main(add) == 1
+    assert str(audit) in capsys.readouterr().err
+    assert not (out / "checkpoints" / "site_c_adapted.fpar").exists()
+    (tmp_path / "audit.log").rename(audit)
+
+    prior = AuditLog.read(audit).records
+    assert main(add) == 0
     for rel, digest in before.items():
         assert file_hash(out / "checkpoints" / rel) == digest
     assert (out / "checkpoints" / "site_c_adapted.fpar").exists()
     ensemble = (out / "ensemble.txt").read_text()
     assert "site_c" in ensemble
+
+    records = AuditLog.read(audit).records
+    assert records[:len(prior)] == prior
+    added = [(m.sender.name, m.sender.kind, m.receiver.name, m.receiver.kind,
+              m.payload_kind) for m in records[len(prior):]]
+    assert added == [("site_t", "target", "site_c", "source", "unlabeled_images"),
+                     ("site_c", "source", "site_t", "target", "model_params")]
+    assert main(["audit", "--log", str(audit)]) == 0
 
 
 def test_eval_reuses_checkpoints(dataset, tmp_path):
@@ -134,6 +156,37 @@ def test_eval_reuses_checkpoints(dataset, tmp_path):
                  "--aggregation", "av", "--oracle", "--depth", "2",
                  "--base-width", "4", "--latent-dim", "8", "--sites", "16"]) == 0
     assert (out / "eval" / "report.txt").exists()
+
+
+def test_eval_predicts_once_per_model(tmp_path, monkeypatch):
+    data = tmp_path / "data4"
+    assert main(gen_args(data, domains=4)) == 0
+    manifest = str(data / "manifest.txt")
+    out = tmp_path / "r"
+    assert main(["run", "--data", manifest, "--out", str(out), "--seed", "0",
+                 *FAST]) == 0
+    calls = count_predict_probs(monkeypatch)
+    assert main(["eval", "--data", manifest, "--run", str(out), "--oracle",
+                 "--depth", "2", "--base-width", "4", "--latent-dim", "8",
+                 "--sites", "16"]) == 0
+    assert len(calls) == 3
+    assert len({id(m) for m in calls}) == 3
+
+
+@pytest.mark.parametrize("text, complaint", [
+    ("", "no 'source_id,raw_count' rows"),
+    ("target_hash: x\nsource_id,raw_count\nsite_a,3\nsite_b,1\n", "'lambda_conf'"),
+    ("lambda_conf: 0.5\nsource_id,raw_count\nsite_a,three\n", ":3: expected"),
+])
+def test_malformed_ensemble_names_file(dataset, tmp_path, capsys, text, complaint):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "ensemble.txt").write_text(text)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset), "--run", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert str(run / "ensemble.txt") in err
+    assert complaint in err
 
 
 def test_sweep_lambda_csv_shape(dataset, tmp_path):

@@ -1,12 +1,12 @@
 """Confidence weights, aggregation, the vote baselines, and incremental
-source addition, exercised with fixed-probability stub models."""
+source addition, exercised with fixed probability stacks and stub models."""
 
 import numpy as np
 import pytest
 
 from fedseg.ensembling import (EnsembleWeights, add_source, aggregate,
-                               average_vote, compute_weights, oracle_dice_weights,
-                               popular_vote)
+                               average_vote, compute_weights, popular_vote,
+                               stack_probs)
 
 
 class StubModel:
@@ -59,52 +59,46 @@ def test_weight_validation():
         compute_weights([confident_stub(5)], np.zeros((0,)), lambda_conf=0.5)
 
 
-def test_per_image_counting_switch():
-    # one image whose best pixel clears the threshold -> count 1, not 30
-    w = compute_weights([confident_stub(30)], IMAGES, lambda_conf=0.9, per_image=True)
-    assert w.raw_counts == [1]
-
-
 def test_aggregate_two_models_hand_arithmetic():
-    a = StubModel(np.array([[[0.9], [0.1]]]))  # (1 image, 2 classes, 1 pixel)
-    b = StubModel(np.array([[[0.1], [0.9]]]))
+    a = np.array([[[0.9], [0.1]]])  # (1 image, 2 classes, 1 pixel)
+    b = np.array([[[0.1], [0.9]]])
     weights = EnsembleWeights([30, 10], [0.75, 0.25], 0.5)
-    out = aggregate([a, b], weights, np.zeros((1, 1, 1)))
+    out = aggregate(np.stack([a, b]), weights)
     np.testing.assert_allclose(out.probs[0, :, 0], [0.7, 0.3], atol=1e-15)
     assert out.mask[0, 0] == 0
 
 
 def test_aggregate_identical_models_is_identity():
     probs = np.random.default_rng(0).dirichlet(np.ones(3), size=(2, 4)).transpose(0, 2, 1)
-    models = [StubModel(probs), StubModel(probs), StubModel(probs)]
     weights = EnsembleWeights([1, 1, 1], [1 / 3] * 3, 0.5)
-    out = aggregate(models, weights, np.zeros((2, 1, 4)))
+    out = aggregate(np.stack([probs] * 3), weights)
     np.testing.assert_allclose(out.probs, probs, atol=1e-12)
 
 
 def test_aggregate_one_hot_weights_select_model():
-    a = StubModel(np.array([[[0.9], [0.1]]]))
-    b = StubModel(np.array([[[0.2], [0.8]]]))
+    a = np.array([[[0.9], [0.1]]])
+    b = np.array([[[0.2], [0.8]]])
     weights = EnsembleWeights([5, 0], [1.0, 0.0], 0.5)
-    out = aggregate([a, b], weights, np.zeros((1, 1, 1)))
-    np.testing.assert_array_equal(out.probs, a.probs)
+    out = aggregate(np.stack([a, b]), weights)
+    np.testing.assert_array_equal(out.probs, a)
 
 
 def test_aggregate_stays_on_simplex():
     rng = np.random.default_rng(3)
-    models = [StubModel(rng.dirichlet(np.ones(4), size=(2, 9)).transpose(0, 2, 1))
-              for _ in range(3)]
+    probs = np.stack([rng.dirichlet(np.ones(4), size=(2, 9)).transpose(0, 2, 1)
+                      for _ in range(3)])
     w = rng.dirichlet(np.ones(3))
     weights = EnsembleWeights([1, 1, 1], list(w), 0.5)
-    out = aggregate(models, weights, np.zeros((2, 1, 9)))
+    out = aggregate(probs, weights)
     assert out.probs.min() >= 0
     np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_aggregate_length_mismatch():
     weights = EnsembleWeights([1], [1.0], 0.5)
+    probs = stack_probs([confident_stub(1), confident_stub(2)], IMAGES)
     with pytest.raises(ValueError, match="weights"):
-        aggregate([confident_stub(1), confident_stub(2)], weights, IMAGES)
+        aggregate(probs, weights)
 
 
 def test_scale_free_weights():
@@ -115,37 +109,32 @@ def test_scale_free_weights():
 
 
 def test_popular_vote_rules():
-    agree = [StubModel(np.array([[[0.1], [0.9]]]))] * 3
-    assert popular_vote(agree, np.zeros((1, 1, 1)))[0, 0] == 1
+    agree = np.stack([np.array([[[0.1], [0.9]]])] * 3)
+    assert popular_vote(agree)[0, 0] == 1
 
-    majority = [StubModel(np.array([[[0.9], [0.1]]])),
-                StubModel(np.array([[[0.8], [0.2]]])),
-                StubModel(np.array([[[0.1], [0.9]]]))]
-    assert popular_vote(majority, np.zeros((1, 1, 1)))[0, 0] == 0
+    majority = np.array([[[[0.9], [0.1]]], [[[0.8], [0.2]]], [[[0.1], [0.9]]]])
+    assert popular_vote(majority)[0, 0] == 0
 
 
 def test_popular_vote_tie_reproducible_under_seed():
-    tied = [StubModel(np.array([[[0.9], [0.1]]])),
-            StubModel(np.array([[[0.1], [0.9]]]))]
-    first = popular_vote(tied, np.zeros((1, 1, 1)), seed=5)
-    again = popular_vote(tied, np.zeros((1, 1, 1)), seed=5)
+    tied = np.array([[[[0.9], [0.1]]], [[[0.1], [0.9]]]])
+    first = popular_vote(tied, seed=5)
+    again = popular_vote(tied, seed=5)
     np.testing.assert_array_equal(first, again)
     assert first[0, 0] in (0, 1)
     # across many pixels both labels occur under some seed
-    many = [StubModel(np.tile(np.array([[[0.9], [0.1]]]), (1, 1, 50))),
-            StubModel(np.tile(np.array([[[0.1], [0.9]]]), (1, 1, 50)))]
-    votes = popular_vote(many, np.zeros((1, 1, 50)), seed=5)
+    votes = popular_vote(np.tile(tied, (1, 1, 1, 50)), seed=5)
     assert set(np.unique(votes)) == {0, 1}
 
 
 def test_average_vote_equals_uniform_aggregate():
-    a = StubModel(np.array([[[0.9], [0.1]]]))
-    b = StubModel(np.array([[[0.1], [0.9]]]))
-    out = average_vote([a, b], np.zeros((1, 1, 1)), seed=3)
+    a = np.array([[[0.9], [0.1]]])
+    b = np.array([[[0.1], [0.9]]])
+    out = average_vote(np.stack([a, b]), seed=3)
     np.testing.assert_allclose(out.probs[0, :, 0], [0.5, 0.5], atol=1e-15)
     assert out.mask[0, 0] in (0, 1)
-    single = average_vote([a], np.zeros((1, 1, 1)))
-    np.testing.assert_array_equal(single.probs, a.probs)
+    single = average_vote(a[None])
+    np.testing.assert_array_equal(single.probs, a)
 
 
 def test_add_source_hand_normalization():
@@ -191,12 +180,3 @@ def test_jensen_inequality_on_random_stubs():
         rhs = float((w * (-np.log(probs[:, y]))).sum())
         assert lhs <= rhs + 1e-12
 
-
-def test_oracle_dice_weights_prefer_better_model():
-    truth = np.zeros((1, 4), dtype=np.uint8)
-    truth[0, :2] = 1
-    good = StubModel(np.array([[[0.1, 0.1, 0.9, 0.9], [0.9, 0.9, 0.1, 0.1]]]))
-    bad = StubModel(np.array([[[0.9, 0.1, 0.1, 0.1], [0.1, 0.9, 0.9, 0.9]]]))
-    w = oracle_dice_weights([good, bad], np.zeros((1, 1, 4)), truth)
-    assert w.weights[0] > w.weights[1]
-    assert sum(w.weights) == pytest.approx(1.0)

@@ -1,14 +1,18 @@
-"""Dice scoring, bound-term arithmetic, and report round trips."""
+"""Dice scoring, bound-term arithmetic, report round trips, and how often
+the benchmark evaluation runs each model."""
 
 import math
 
 import numpy as np
 import pytest
 
+from fedseg.benchmark import run_benchmark
 from fedseg.evaluation import (MetricsReport, BoundTerm, complexity_term, dice,
                                emit_report, export_embeddings, read_report)
 from fedseg.sliced import EmbeddingBatch
 from fedseg.autodiff import Tensor
+from fedseg.training import TrainPlan
+from helpers import count_predict_probs
 
 
 def test_dice_identical_masks():
@@ -146,3 +150,14 @@ def test_export_embeddings(tmp_path):
     assert lines[0] == "domain_tag,dim_0,dim_1"
     assert lines[1] == "src,1.0,2.0"
     assert lines[3] == "tgt,5.0,6.0"
+
+
+def test_benchmark_predicts_at_most_three_times_per_source(monkeypatch):
+    # weights at the target node, then the pretrained and adapted snapshots
+    calls = count_predict_probs(monkeypatch)
+    plan = TrainPlan(epochs_pretrain=1, epochs_adapt=1, batch_size=6, swd_L=4,
+                     lambda_conf=0.97, embed_sites=8)
+    bench = run_benchmark(seed=0, plan=plan)
+    assert np.isfinite(bench.bound_lhs) and set(bench.mode_dice) == {
+        "fmuda", "av", "pv", "suda"}
+    assert len(calls) <= 3 * len(bench.post_dice)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from fedseg.autodiff import Tensor, softmax
-from fedseg.network import (NetConfig, SegModel, ce_loss, embed, embed_full,
-                            pixel_accuracy)
+from fedseg.network import NetConfig, SegModel, ce_loss, embed
 from helpers import gradient_check
 
 SMALL = NetConfig(spatial_rank=2, in_channels=1, num_classes=2, depth=1,
@@ -41,7 +40,7 @@ def test_forward_is_classify_of_encode():
     model = SegModel(DEFAULT, seed=4)
     x = Tensor(np.random.default_rng(3).normal(size=(2, 1, 16, 16)))
     direct = model.forward(x).data
-    via_latent = model.classify(embed_full(model, x)).data
+    via_latent = model.classify(model.encode(x)).data
     np.testing.assert_array_equal(direct, via_latent)
 
 
@@ -166,9 +165,3 @@ def test_checkpoint_round_trip_through_state_dict():
     x = Tensor(np.random.default_rng(9).normal(size=(1, 1, 16, 16)))
     np.testing.assert_array_equal(model.forward(x).data, clone.forward(x).data)
 
-
-def test_pixel_accuracy_basics():
-    logits = np.zeros((1, 2, 2, 2))
-    logits[0, 1] = 1.0  # predicts class 1 everywhere
-    assert pixel_accuracy(logits, np.ones((1, 2, 2))) == 1.0
-    assert pixel_accuracy(logits, np.zeros((1, 2, 2))) == 0.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedseg.data import DomainShift, generate_domains
-from fedseg.network import NetConfig, SegModel, pixel_accuracy
+from fedseg.network import NetConfig, SegModel
 from fedseg.autodiff import Tensor
 from fedseg.training import TrainPlan, adapt, pretrain
 
@@ -42,8 +42,8 @@ def test_plan_validation():
 def test_pretrain_learns_separable_task():
     src, _ = quick_domains(n_images=12)
     model = pretrain(src, quick_plan(epochs_pretrain=30, batch_size=4), CFG)
-    logits = model.forward(Tensor(src.image_stack()))
-    assert pixel_accuracy(logits, src.mask_stack()) > 0.95
+    pred = model.forward(Tensor(src.image_stack())).data.argmax(axis=1)
+    assert (pred == src.mask_stack()).mean() > 0.95
 
 
 def test_pretrain_zero_epochs_returns_initialized_model():
