@@ -1,5 +1,5 @@
-"""Synthetic multi-site data: paired phantoms, intensity shifts, patches,
-and the raster file format.
+"""Synthetic multi-site data: paired phantoms, intensity shifts and the
+raster file format.
 
 Each domain mimics one acquisition site. All sites share the same blob
 phantoms and ground-truth masks; only the intensity mapping changes (affine
@@ -12,8 +12,7 @@ import tempfile
 
 import numpy as np
 
-from fedseg.data import (DomainShift, PatchSpec, extract_patches,
-                         generate_domains, read_raster, write_raster)
+from fedseg.data import DomainShift, generate_domains, read_raster, write_raster
 
 shifts = [
     DomainShift(intensity_gain=1.0, intensity_offset=0.0, seed=1),
@@ -31,13 +30,6 @@ for ds in (site_a, site_b, site_t):
 
 same = all(np.array_equal(a, b) for a, b in zip(site_a.masks, site_t.masks))
 print("masks identical across sites:", same)
-
-# Overlapping patch extraction with boundary clamping.
-spec = PatchSpec(patch_size=(16, 16), overlap_fraction=0.5)
-patches = extract_patches(site_a.images[0], spec)
-print(f"\n16x16 patches at 50% overlap from a 32x32 image: {len(patches)} "
-      f"(stride {spec.stride})")
-print("origins:", [p[0] for p in patches][:6], "...")
 
 # Rasters round-trip bit-exactly through the NDR format.
 with tempfile.TemporaryDirectory() as tmp:

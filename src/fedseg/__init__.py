@@ -9,8 +9,7 @@ sessions.
 """
 
 from .autodiff import Adam, Tensor, load_params, save_params
-from .data import (DomainDataset, DomainShift, PatchSpec, extract_patches,
-                   generate_domains, read_raster, write_raster)
+from .data import DomainDataset, DomainShift, generate_domains, read_raster, write_raster
 from .ensembling import (AdaptedModelSet, EnsembleWeights, add_source, aggregate,
                          average_vote, compute_weights, popular_vote)
 from .evaluation import MetricsReport, bound_terms, dice, emit_report
@@ -24,10 +23,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "AdaptedModel", "AdaptedModelSet", "AuditLog", "DomainDataset",
     "DomainShift", "EmbeddingBatch", "EnsembleWeights", "MetricsReport",
-    "NetConfig", "PatchSpec", "ProjectionSet", "SegModel", "Tensor", "TrainPlan",
-    "adapt", "add_source", "aggregate", "audit_check", "average_vote", "bound_terms",
+    "NetConfig", "ProjectionSet", "SegModel", "Tensor", "TrainPlan", "adapt",
+    "add_source", "aggregate", "audit_check", "average_vote", "bound_terms",
     "ce_loss", "compute_weights", "dice", "embed", "emit_report", "exact_w2_1d",
-    "extend_run", "extract_patches", "generate_domains", "load_params",
-    "popular_vote", "pretrain", "read_raster", "run_msuda", "sample_projections",
-    "save_params", "swd2", "write_raster",
+    "extend_run", "generate_domains", "load_params", "popular_vote", "pretrain",
+    "read_raster", "run_msuda", "sample_projections", "save_params", "swd2",
+    "write_raster",
 ]

@@ -383,8 +383,8 @@ def _per_axis(value, rank, name):
     return value
 
 
-def conv(x, w, stride=1, padding=0):
-    """N-D cross-correlation over (batch, channels, *spatial) inputs.
+def conv(x, w, padding=0):
+    """N-D stride-1 cross-correlation over (batch, channels, *spatial) inputs.
 
     w has shape (out_channels, in_channels, *kernel). No bias; add one with
     a broadcast add. Works for any spatial rank; used here with rank 2 and 3.
@@ -398,16 +398,13 @@ def conv(x, w, stride=1, padding=0):
             f"conv: input channels {x.shape[1]} (shape {x.shape}) != "
             f"kernel channels {w.shape[1]} (shape {w.shape})"
         )
-    stride = _per_axis(stride, rank, "stride")
     padding = _per_axis(padding, rank, "padding")
     kernel = w.shape[2:]
     spatial = x.shape[2:]
-    out_spatial = tuple(
-        (s + 2 * p - k) // st + 1 for s, p, k, st in zip(spatial, padding, kernel, stride)
-    )
+    out_spatial = tuple(s + 2 * p - k + 1 for s, p, k in zip(spatial, padding, kernel))
     if any(o < 1 for o in out_spatial):
         raise ValueError(
-            f"conv: kernel {kernel} with stride {stride}, padding {padding} "
+            f"conv: kernel {kernel} with padding {padding} "
             f"does not fit input spatial shape {spatial}"
         )
 
@@ -417,11 +414,8 @@ def conv(x, w, stride=1, padding=0):
     n_out = int(np.prod(out_spatial))
 
     def window(k_off):
-        sl = tuple(
-            slice(k, k + st * (o - 1) + 1, st)
-            for k, st, o in zip(k_off, stride, out_spatial)
-        )
-        return (slice(None), slice(None)) + sl
+        return (slice(None), slice(None)) + tuple(
+            slice(k, k + o) for k, o in zip(k_off, out_spatial))
 
     # One BLAS matmul per kernel offset over flattened output positions.
     out = np.zeros((batch, cout, n_out))
@@ -577,8 +571,10 @@ def serialize_params(params) -> bytes:
 
 def deserialize_params(blob: bytes) -> dict:
     """Unpack an archive produced by serialize_params."""
-    if blob[:4] != _ARCHIVE_MAGIC:
+    if blob[:4] != _ARCHIVE_MAGIC[:len(blob)]:
         raise ValueError(f"parameter archive: bad magic at offset 0: {blob[:4]!r}")
+    if len(blob) < 10:
+        raise ValueError(f"parameter archive: truncated header ({len(blob)} of 10 bytes)")
     version, count = struct.unpack_from("<HI", blob, 4)
     if version != _ARCHIVE_VERSION:
         raise ValueError(f"parameter archive: unsupported version {version}")
@@ -614,4 +610,8 @@ def save_params(params, path):
 
 def load_params(path) -> dict:
     with open(path, "rb") as fh:
-        return deserialize_params(fh.read())
+        blob = fh.read()
+    try:
+        return deserialize_params(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

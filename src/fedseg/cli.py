@@ -1,8 +1,8 @@
 """Command-line pipeline driver: gen, run, eval, sweep, audit.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error
-(bad flags, invalid values, refused overwrite), 2 runtime error. Every
-subcommand honors --seed and is reproducible; reports differ across
+(bad flags, invalid values, refused overwrite), 2 runtime error. gen, run,
+eval and sweep take --seed and are reproducible; reports differ across
 identical runs only in the timestamp line.
 
 Evaluation modes that report Dice (oracle mode, sweeps, suda aggregation)
@@ -127,6 +127,8 @@ def _palette_shift(rng, index) -> DomainShift:
 
 
 def cmd_gen(args) -> int:
+    if args.domains < 1:
+        raise UsageError(f"--domains must be >= 1, got {args.domains}")
     _prepare_out(args.out, args.force)
     names = [f"site_{chr(ord('a') + i)}" for i in range(args.domains - 1)]
     names.append("site_t" if args.domains > 1 else "site_a")
@@ -338,7 +340,7 @@ def cmd_eval(args) -> int:
     if args.lambda_conf is not None and args.lambda_conf != weights.lambda_conf:
         weights = compute_weights(models, target.image_stack(), args.lambda_conf)
     plan = TrainPlan(seed=args.seed, lambda_conf=weights.lambda_conf,
-                     swd_L=args.swd_l, embed_sites=args.sites)
+                     embed_sites=args.sites)
     out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
     report, masks = evaluate_run(models, weights, eval_sources, target, plan,
@@ -352,16 +354,18 @@ def cmd_sweep(args) -> int:
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise UsageError("--values is empty")
+    kind = int if args.parameter == "L" else float
+    try:
+        parsed = [kind(v) for v in values]
+    except ValueError as exc:
+        raise UsageError(f"--values: {exc}") from None
     if args.parameter == "lambda":
-        parsed = [float(v) for v in values]
         if any(not 0.0 < v < 1.0 for v in parsed):
             raise UsageError(f"lambda values must lie in (0,1): {parsed}")
     elif args.parameter == "L":
-        parsed = [int(v) for v in values]
         if any(v < 1 for v in parsed):
             raise UsageError(f"L values must be >= 1: {parsed}")
     else:  # gamma
-        parsed = [float(v) for v in values]
         if any(v < 0 for v in parsed):
             raise UsageError(f"gamma values must be >= 0: {parsed}")
 
@@ -461,7 +465,6 @@ def build_parser() -> _Parser:
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--lambda", dest="lambda_conf", type=float, default=None,
                    help="recompute weights at this threshold (default: stored)")
-    p.add_argument("--swd-l", type=int, default=50)
     p.add_argument("--sites", type=int, default=64)
     _add_net_flags(p)
     p.set_defaults(fn=cmd_eval)
@@ -480,7 +483,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="check an exported audit log")
     p.add_argument("--log", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_audit)
 
     return parser

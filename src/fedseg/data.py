@@ -1,4 +1,4 @@
-"""Synthetic multi-domain segmentation data, patch extraction, raster I/O.
+"""Synthetic multi-domain segmentation data, raster I/O and dataset manifests.
 
 Domains are built from a shared set of phantom images (smooth random blobs
 on a textured background, with a binary blob-vs-background mask). Each
@@ -39,30 +39,6 @@ class DomainShift:
         if self.noise_sigma < 0 or self.bias_field_amplitude < 0:
             raise ValueError("noise_sigma and bias_field_amplitude must be >= 0")
 
-    def is_identity(self) -> bool:
-        return (self.intensity_gain == 1.0 and self.intensity_offset == 0.0
-                and self.noise_sigma == 0.0 and self.bias_field_amplitude == 0.0)
-
-
-@dataclass
-class PatchSpec:
-    """Sliding-window geometry: per-axis patch size and fractional overlap."""
-
-    patch_size: tuple
-    overlap_fraction: float = 0.0
-
-    def __post_init__(self):
-        self.patch_size = tuple(int(s) for s in self.patch_size)
-        if any(s < 1 for s in self.patch_size):
-            raise ValueError(f"patch sizes must be positive, got {self.patch_size}")
-        if not 0.0 <= self.overlap_fraction < 1.0:
-            raise ValueError(f"overlap_fraction must be in [0,1), got {self.overlap_fraction}")
-
-    @property
-    def stride(self) -> tuple:
-        return tuple(max(1, int(s * (1.0 - self.overlap_fraction)))
-                     for s in self.patch_size)
-
 
 class DomainDataset:
     """One domain's images plus optional per-pixel label masks.
@@ -72,7 +48,7 @@ class DomainDataset:
     target labels were never consulted.
     """
 
-    def __init__(self, images, masks=None, domain_id="", shift_spec=None):
+    def __init__(self, images, masks=None, domain_id=""):
         self.images = [np.asarray(im, dtype=np.float64) for im in images]
         if masks is not None:
             masks = [np.asarray(m, dtype=np.uint8) for m in masks]
@@ -88,7 +64,6 @@ class DomainDataset:
                     )
         self._masks = masks
         self.domain_id = domain_id
-        self.shift_spec = shift_spec
         self.label_reads = 0
 
     def __len__(self):
@@ -111,12 +86,8 @@ class DomainDataset:
     def mask_stack(self) -> np.ndarray:
         return np.stack(self.masks)
 
-    def num_classes(self) -> int:
-        return int(max(int(m.max()) for m in self.masks)) + 1
-
     def unlabeled_copy(self) -> "DomainDataset":
-        return DomainDataset([im.copy() for im in self.images], None,
-                             self.domain_id, self.shift_spec)
+        return DomainDataset([im.copy() for im in self.images], None, self.domain_id)
 
 
 # -- phantom generation -------------------------------------------------------
@@ -137,19 +108,18 @@ def _smooth_field(rng, shape, coarse=4):
     return field
 
 
-def make_phantom(seed: int, shape, blob_radius_range=(0.12, 0.26)) -> tuple:
+def make_phantom(seed: int, shape) -> tuple:
     """One base phantom: (image, mask) with one to three smooth blobs.
 
-    blob_radius_range is relative to the smallest spatial extent; the default
-    yields lesion-like foreground fractions of a few percent up to ~25%.
+    Blob radii are 0.12-0.26 of the smallest spatial extent, which yields
+    lesion-like foreground fractions of a few percent up to ~25%.
     """
     shape = tuple(shape)
     rng = np.random.default_rng(derive_seed(seed, "phantom"))
     grids = np.meshgrid(*[np.arange(s, dtype=np.float64) for s in shape], indexing="ij")
     blob = np.zeros(shape)
-    lo, hi = blob_radius_range
     for _ in range(int(rng.integers(1, 4))):
-        radius = rng.uniform(lo, hi) * min(shape)
+        radius = rng.uniform(0.12, 0.26) * min(shape)
         # Centers roam the whole frame (clamped so the blob core stays inside),
         # so no pixel is background in every phantom.
         center = [rng.uniform(min(radius, 0.45 * s), s - min(radius, 0.45 * s))
@@ -174,55 +144,21 @@ def apply_shift(image: np.ndarray, shift: DomainShift, noise_seed: int) -> np.nd
 
 
 def generate_domains(base_seed: int, n_domains: int, images_per_domain: int,
-                     shape, shifts, blob_radius_range=(0.12, 0.26)) -> list:
+                     shape, shifts) -> list:
     """Paired synthetic domains: shared phantom geometry, per-domain shifts."""
     shape = tuple(shape)
     if len(shifts) != n_domains:
         raise ValueError(f"{n_domains} domains but {len(shifts)} shifts")
     if any(s < 4 for s in shape):
         raise ValueError(f"degenerate spatial shape {shape}")
-    phantoms = [make_phantom(derive_seed(base_seed, i), shape, blob_radius_range)
+    phantoms = [make_phantom(derive_seed(base_seed, i), shape)
                 for i in range(images_per_domain)]
     domains = []
     for d, shift in enumerate(shifts):
         images = [apply_shift(img, shift, i) for i, (img, _) in enumerate(phantoms)]
         masks = [m.copy() for _, m in phantoms]
-        domains.append(DomainDataset(images, masks, domain_id=f"domain{d}",
-                                     shift_spec=shift))
+        domains.append(DomainDataset(images, masks, domain_id=f"domain{d}"))
     return domains
-
-
-# -- patch extraction -----------------------------------------------------------
-
-
-def extract_patches(image: np.ndarray, spec: PatchSpec) -> list:
-    """Sliding-window patches with origins; the last window per axis is
-    clamped to the boundary so every voxel is covered."""
-    image = np.asarray(image)
-    spatial = image.shape[-len(spec.patch_size):]
-    if len(spec.patch_size) > image.ndim:
-        raise ValueError(
-            f"patch rank {len(spec.patch_size)} exceeds image rank {image.ndim}"
-        )
-    if any(p > s for p, s in zip(spec.patch_size, spatial)):
-        raise ValueError(f"patch {spec.patch_size} larger than image spatial {spatial}")
-
-    lead = image.ndim - len(spec.patch_size)
-    starts_per_axis = []
-    for size, patch, stride in zip(spatial, spec.patch_size, spec.stride):
-        starts = list(range(0, size - patch + 1, stride))
-        if starts[-1] + patch < size:
-            starts.append(size - patch)
-        starts_per_axis.append(starts)
-
-    out = []
-    for origin in np.ndindex(*[len(s) for s in starts_per_axis]):
-        start = tuple(starts_per_axis[ax][i] for ax, i in enumerate(origin))
-        sl = (slice(None),) * lead + tuple(
-            slice(st, st + p) for st, p in zip(start, spec.patch_size)
-        )
-        out.append((start, image[sl]))
-    return out
 
 
 # -- NDR raster format ------------------------------------------------------------
@@ -312,6 +248,12 @@ def write_manifest(path, entries, base_seed: int, num_classes: int):
         fh.write("\n".join(lines) + "\n")
 
 
+# (manifest key, DomainShift attribute, parser) per field of a shift: line
+_SHIFT_FIELDS = (("gain", "intensity_gain", float), ("offset", "intensity_offset", float),
+                 ("noise", "noise_sigma", float), ("bias", "bias_field_amplitude", float),
+                 ("seed", "seed", int))
+
+
 def read_manifest(path) -> tuple:
     """Returns (header dict, list of ManifestEntry)."""
     header, entries, current = {}, [], None
@@ -335,14 +277,19 @@ def read_manifest(path) -> tuple:
                     raise ValueError(f"{path}:{lineno}: unknown role {value!r}")
                 current.role = value
             elif key == "shift":
-                fields = dict(item.split("=", 1) for item in value.split())
-                current.shift = DomainShift(
-                    intensity_gain=float(fields["gain"]),
-                    intensity_offset=float(fields["offset"]),
-                    noise_sigma=float(fields["noise"]),
-                    bias_field_amplitude=float(fields["bias"]),
-                    seed=int(fields["seed"]),
-                )
+                fields = dict(item.partition("=")[::2] for item in value.split())
+                shift = {}
+                for name, attr, kind in _SHIFT_FIELDS:
+                    try:
+                        shift[attr] = kind(fields[name])
+                    except (KeyError, ValueError):
+                        got = repr(fields[name]) if name in fields else "missing"
+                        raise ValueError(f"{path}:{lineno}: shift field '{name}' is "
+                                         f"{got}, expected a number") from None
+                try:
+                    current.shift = DomainShift(**shift)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
             elif key == "image":
                 current.image_paths.append(value)
             elif key == "mask":
@@ -364,4 +311,4 @@ def load_domain(manifest_path, entry: ManifestEntry, read_masks: bool) -> Domain
                 f"for {len(entry.image_paths)} images"
             )
         masks = [read_raster(os.path.join(base, p)) for p in entry.mask_paths]
-    return DomainDataset(images, masks, domain_id=entry.domain_id, shift_spec=entry.shift)
+    return DomainDataset(images, masks, domain_id=entry.domain_id)

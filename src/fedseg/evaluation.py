@@ -17,6 +17,7 @@ add-source reports and the benchmark's acceptance quantities all come
 from it.
 """
 
+import dataclasses
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -24,9 +25,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+from .data import DomainDataset
 from .ensembling import aggregate, average_vote, popular_vote, stack_probs
 from .network import ce_loss, embed
 from .sliced import sample_projections, swd2
+from .training import pretrain
 from .util import derive_seed
 
 
@@ -130,22 +133,13 @@ def bound_right_hand_side(terms, weights) -> float:
 def measure_joint_error(source, target_labeled, plan, config) -> float:
     """Joint-training error term: train one model on source plus labeled
     target, return its source CE plus target CE. Oracle-mode only."""
-    from .data import DomainDataset
-    from .training import TrainPlan, pretrain
-
     union = DomainDataset(
         [im.copy() for im in source.images] + [im.copy() for im in target_labeled.images],
         [m.copy() for m in source.masks] + [m.copy() for m in target_labeled.masks],
         domain_id=f"{source.domain_id}+{target_labeled.domain_id}",
     )
-    joint_plan = TrainPlan(
-        epochs_pretrain=plan.epochs_pretrain, epochs_adapt=0,
-        batch_size=plan.batch_size, gamma=plan.gamma, swd_L=plan.swd_L,
-        lambda_conf=plan.lambda_conf,
-        seed=derive_seed(plan.seed, "joint", source.domain_id),
-        embed_sites=plan.embed_sites, learning_rate=plan.learning_rate,
-        beta1=plan.beta1, beta2=plan.beta2, epsilon=plan.epsilon,
-    )
+    joint_plan = dataclasses.replace(
+        plan, epochs_adapt=0, seed=derive_seed(plan.seed, "joint", source.domain_id))
     star = pretrain(union, joint_plan, config)
     return mean_ce(star, source) + mean_ce(star, target_labeled)
 

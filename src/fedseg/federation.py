@@ -1,11 +1,12 @@
 """In-process federation: one node per source domain plus a target node.
 
 All cross-node traffic goes through a message bus that deep-copies payloads
-and appends an audit record per transfer. The bus refuses to carry image
-data between two source nodes, and labeled data is not a payload kind at
-all, so the privacy constraint (no data sharing between sources, no target
-labels leaving the target) holds by construction. Model parameters may flow
-source to target for ensembling.
+and appends an audit record per transfer. The bus carries two payload
+kinds: unlabeled_images, which only the target node may send (to the
+sources, for adaptation), and model_params, the adapted parameters each
+source returns for ensembling. Labeled data is not a payload kind at all,
+so the privacy constraint (no data sharing between sources, no target
+labels leaving the target) holds by construction.
 
 Per-node RNG streams derive from the node name plus the master seed, so the
 result is independent of scheduling order and source trainings may run in
@@ -13,18 +14,23 @@ parallel.
 """
 
 import dataclasses
+# Read as a module global when the pool is built: perfbench/tracing.py
+# swaps in an executor that carries span context into worker threads.
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autodiff import serialize_params
 from .data import DomainDataset
 from .ensembling import AdaptedModelSet, EnsembleWeights, add_source, compute_weights
-from .evaluation import model_target_dice
 from .network import NetConfig
 from .training import TrainPlan, adapt, pretrain
 from .util import derive_seed
 
-PAYLOAD_KINDS = ("model_params", "unlabeled_images", "weights", "prediction", "metrics")
+# Bound here only because perfbench/tracing.py wraps this name on this
+# module and fails when it is missing.
+from .evaluation import model_target_dice  # noqa: F401
+
+PAYLOAD_KINDS = ("model_params", "unlabeled_images")
 
 
 @dataclass(frozen=True)
@@ -104,9 +110,10 @@ class AuditReport:
 def audit_check(log: AuditLog) -> AuditReport:
     """Verify the data-privacy rules over a complete log.
 
-    Image data may only originate at the target node, which also implies it
-    never moves between two sources. Model parameters, weights, predictions
-    and metrics may flow anywhere. Fails on the first violating record.
+    Every record carries one of the two payload kinds. Image data may only
+    originate at the target node, which also implies it never moves between
+    two sources; model parameters may flow anywhere. Fails on the first
+    violating record.
     """
     for i, m in enumerate(log.records):
         if m.payload_kind not in PAYLOAD_KINDS:
@@ -139,24 +146,11 @@ class MessageBus:
                 )
             copied = [img.copy() for img in payload]
             size = sum(img.nbytes for img in copied)
-        elif payload_kind == "model_params":
+        else:  # model_params
             copied = bytes(payload)
             size = len(copied)
-        elif payload_kind == "weights":
-            copied = list(payload)
-            size = 8 * len(copied)
-        else:  # prediction, metrics
-            copied = payload.copy() if hasattr(payload, "copy") else payload
-            size = getattr(copied, "nbytes", len(str(copied).encode()))
         self.log.append(Message(sender, receiver, payload_kind, size))
         return copied
-
-
-@dataclass
-class Node:
-    node_id: NodeId
-    dataset: DomainDataset = None
-    received: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -200,68 +194,58 @@ def _validate_domains(sources, target, num_classes):
         raise ValueError(f"class sets differ across sources: {label_sets}")
 
 
-def _train_source(node: Node, plan: TrainPlan, config: NetConfig, eval_fn):
-    """Pretrain on the node's own data, then adapt toward the received
-    target images. Runs entirely within the node."""
-    local_plan = dataclasses.replace(
-        plan, seed=derive_seed(plan.seed, "node", node.node_id.name)
-    )
-    pre = pretrain(node.dataset, local_plan, config)
-    target_images = node.received["unlabeled_images"]
-    target_view = DomainDataset(target_images, None, domain_id="target-view")
-    adapted = adapt(pre, node.dataset, target_view, local_plan, eval_fn=eval_fn)
-    return pre, adapted
+def _federate(bus: MessageBus, target: DomainDataset, sources, plan: TrainPlan,
+              config: NetConfig, workers: int) -> list:
+    """One round trip per source node: the target images go out over the bus,
+    the node pretrains and adapts locally, and its adapted parameters come
+    back. Every image send precedes training; parameter sends follow in
+    source order. Returns (pretrained, adapted) per source."""
+    target_id = NodeId(target.domain_id, "target")
+    node_ids = [NodeId(ds.domain_id, "source") for ds in sources]
+    received = [bus.send(target_id, node_id, "unlabeled_images", target.images)
+                for node_id in node_ids]
+
+    def train_on_node(dataset, target_images):
+        """Pretrain on the node's own data, then adapt toward the received
+        target images. Runs entirely within the node."""
+        local_plan = dataclasses.replace(
+            plan, seed=derive_seed(plan.seed, "node", dataset.domain_id))
+        pre = pretrain(dataset, local_plan, config)
+        target_view = DomainDataset(target_images, None, domain_id="target-view")
+        return pre, adapt(pre, dataset, target_view, local_plan)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            trained = list(pool.map(train_on_node, sources, received))
+    else:
+        trained = [train_on_node(ds, images) for ds, images in zip(sources, received)]
+
+    for node_id, (_, adapted) in zip(node_ids, trained):
+        bus.send(node_id, target_id, "model_params",
+                 serialize_params(adapted.model.state_dict()))
+    return trained
 
 
 def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
-              oracle_mode: bool = False, workers: int = 1,
-              epoch_eval: bool = False) -> FederationResult:
+              oracle_mode: bool = False, workers: int = 1) -> FederationResult:
     """Per-source pretrain + adapt, then confidence-weighted ensembling.
 
     Target images are broadcast to every source node over the bus; adapted
     model parameters flow back to the target node, which computes the
-    ensemble weights. oracle_mode additionally evaluates against target
-    labels (epoch_eval attaches a per-epoch target Dice to the histories).
+    ensemble weights. oracle_mode is recorded on the result for the
+    evaluation that follows; training never reads target labels.
     """
     _validate_domains(sources, target, config.num_classes)
     reads_before = target.label_reads
     bus = MessageBus()
-    target_node = Node(NodeId(target.domain_id, "target"), target)
-    source_nodes = [Node(NodeId(ds.domain_id, "source"), ds) for ds in sources]
-
-    for node in source_nodes:
-        node.received["unlabeled_images"] = bus.send(
-            target_node.node_id, node.node_id, "unlabeled_images", target.images
-        )
-
-    eval_fn = None
-    if oracle_mode and epoch_eval:
-        eval_fn = lambda m: model_target_dice(m, target)
-
-    def work(node):
-        return _train_source(node, plan, config, eval_fn)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trained = list(pool.map(work, source_nodes))
-    else:
-        trained = [work(node) for node in source_nodes]
-
-    adapted_models = []
-    pretrained = {}
-    for node, (pre, adapted) in zip(source_nodes, trained):
-        pretrained[node.node_id.name] = pre
-        blob = bus.send(node.node_id, target_node.node_id, "model_params",
-                        serialize_params(adapted.model.state_dict()))
-        target_node.received.setdefault("model_params", {})[node.node_id.name] = blob
-        adapted_models.append(adapted)
-
+    trained = _federate(bus, target, sources, plan, config, workers)
+    adapted_models = [adapted for _, adapted in trained]
     weights = compute_weights(adapted_models, target.image_stack(), plan.lambda_conf)
     return FederationResult(
         adapted=AdaptedModelSet(adapted_models),
         weights=weights,
         audit_log=bus.log,
-        pretrained=pretrained,
+        pretrained={ds.domain_id: pre for ds, (pre, _) in zip(sources, trained)},
         config=config,
         plan=plan,
         oracle_mode=oracle_mode,
@@ -270,7 +254,7 @@ def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
 
 
 def extend_run(result: FederationResult, new_source: DomainDataset,
-               target: DomainDataset, workers: int = 1) -> FederationResult:
+               target: DomainDataset) -> FederationResult:
     """Fold a newly arrived source domain into an existing run.
 
     Trains only the new source; existing adapted models are reused untouched
@@ -282,17 +266,10 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
     _validate_domains([new_source], target, result.config.num_classes)
     reads_before = target.label_reads
 
-    extension_bus = MessageBus()
-    extension_bus.log = result.audit_log  # one audit trail across the extension
-
-    target_node = Node(NodeId(target.domain_id, "target"), target)
-    node = Node(NodeId(new_source.domain_id, "source"), new_source)
-    node.received["unlabeled_images"] = extension_bus.send(
-        target_node.node_id, node.node_id, "unlabeled_images", target.images
-    )
-    pre, adapted = _train_source(node, result.plan, result.config, None)
-    extension_bus.send(node.node_id, target_node.node_id, "model_params",
-                       serialize_params(adapted.model.state_dict()))
+    bus = MessageBus()
+    bus.log = result.audit_log  # one audit trail across the extension
+    [(pre, adapted)] = _federate(bus, target, [new_source], result.plan,
+                                 result.config, workers=1)
 
     weights = add_source(result.adapted.models, result.weights, adapted,
                          target.image_stack())
@@ -301,7 +278,7 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
     return FederationResult(
         adapted=AdaptedModelSet(list(result.adapted.models) + [adapted]),
         weights=weights,
-        audit_log=extension_bus.log,
+        audit_log=bus.log,
         pretrained=pretrained,
         config=result.config,
         plan=result.plan,

@@ -31,9 +31,6 @@ class TrainPlan:
     seed: int = 0
     embed_sites: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.epochs_pretrain < 0 or self.epochs_adapt < 0:
@@ -45,16 +42,11 @@ class TrainPlan:
         if not 0.0 < self.lambda_conf < 1.0:
             raise ValueError(f"lambda_conf must be in (0,1), got {self.lambda_conf}")
 
-    def make_optimizer(self, params) -> Adam:
-        return Adam(params, learning_rate=self.learning_rate, beta1=self.beta1,
-                    beta2=self.beta2, epsilon=self.epsilon)
-
 
 @dataclass
 class EpochRecord:
     supervised_loss: float
     swd: float
-    target_dice: float = float("nan")
 
 
 @dataclass
@@ -85,7 +77,7 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
         return model
     images = source.image_stack()
     masks = source.mask_stack()
-    opt = plan.make_optimizer(model.parameters())
+    opt = Adam(model.parameters(), learning_rate=plan.learning_rate)
     rng = np.random.default_rng(derive_seed(plan.seed, "pretrain"))
     for _ in range(plan.epochs_pretrain):
         for idx in _batches(len(source), plan.batch_size, rng):
@@ -97,14 +89,12 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
 
 
 def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDataset,
-          plan: TrainPlan, eval_fn=None) -> AdaptedModel:
+          plan: TrainPlan) -> AdaptedModel:
     """Tune a pretrained model toward the target domain.
 
     Per step the objective is ce(source batch) + gamma * swd2 between the
     source and target embedding batches, with fresh projections each step.
     The input model is left untouched; a warm-started copy is trained.
-    eval_fn, when given, is called with the model after every epoch and its
-    result stored as the epoch's target_dice (evaluation use only).
     """
     if not source.has_masks:
         raise ValueError(f"adapt requires source labels, '{source.domain_id}' has none")
@@ -120,7 +110,7 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
     src_images = source.image_stack()
     src_masks = source.mask_stack()
     tgt_images = target_unlabeled.image_stack()
-    opt = plan.make_optimizer(adapted.parameters())
+    opt = Adam(adapted.parameters(), learning_rate=plan.learning_rate)
     rng = np.random.default_rng(derive_seed(plan.seed, "adapt", source.domain_id))
     d_latent = adapted.config.latent_dim
 
@@ -150,10 +140,7 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
             swd_vals.append(alignment.item())
             step_records.append((step, sup.item(), alignment.item(), total.item()))
             step += 1
-        record = EpochRecord(float(np.mean(ce_vals)), float(np.mean(swd_vals)))
-        if eval_fn is not None:
-            record.target_dice = float(eval_fn(adapted))
-        history.append(record)
+        history.append(EpochRecord(float(np.mean(ce_vals)), float(np.mean(swd_vals))))
 
     return AdaptedModel(
         model=adapted,

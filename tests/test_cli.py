@@ -3,6 +3,7 @@ and the add-source flow."""
 
 import hashlib
 import os
+import shutil
 
 import pytest
 
@@ -36,6 +37,14 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     assert main(gen_args(out)) == 0
     return out / "manifest.txt"
+
+
+@pytest.fixture(scope="module")
+def trained_run(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained") / "run"
+    assert main(["run", "--data", str(dataset), "--out", str(out), "--seed", "0",
+                 *FAST]) == 0
+    return out
 
 
 def test_gen_default_manifest_counts(dataset):
@@ -221,3 +230,50 @@ def test_audit_command(dataset, tmp_path):
 
 def test_unknown_flag_is_usage_error():
     assert main(["run", "--nonsense"]) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--parameter", "lambda", "--values", "0.1,abc"], "--values"),
+    (["sweep", "--parameter", "L", "--values", "5,2.5"], "--values"),
+    (["gen", "--domains", "0"], "--domains"),
+], ids=["sweep-float", "sweep-int", "gen-domains"])
+def test_bad_flag_value_is_usage_error(dataset, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    extra = ["--data", str(dataset), *FAST] if argv[0] == "sweep" else []
+    capsys.readouterr()
+    assert main([argv[0], "--out", str(out), *argv[1:], *extra]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, complaint", [
+    ("gain=", "gian=", "shift field 'gain' is missing"),
+    ("noise=", "noise=abc", "shift field 'noise' is 'abc"),
+    ("noise=", "noise=-", "noise_sigma and bias_field_amplitude must be >= 0"),
+], ids=["missing-key", "non-numeric", "negative"])
+def test_malformed_manifest_shift_names_file(dataset, tmp_path, capsys, old, new,
+                                             complaint):
+    lines = dataset.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("shift:"))
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    bad = dataset.parent / f"manifest_{tmp_path.name}.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["run", "--data", str(bad), "--out", str(tmp_path / "r"), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{lineno}: " in err
+    assert complaint in err
+
+
+@pytest.mark.parametrize("keep", [7, -100], ids=["header", "payload"])
+def test_truncated_checkpoint_names_file(dataset, trained_run, tmp_path, capsys, keep):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    ckpt = run / "checkpoints" / "site_b_adapted.fpar"
+    ckpt.write_bytes(ckpt.read_bytes()[:keep])
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset), "--run", str(run), "--depth", "2",
+                 "--base-width", "4", "--latent-dim", "8"]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    assert "truncated" in err

@@ -1,13 +1,12 @@
-"""Synthetic domain generation, intensity shifts, patch extraction, and the
-NDR raster format."""
+"""Synthetic domain generation, intensity shifts, the NDR raster format and
+dataset manifests."""
 
 import numpy as np
 import pytest
 
-from fedseg.data import (DomainDataset, DomainShift, PatchSpec, apply_shift,
-                         extract_patches, generate_domains, load_domain,
-                         make_phantom, read_manifest, read_raster, write_manifest,
-                         write_raster)
+from fedseg.data import (DomainDataset, DomainShift, apply_shift, generate_domains,
+                         load_domain, make_phantom, read_manifest, read_raster,
+                         write_manifest, write_raster)
 from fedseg.data import ManifestEntry
 
 IDENTITY = DomainShift()
@@ -85,52 +84,6 @@ def test_label_read_counter():
     assert not unlabeled.has_masks
     with pytest.raises(ValueError, match="no masks"):
         _ = unlabeled.masks
-
-
-# -- patches ---------------------------------------------------------------------
-
-
-def test_patch_counts_half_overlap_cube():
-    spec = PatchSpec(patch_size=(16, 16, 16), overlap_fraction=0.5)
-    assert spec.stride == (8, 8, 8)
-    image = np.zeros((128, 128, 128), dtype=np.uint8)
-    patches = extract_patches(image, spec)
-    assert len(patches) == 15**3  # 3375 stride-8 positions, boundary exact
-
-
-def test_patch_counts_no_overlap():
-    patches = extract_patches(np.zeros((32, 32)), PatchSpec((16, 16), 0.0))
-    assert len(patches) == 4
-    assert [p[0] for p in patches] == [(0, 0), (0, 16), (16, 0), (16, 16)]
-
-
-def test_single_patch_when_sizes_match():
-    patches = extract_patches(np.zeros((16, 16)), PatchSpec((16, 16), 0.0))
-    assert len(patches) == 1 and patches[0][0] == (0, 0)
-
-
-def test_patch_cover_with_boundary_clamp():
-    image = np.arange(21 * 17, dtype=np.float64).reshape(21, 17)
-    spec = PatchSpec((8, 8), 0.25)  # stride 6
-    covered = np.zeros_like(image, dtype=bool)
-    for origin, patch in extract_patches(image, spec):
-        assert patch.shape == (8, 8)
-        sl = tuple(slice(o, o + 8) for o in origin)
-        np.testing.assert_array_equal(patch, image[sl])
-        covered[sl] = True
-    assert covered.all()
-
-
-def test_patch_too_large_rejected():
-    with pytest.raises(ValueError, match="larger"):
-        extract_patches(np.zeros((8, 8)), PatchSpec((16, 16), 0.0))
-
-
-def test_patch_spec_validation():
-    with pytest.raises(ValueError, match="overlap"):
-        PatchSpec((8, 8), 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        PatchSpec((0, 8), 0.0)
 
 
 # -- NDR raster format ---------------------------------------------------------------

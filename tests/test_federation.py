@@ -71,6 +71,15 @@ def test_audit_check_fails_source_to_source_images():
     assert "s1" in report.reason
 
 
+@pytest.mark.parametrize("kind", ["weights", "prediction", "metrics"])
+def test_only_images_and_params_cross_the_bus(kind):
+    with pytest.raises(ValueError, match="unknown payload kind"):
+        MessageBus().send(SRC, TGT, kind, b"")
+    log = AuditLog()
+    log.append(Message(SRC, TGT, kind, 8))
+    assert not audit_check(log).ok
+
+
 def test_audit_check_rejects_unknown_payload_kind():
     log = AuditLog()
     log.append(Message(SRC, TGT, "labeled_data", 10))
@@ -173,3 +182,18 @@ def test_extend_run_matches_monolithic_weights():
                              sources[2], target)
     monolithic = run_msuda(sources, target, plan, CFG)
     assert incremental.weights.raw_counts == monolithic.weights.raw_counts
+
+
+def test_round_trip_audit_order():
+    """Images go to every source before training; parameters come back in
+    source order; an extension appends one more round trip."""
+    sources, target = quick_setup(n_sources=3)
+    plan = quick_plan(epochs_pretrain=1, epochs_adapt=1)
+    result = extend_run(run_msuda(sources[:2], target, plan, CFG, workers=2),
+                        sources[2], target)
+    t, (a, b, c) = target.domain_id, (ds.domain_id for ds in sources)
+    assert [(m.sender.name, m.receiver.name, m.payload_kind)
+            for m in result.audit_log.records] == [
+        (t, a, "unlabeled_images"), (t, b, "unlabeled_images"),
+        (a, t, "model_params"), (b, t, "model_params"),
+        (t, c, "unlabeled_images"), (c, t, "model_params")]
