@@ -5,13 +5,28 @@ closure that routes the output gradient back to them. backward() on a
 scalar walks the graph once in reverse topological order. Leaf gradients
 accumulate across backward() calls until zero_grad().
 
+Inside a `with no_grad():` block operations record no parents and no
+backward closure, so their outputs have requires_grad=False and every
+intermediate array can be freed as soon as the next op has read it. The
+switch is thread-local: another thread keeps building graphs meanwhile.
+Inference uses it; training never does.
+
 Also provides the Adam optimizer and a binary parameter-archive format
 for checkpointing named parameter sets.
 """
 
+import contextlib
 import struct
+import threading
 
 import numpy as np
+
+
+class _GradMode(threading.local):
+    enabled = True  # each thread starts with graph recording on
+
+
+_grad_mode = _GradMode()
 
 
 class Tensor:
@@ -144,9 +159,20 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no autodiff graph in this thread until the block exits."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def _make(data, parents, backward_fn):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .autodiff import load_params, save_params
+from .autodiff import load_params, no_grad, save_params
 from .benchmark import benchmark_shifts
 from .data import (DomainShift, ManifestEntry, generate_domains, load_domain,
                    read_manifest, write_manifest, write_raster)
@@ -129,6 +129,10 @@ def _palette_shift(rng, index) -> DomainShift:
 def cmd_gen(args) -> int:
     if args.domains < 1:
         raise UsageError(f"--domains must be >= 1, got {args.domains}")
+    if args.images < 1:
+        raise UsageError(f"--images must be >= 1, got {args.images}")
+    if args.size < 4:
+        raise UsageError(f"--size must be >= 4, got {args.size}")
     _prepare_out(args.out, args.force)
     names = [f"site_{chr(ord('a') + i)}" for i in range(args.domains - 1)]
     names.append("site_t" if args.domains > 1 else "site_a")
@@ -220,11 +224,11 @@ def _write_outputs(out_dir, report, masks, mode, models, target, plan,
         write_raster(os.path.join(mask_dir, f"pred_{i:03d}.ndr"), mask)
     if audit_log is not None:
         audit_log.write(os.path.join(out_dir, "audit.log"))
-    batches = []
-    for am in models:
-        batches.append(embed(am.model, target.image_stack(), plan.embed_sites,
-                             seed=derive_seed(plan.seed, "export", am.source_id),
-                             domain_tag=f"{am.source_id}/target_post"))
+    with no_grad():
+        batches = [embed(am.model, target.image_stack(), plan.embed_sites,
+                         seed=derive_seed(plan.seed, "export", am.source_id),
+                         domain_tag=f"{am.source_id}/target_post")
+                   for am in models]
     export_embeddings(batches, os.path.join(out_dir, "embeddings.csv"))
 
 

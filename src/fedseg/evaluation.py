@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .data import DomainDataset
 from .ensembling import aggregate, average_vote, popular_vote, stack_probs
 from .network import ce_loss, embed
@@ -62,7 +62,7 @@ def model_target_dice(model, dataset, foreground: int = 1) -> float:
 
 def mean_ce(model, dataset) -> float:
     """Mean per-pixel cross-entropy of a model over a labeled dataset."""
-    logits = model.forward(Tensor(dataset.image_stack()))
+    logits = model.predict_logits(dataset.image_stack())
     return ce_loss(logits, dataset.mask_stack()).item()
 
 
@@ -103,12 +103,13 @@ def bound_terms(adapted_models, sources, target, swd_L: int, embed_sites: int,
     for am, source in zip(adapted_models, sources):
         model = am.model
         proj = sample_projections(swd_L, model.config.latent_dim, seed=proj_seed)
-        src_emb = embed(model, Tensor(source.image_stack()), embed_sites,
-                        seed=derive_seed(seed, "bound-src", source.domain_id),
-                        domain_tag=source.domain_id)
-        tgt_emb = embed(model, Tensor(target.image_stack()), embed_sites,
-                        seed=derive_seed(seed, "bound-tgt", source.domain_id),
-                        domain_tag=target.domain_id)
+        with no_grad():
+            src_emb = embed(model, Tensor(source.image_stack()), embed_sites,
+                            seed=derive_seed(seed, "bound-src", source.domain_id),
+                            domain_tag=source.domain_id)
+            tgt_emb = embed(model, Tensor(target.image_stack()), embed_sites,
+                            seed=derive_seed(seed, "bound-tgt", source.domain_id),
+                            domain_tag=target.domain_id)
         joint = None if joint_errors is None else joint_errors.get(am.source_id)
         out.append(BoundTerm(
             source_id=am.source_id,

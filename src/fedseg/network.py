@@ -8,18 +8,25 @@ so the embedding used for distribution alignment is exactly the classifier's
 input space. When skip_connections is enabled, each decoder level is fed an
 upsampled copy of the latent field alongside the upsampled features; the
 classifier still sees nothing but the latent field.
+
+Inference (predict_logits) builds no autodiff graph and runs forward on
+INFERENCE_CHUNK images at a time; each image is computed on its own, so the
+result equals one pass over the whole stack bit for bit.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (Tensor, add, concat, conv, log_softmax, max_pool, mul,
-                       relu, reshape, softmax, take_rows, transpose, tsum,
-                       upsample_nearest)
+                       no_grad, relu, reshape, softmax, take_rows, transpose,
+                       tsum, upsample_nearest)
 from .sliced import EmbeddingBatch
 from .util import derive_seed
+
+# Images per graph-free forward pass: the fastest of the sizes tried on 192
+# 32x32 images with the default net.
+INFERENCE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -129,10 +136,19 @@ class SegModel:
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
 
+    def predict_logits(self, images) -> np.ndarray:
+        """Class logits of an image stack, graph-free, INFERENCE_CHUNK images
+        per forward pass."""
+        images = np.asarray(images)
+        # max(..., 1): an empty stack still makes one pass, for its shape
+        with no_grad():
+            return np.concatenate([
+                self.forward(Tensor(images[i:i + INFERENCE_CHUNK])).data
+                for i in range(0, max(len(images), 1), INFERENCE_CHUNK)])
+
     def predict_probs(self, images) -> np.ndarray:
         """Per-pixel class probabilities for a stacked image batch (no grad)."""
-        logits = self.forward(Tensor(np.asarray(images)))
-        return softmax(logits, axis=1).data
+        return softmax(self.predict_logits(images), axis=1).data
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -1,13 +1,17 @@
 """Tensor ops, reverse-mode gradients against finite differences, Adam,
 and the parameter archive."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from fedseg.autodiff import (Adam, Tensor, add, concat, conv, deserialize_params,
-                             log_softmax, matmul, max_pool, mul, relu, reshape,
-                             serialize_params, softmax, sub, take_per_column,
-                             take_rows, tmean, transpose, tsum, upsample_nearest)
+                             log_softmax, matmul, max_pool, mul, no_grad, relu,
+                             reshape, serialize_params, softmax, sub,
+                             take_per_column, take_rows, tmean, transpose, tsum,
+                             upsample_nearest)
+from fedseg.network import NetConfig, SegModel, ce_loss
 from helpers import gradient_check, max_rel_error
 
 
@@ -152,6 +156,65 @@ def test_forward_backward_deterministic():
 
 
 # -- Adam ----------------------------------------------------------------------
+
+
+def test_no_grad_records_no_graph():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        out = relu(mul(w, 3.0))
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    np.testing.assert_array_equal(out.data, 3.0)
+    assert mul(w, 3.0).requires_grad
+
+
+def test_no_grad_restores_state_after_exception():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not mul(w, 2.0).requires_grad
+            raise RuntimeError("inside the block")
+    out = mul(w, 2.0)
+    assert out.requires_grad and out._parents
+
+
+def test_no_grad_is_thread_local():
+    w = Tensor(np.ones(3), requires_grad=True)
+    held, done = threading.Event(), threading.Event()
+    seen = {}
+
+    def holder():
+        with no_grad():
+            held.set()
+            done.wait(timeout=30)
+            seen["a"] = mul(w, 2.0).requires_grad
+
+    def other():
+        held.wait(timeout=30)
+        out = mul(w, 2.0)
+        seen["b"] = out.requires_grad and len(out._parents) == 2
+        done.set()
+
+    threads = [threading.Thread(target=holder), threading.Thread(target=other)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert seen == {"a": False, "b": True}
+
+
+def test_backward_after_predict_fills_every_grad():
+    cfg = NetConfig(depth=1, base_width=3, latent_dim=4)
+    model = SegModel(cfg, seed=5)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 1, 8, 8))
+    model.predict_probs(x)
+    ce_loss(model.forward(Tensor(x)), rng.integers(0, 2, size=(3, 8, 8))).backward()
+    for name, p in model.parameters().items():
+        assert p.grad is not None and p.grad.shape == p.shape, name
+        assert np.any(p.grad != 0), name
 
 
 def test_adam_single_step_matches_hand_rule():

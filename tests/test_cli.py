@@ -236,7 +236,9 @@ def test_unknown_flag_is_usage_error():
     (["sweep", "--parameter", "lambda", "--values", "0.1,abc"], "--values"),
     (["sweep", "--parameter", "L", "--values", "5,2.5"], "--values"),
     (["gen", "--domains", "0"], "--domains"),
-], ids=["sweep-float", "sweep-int", "gen-domains"])
+    (["gen", "--images", "0"], "--images"),
+    (["gen", "--size", "2"], "--size"),
+], ids=["sweep-float", "sweep-int", "gen-domains", "gen-images", "gen-size"])
 def test_bad_flag_value_is_usage_error(dataset, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     extra = ["--data", str(dataset), *FAST] if argv[0] == "sweep" else []

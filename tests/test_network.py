@@ -1,10 +1,14 @@
 """Shape contracts, the encoder/classifier decomposition, the pixel-wise
 cross-entropy, and gradient checks for the segmentation network."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fedseg.autodiff import Tensor, softmax
+from fedseg.data import DomainDataset
+from fedseg.evaluation import mean_ce
 from fedseg.network import NetConfig, SegModel, ce_loss, embed
 from helpers import gradient_check
 
@@ -165,3 +169,34 @@ def test_checkpoint_round_trip_through_state_dict():
     x = Tensor(np.random.default_rng(9).normal(size=(1, 1, 16, 16)))
     np.testing.assert_array_equal(model.forward(x).data, clone.forward(x).data)
 
+
+def test_chunked_predict_equals_one_forward_pass():
+    model = SegModel(DEFAULT, seed=12)
+    x = np.random.default_rng(11).normal(size=(37, 1, 16, 16))
+    expected = softmax(model.forward(Tensor(x)), axis=1).data
+    assert np.array_equal(model.predict_probs(x), expected)
+
+
+def test_mean_ce_equals_ce_of_one_forward_pass():
+    model = SegModel(DEFAULT, seed=13)
+    rng = np.random.default_rng(12)
+    images = list(rng.normal(size=(37, 1, 16, 16)))
+    masks = list(rng.integers(0, 2, size=(37, 16, 16)))
+    ds = DomainDataset(images, masks, domain_id="d")
+    expected = ce_loss(model.forward(Tensor(np.stack(images))), np.stack(masks)).item()
+    assert mean_ce(model, ds) == expected
+
+
+def _predict_peak(model, n):
+    x = np.random.default_rng(n).normal(size=(n, 1, 16, 16))
+    tracemalloc.start()
+    try:
+        model.predict_probs(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_memory_does_not_grow_with_the_stack():
+    model = SegModel(DEFAULT, seed=14)
+    assert _predict_peak(model, 128) < 1.5 * _predict_peak(model, 32)
