@@ -11,6 +11,20 @@ intermediate array can be freed as soon as the next op has read it. The
 switch is thread-local: another thread keeps building graphs meanwhile.
 Inference uses it; training never does.
 
+conv copies its padded input once, into a row-major flat buffer
+(batch, cin, n_flat) whose tail of zeros keeps every slice below in bounds.
+A kernel offset (k_0, .., k_r) is then one flat shift, sum k_d * stride_d,
+and its input window is the strided view xf[:, :, shift:shift + n_wide]
+that BLAS reads in place. The output is computed on a "wide" grid whose
+rows have the padded row length: out_spatial[0] rows of the padded
+(*spatial[1:]) plane, flattened to n_wide positions. Position i of the wide
+grid plus the shift is the input position that tap reads, so each offset
+costs one matmul over all positions; the columns past out_spatial[1:] are
+discarded by a crop. Backward scatters the output gradient into a zeroed
+wide gradient, accumulates dx into a flat buffer of the same layout through
+the same shifted slices, and takes dw from those slices of the forward's
+buffer, so no window is copied in either direction.
+
 Also provides the Adam optimizer and a binary parameter-archive format
 for checkpointing named parameter sets.
 """
@@ -353,7 +367,8 @@ def relu(t):
     def back(g):
         _accumulate(t, g * mask)
 
-    return _make(np.where(mask, t.data, 0.0), (t,), back)
+    # `<= 0` rather than `~mask`: a NaN passes through instead of becoming 0
+    return _make(np.where(t.data <= 0, 0.0, t.data), (t,), back)
 
 
 def tlog(t):
@@ -414,6 +429,7 @@ def conv(x, w, padding=0):
 
     w has shape (out_channels, in_channels, *kernel). No bias; add one with
     a broadcast add. Works for any spatial rank; used here with rank 2 and 3.
+    Computed over the flat/wide layout of the module docstring.
     """
     x, w = as_tensor(x), as_tensor(w)
     rank = x.ndim - 2
@@ -434,42 +450,42 @@ def conv(x, w, padding=0):
             f"does not fit input spatial shape {spatial}"
         )
 
-    pad_spec = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-    xp = np.pad(x.data, pad_spec)
     batch, cin, cout = x.shape[0], x.shape[1], w.shape[0]
-    n_out = int(np.prod(out_spatial))
+    padded = tuple(s + 2 * p for s, p in zip(spatial, padding))
+    n_pad = int(np.prod(padded))
+    strides = [int(np.prod(padded[d + 1:])) for d in range(rank)]
+    shifts = [sum(k * st for k, st in zip(k_off, strides))
+              for k_off in np.ndindex(*kernel)]
+    n_wide = out_spatial[0] * strides[0]
+    n_flat = shifts[-1] + n_wide
+    wide = (batch, cout, out_spatial[0]) + padded[1:]
+    valid = (slice(None),) * 3 + tuple(slice(0, o) for o in out_spatial[1:])
+    inner = (slice(None),) * 2 + tuple(slice(p, p + s) for p, s in zip(padding, spatial))
 
-    def window(k_off):
-        return (slice(None), slice(None)) + tuple(
-            slice(k, k + o) for k, o in zip(k_off, out_spatial))
+    xf = np.zeros((batch, cin, n_flat))
+    xf[:, :, :n_pad].reshape((batch, cin) + padded)[inner] = x.data
+    # (kernel offsets, cout, cin): each offset's taps as one contiguous matrix
+    wk = np.ascontiguousarray(w.data.reshape(cout, cin, -1).transpose(2, 0, 1))
 
-    # One BLAS matmul per kernel offset over flattened output positions.
-    out = np.zeros((batch, cout, n_out))
-    for k_off in np.ndindex(*kernel):
-        wk = w.data[(slice(None), slice(None)) + k_off]
-        patch = np.ascontiguousarray(xp[window(k_off)]).reshape(batch, cin, n_out)
-        out += wk @ patch
-    out = out.reshape((batch, cout) + out_spatial)
+    out = np.zeros((batch, cout, n_wide))
+    for shift, taps in zip(shifts, wk):
+        out += taps @ xf[:, :, shift:shift + n_wide]
+    out = out.reshape(wide)[valid]
 
     def back(g):
-        gm = g.reshape(batch, cout, n_out)
+        gw = np.zeros((batch, cout, n_wide))
+        gw.reshape(wide)[valid] = g
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for k_off in np.ndindex(*kernel):
-                wk = w.data[(slice(None), slice(None)) + k_off]
-                dxp[window(k_off)] += (wk.T @ gm).reshape((batch, cin) + out_spatial)
-            crop = (slice(None), slice(None)) + tuple(
-                slice(p, p + s) for p, s in zip(padding, spatial)
-            )
-            _accumulate(x, dxp[crop])
+            dxf = np.zeros_like(xf)
+            for shift, taps in zip(shifts, wk):
+                dxf[:, :, shift:shift + n_wide] += taps.T @ gw
+            _accumulate(x, dxf[:, :, :n_pad].reshape((batch, cin) + padded)[inner])
         if w.requires_grad:
-            dw = np.zeros_like(w.data)
-            for k_off in np.ndindex(*kernel):
-                patch = np.ascontiguousarray(xp[window(k_off)]).reshape(batch, cin, n_out)
-                dw[(slice(None), slice(None)) + k_off] = np.matmul(
-                    gm, patch.transpose(0, 2, 1)
-                ).sum(axis=0)
-            _accumulate(w, dw)
+            dw = np.empty_like(wk)
+            for i, shift in enumerate(shifts):
+                window = xf[:, :, shift:shift + n_wide]
+                dw[i] = np.matmul(gw, window.transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(w, dw.transpose(1, 2, 0).reshape(w.shape))
 
     return _make(out, (x, w), back)
 

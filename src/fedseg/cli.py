@@ -21,7 +21,7 @@ from .benchmark import benchmark_shifts
 from .data import (DomainShift, ManifestEntry, generate_domains, load_domain,
                    read_manifest, write_manifest, write_raster)
 from .ensembling import (AdaptedModelSet, EnsembleWeights, aggregate,
-                         compute_weights, confidence_weights, stack_probs)
+                         confidence_weights, stack_probs)
 from .evaluation import dice, emit_report, evaluate_run, export_embeddings
 from .federation import AuditLog, FederationResult, audit_check, extend_run, run_msuda
 from .network import NetConfig, SegModel, embed
@@ -30,7 +30,7 @@ from .util import derive_seed
 
 # Bound here only because perfbench/tracing.py wraps each of these names on
 # this module and fails when one is missing.
-from .ensembling import average_vote, popular_vote  # noqa: F401
+from .ensembling import average_vote, compute_weights, popular_vote  # noqa: F401
 from .evaluation import (bound_right_hand_side, bound_terms,  # noqa: F401
                          measure_joint_error, mixture_target_ce, model_target_dice)
 
@@ -341,10 +341,10 @@ def cmd_eval(args) -> int:
     config = _net_config(args)
     ids, weights, models = _load_run(args.run, config)
     eval_sources = _run_sources(sources, ids)
-    if args.lambda_conf is not None and args.lambda_conf != weights.lambda_conf:
-        weights = compute_weights(models, target.image_stack(), args.lambda_conf)
-    plan = TrainPlan(seed=args.seed, lambda_conf=weights.lambda_conf,
-                     embed_sites=args.sites)
+    lambda_conf = weights.lambda_conf if args.lambda_conf is None else args.lambda_conf
+    if lambda_conf != weights.lambda_conf:
+        weights = None  # evaluate_run weights its own probability stack
+    plan = TrainPlan(seed=args.seed, lambda_conf=lambda_conf, embed_sites=args.sites)
     out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
     report, masks = evaluate_run(models, weights, eval_sources, target, plan,

@@ -26,11 +26,12 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .data import DomainDataset
-from .ensembling import aggregate, average_vote, popular_vote, stack_probs
+from .ensembling import (aggregate, average_vote, confidence_weights, popular_vote,
+                         stack_probs)
 from .network import ce_loss, embed
 from .sliced import sample_projections, swd2
 from .training import pretrain
-from .util import derive_seed
+from .util import derive_seed, hash_images
 
 
 def dice(pred, truth, foreground: int = 1) -> float:
@@ -173,11 +174,16 @@ def evaluate_run(models, weights, sources, target, plan, config, oracle_mode,
 
     Each adapted model runs once on the target stack; per-model Dice, the
     fmuda/av/pv/suda masks and the bound's left-hand side all read that one
-    probability stack. In oracle mode each pretrained snapshot (by source
+    probability stack. weights=None weights that stack by confidence at
+    plan.lambda_conf. In oracle mode each pretrained snapshot (by source
     id, where given) runs once more for the pre-adaptation Dice. Returns
     (MetricsReport, {mode: mask}); the suda mask needs oracle mode. Tie
     breaks and bound projections draw from seeds derived from `seed`.
     """
+    images = target.image_stack()
+    probs = stack_probs(models, images)
+    if weights is None:
+        weights = confidence_weights(probs, plan.lambda_conf, hash_images(images))
     report = MetricsReport(seed=seed, oracle_mode=oracle_mode)
     report.settings = {f"plan.{k}": v for k, v in asdict(plan).items()}
     report.settings.update({f"net.{k}": v for k, v in asdict(config).items()})
@@ -188,8 +194,6 @@ def evaluate_run(models, weights, sources, target, plan, config, oracle_mode,
     report.lambda_conf = weights.lambda_conf
     report.uniform_fallback = weights.uniform_fallback
 
-    images = target.image_stack()
-    probs = stack_probs(models, images)
     fmuda = aggregate(probs, weights)
     # the benchmark's seed labels: its acceptance figures depend on them
     tie_seed = derive_seed(seed, "benchmark-ties")
@@ -314,7 +318,8 @@ def export_embeddings(batches, path):
     for batch in batches:
         if batch.dim != dims:
             raise ValueError(f"embedding dims differ: {dims} vs {batch.dim}")
-        for row in batch.points.data:
-            lines.append(batch.domain_tag + "," + ",".join(repr(float(v)) for v in row))
+        prefix = batch.domain_tag + ","
+        lines.extend(prefix + ",".join(map(repr, row))
+                     for row in batch.points.data.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,7 +11,9 @@ classifier still sees nothing but the latent field.
 
 Inference (predict_logits) builds no autodiff graph and runs forward on
 INFERENCE_CHUNK images at a time; each image is computed on its own, so the
-result equals one pass over the whole stack bit for bit.
+result equals one pass over the whole stack bit for bit. embed encodes in
+the same slices. sample_sites draws embedding rows from a latent field the
+caller already has, so training reuses the encoding its logits came from.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,13 @@ from .util import derive_seed
 # Images per graph-free forward pass: the fastest of the sizes tried on 192
 # 32x32 images with the default net.
 INFERENCE_CHUNK = 16
+
+
+def _chunks(images):
+    """INFERENCE_CHUNK-image slices of a stack; an empty stack gives one
+    empty slice, so a pass still runs for its shape."""
+    return [images[i:i + INFERENCE_CHUNK]
+            for i in range(0, max(len(images), 1), INFERENCE_CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -139,12 +148,9 @@ class SegModel:
     def predict_logits(self, images) -> np.ndarray:
         """Class logits of an image stack, graph-free, INFERENCE_CHUNK images
         per forward pass."""
-        images = np.asarray(images)
-        # max(..., 1): an empty stack still makes one pass, for its shape
         with no_grad():
-            return np.concatenate([
-                self.forward(Tensor(images[i:i + INFERENCE_CHUNK])).data
-                for i in range(0, max(len(images), 1), INFERENCE_CHUNK)])
+            return np.concatenate([self.forward(Tensor(chunk)).data
+                                   for chunk in _chunks(np.asarray(images))])
 
     def predict_probs(self, images) -> np.ndarray:
         """Per-pixel class probabilities for a stacked image batch (no grad)."""
@@ -176,14 +182,14 @@ class SegModel:
         return other
 
 
-def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
-          domain_tag: str = "") -> EmbeddingBatch:
-    """Latent codes at a seeded uniform subsample of spatial sites.
+def sample_sites(z: Tensor, n_sites: int = 64, seed: int = 0,
+                 domain_tag: str = "") -> EmbeddingBatch:
+    """Codes of a latent field (batch, latent_dim, *spatial) at a seeded
+    uniform subsample of its spatial sites.
 
     Each image contributes min(n_sites, sites available) rows of dimension
-    latent_dim. Differentiable with respect to the model parameters.
+    latent_dim. Differentiable with respect to z.
     """
-    z = model.encode(x)
     batch, d = z.shape[0], z.shape[1]
     p = int(np.prod(z.shape[2:]))
     flat = reshape(transpose(reshape(z, (batch, d, p)), (0, 2, 1)), (batch * p, d))
@@ -193,6 +199,21 @@ def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
         [b * p + rng.choice(p, size=take, replace=False) for b in range(batch)]
     )
     return EmbeddingBatch(points=take_rows(flat, rows), domain_tag=domain_tag)
+
+
+def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
+          domain_tag: str = "") -> EmbeddingBatch:
+    """sample_sites of the model's latent field of an image batch.
+
+    The encoder runs on INFERENCE_CHUNK images at a time, so under no_grad
+    the peak memory does not grow with the stack; the latent field, and so
+    every sampled row, equals that of one pass. Differentiable with respect
+    to the model parameters.
+    """
+    parts = [model.encode(chunk)
+             for chunk in _chunks(x.data if isinstance(x, Tensor) else np.asarray(x))]
+    z = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+    return sample_sites(z, n_sites, seed, domain_tag)
 
 
 def ce_loss(logits: Tensor, mask) -> Tensor:

@@ -2,9 +2,15 @@
 
 Adaptation minimizes, per step, the supervised cross-entropy on a source
 batch plus gamma times the sliced Wasserstein distance between source and
-target latent embeddings. Target labels are never read; the caller can
-verify via the dataset's label_reads counter, and the returned record keeps
-a snapshot of it.
+target latent embeddings. The source batch is encoded once: its logits are
+classify(z_src) and its embedding samples sites of that same z_src, so a
+step runs the encoder twice, once per domain. Target labels are never read;
+the caller can verify via the dataset's label_reads counter, and the
+returned record keeps a snapshot of it.
+
+Both loops stop at the first step whose loss is not finite, raising
+FloatingPointError that names the phase, the source domain, the epoch and
+the step.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +19,7 @@ import numpy as np
 
 from .autodiff import Adam, Tensor, add, mul
 from .data import DomainDataset
-from .network import NetConfig, SegModel, ce_loss, embed
+from .network import NetConfig, SegModel, ce_loss, embed, sample_sites
 from .sliced import sample_projections, swd2
 from .util import derive_seed
 
@@ -63,6 +69,13 @@ class AdaptedModel:
         return self.model.predict_probs(images)
 
 
+def _check_finite(loss, phase, domain_id, epoch, step):
+    if not np.isfinite(loss.item()):
+        raise FloatingPointError(
+            f"{phase} of domain '{domain_id}': non-finite loss {loss.item()} "
+            f"at epoch {epoch}, step {step}")
+
+
 def _batches(n, batch_size, rng):
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
@@ -79,9 +92,12 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
     masks = source.mask_stack()
     opt = Adam(model.parameters(), learning_rate=plan.learning_rate)
     rng = np.random.default_rng(derive_seed(plan.seed, "pretrain"))
-    for _ in range(plan.epochs_pretrain):
+    step = 0
+    for epoch in range(plan.epochs_pretrain):
         for idx in _batches(len(source), plan.batch_size, rng):
             loss = ce_loss(model.forward(Tensor(images[idx])), masks[idx])
+            _check_finite(loss, "pretrain", source.domain_id, epoch, step)
+            step += 1
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -124,15 +140,19 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
             proj = sample_projections(
                 plan.swd_L, d_latent, seed=derive_seed(plan.seed, "proj", step)
             )
-            sup = ce_loss(adapted.forward(Tensor(src_images[idx])), src_masks[idx])
-            src_emb = embed(adapted, Tensor(src_images[idx]), plan.embed_sites,
-                            seed=derive_seed(plan.seed, "sites-src", step),
-                            domain_tag=source.domain_id)
+            z_src = adapted.encode(Tensor(src_images[idx]))
+            sup = ce_loss(adapted.classify(z_src), src_masks[idx])
+            # checked here too: a NaN in z_src fails sample_sites unnamed
+            _check_finite(sup, "adapt", source.domain_id, epoch, step)
+            src_emb = sample_sites(z_src, plan.embed_sites,
+                                   seed=derive_seed(plan.seed, "sites-src", step),
+                                   domain_tag=source.domain_id)
             tgt_emb = embed(adapted, Tensor(tgt_images[tgt_idx]), plan.embed_sites,
                             seed=derive_seed(plan.seed, "sites-tgt", step),
                             domain_tag=target_unlabeled.domain_id)
             alignment = swd2(src_emb, tgt_emb, proj)
             total = add(sup, mul(alignment, plan.gamma))
+            _check_finite(total, "adapt", source.domain_id, epoch, step)
             opt.zero_grad()
             total.backward()
             opt.step()

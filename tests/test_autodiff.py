@@ -124,6 +124,67 @@ def test_conv3d_gradients():
     assert gradient_check(f, [x, w]) < 1e-4
 
 
+def test_relu_passes_nan_through():
+    out = relu(Tensor([np.nan, -1.0, -0.0, 0.0, 2.0])).data
+    assert np.isnan(out[0])
+    np.testing.assert_array_equal(out[1:], [0.0, 0.0, 0.0, 2.0])
+    assert not np.signbit(out[1:]).any()
+
+
+def direct_conv(x, w, padding):
+    """Plain-loop cross-correlation: one multiply-add per output, channel and
+    kernel tap."""
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
+    kernel = w.shape[2:]
+    out_spatial = tuple(s - k + 1 for s, k in zip(xp.shape[2:], kernel))
+    out = np.zeros((x.shape[0], w.shape[0]) + out_spatial)
+    for b in range(x.shape[0]):
+        for co in range(w.shape[0]):
+            for pos in np.ndindex(*out_spatial):
+                total = 0.0
+                for ci in range(x.shape[1]):
+                    for k in np.ndindex(*kernel):
+                        at = tuple(p + q for p, q in zip(pos, k))
+                        total += w[(co, ci) + k] * xp[(b, ci) + at]
+                out[(b, co) + pos] = total
+    return out
+
+
+@pytest.mark.parametrize("x_shape, kernel, padding", [
+    ((2, 3, 5, 7), (3, 3), (1, 1)),
+    ((2, 3, 5, 7), (3, 3), (0, 0)),
+    ((1, 2, 4, 6), (1, 1), (0, 0)),
+    ((2, 2, 6, 4), (3, 1), (1, 0)),
+    ((1, 2, 3, 3), (3, 3), (0, 0)),        # 1x1 output
+    ((1, 1, 3, 5), (3, 1), (0, 0)),        # one output row
+    ((2, 2, 3, 4, 5), (3, 3, 3), (1, 1, 1)),
+    ((1, 2, 4, 3, 5), (3, 1, 3), (1, 0, 0)),
+    ((2, 1, 2, 3, 4), (1, 1, 1), (0, 0, 0)),
+    ((1, 2, 3, 3, 3), (3, 3, 3), (0, 0, 0)),  # 1x1x1 output
+])
+def test_conv_matches_direct_sum(x_shape, kernel, padding):
+    rng = np.random.default_rng(sum(x_shape) + sum(kernel))
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(3, x_shape[1]) + kernel)
+    expected = direct_conv(x, w, padding)
+    pad = padding[0] if len(set(padding)) == 1 else padding
+    out = conv(Tensor(x), Tensor(w), padding=pad).data
+    assert out.shape == expected.shape
+    assert max_rel_error(out, expected, floor=1.0) < 1e-12
+
+
+def test_conv3d_per_axis_padding_gradients():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 2, 3, 4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(scale=0.4, size=(2, 2, 3, 1, 3)), requires_grad=True)
+
+    def f():
+        out = conv(x, w, padding=(1, 0, 0))
+        return tmean(mul(out, out))
+
+    assert gradient_check(f, [x, w]) < 1e-4
+
+
 def test_max_pool_and_take_per_column_gradients():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)

@@ -5,11 +5,16 @@ import hashlib
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from fedseg.autodiff import load_params
 from fedseg.cli import main
-from fedseg.data import read_manifest
+from fedseg.data import load_domain, read_manifest, read_raster, write_raster
+from fedseg.ensembling import compute_weights
+from fedseg.evaluation import read_report
 from fedseg.federation import AuditLog
+from fedseg.network import NetConfig, SegModel
 from helpers import count_predict_probs
 
 FAST = ["--epochs-pretrain", "4", "--epochs-adapt", "3", "--batch-size", "3",
@@ -180,6 +185,43 @@ def test_eval_predicts_once_per_model(tmp_path, monkeypatch):
                  "--sites", "16"]) == 0
     assert len(calls) == 3
     assert len({id(m) for m in calls}) == 3
+
+
+def test_eval_new_lambda_reweights_the_one_probability_stack(dataset, trained_run,
+                                                            tmp_path, monkeypatch):
+    calls = count_predict_probs(monkeypatch)
+    assert main(["eval", "--data", str(dataset), "--run", str(trained_run),
+                 "--out", str(tmp_path / "eval"), "--lambda", "0.6", "--depth", "2",
+                 "--base-width", "4", "--latent-dim", "8", "--sites", "16"]) == 0
+    assert len(calls) == 2
+    # the counts of weighting the adapted checkpoints anew at 0.6
+    report = read_report(tmp_path / "eval" / "report.txt")
+    rows = report["tables"]["weights"][1:]
+    models = []
+    for sid, _, _ in rows:
+        model = SegModel(NetConfig(depth=2, base_width=4, latent_dim=8))
+        model.load_state_dict(load_params(
+            trained_run / "checkpoints" / f"{sid}_adapted.fpar"))
+        models.append(model)
+    _, entries = read_manifest(str(dataset))
+    target = load_domain(str(dataset), entries[-1], read_masks=False)
+    expected = compute_weights(models, target.image_stack(), 0.6)
+    assert report["header"]["lambda_conf"] == "0.6"
+    assert [int(count) for _, count, _ in rows] == expected.raw_counts
+
+
+def test_nan_pixel_fails_the_run_naming_domain_epoch_and_step(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(gen_args(data)) == 0
+    path = data / "site_b" / "img_001.ndr"
+    image = read_raster(path)
+    image[0, 4, 4] = np.nan
+    write_raster(path, image)
+    capsys.readouterr()
+    assert main(["run", "--data", str(data / "manifest.txt"), "--out",
+                 str(tmp_path / "r"), "--workers", "1", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "pretrain of domain 'site_b': non-finite loss nan at epoch 0, step" in err
 
 
 @pytest.mark.parametrize("text, complaint", [

@@ -152,6 +152,16 @@ def test_export_embeddings(tmp_path):
     assert lines[3] == "tgt,5.0,6.0"
 
 
+def test_export_embeddings_writes_the_repr_of_every_value(tmp_path):
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-20, 20, size=(5, 3))
+    values[0] = [0.0, 1e-300, 1 / 3]
+    path = tmp_path / "emb.csv"
+    export_embeddings([EmbeddingBatch(Tensor(values), domain_tag="d")], path)
+    rows = path.read_text().splitlines()[1:]
+    assert rows == ["d," + ",".join(repr(float(v)) for v in row) for row in values]
+
+
 def test_benchmark_predicts_at_most_three_times_per_source(monkeypatch):
     # weights at the target node, then the pretrained and adapted snapshots
     calls = count_predict_probs(monkeypatch)

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedseg.autodiff import Tensor, softmax
+from fedseg.autodiff import Tensor, no_grad, softmax
 from fedseg.data import DomainDataset
 from fedseg.evaluation import mean_ce
-from fedseg.network import NetConfig, SegModel, ce_loss, embed
+from fedseg.network import NetConfig, SegModel, ce_loss, embed, sample_sites
 from helpers import gradient_check
 
 SMALL = NetConfig(spatial_rank=2, in_channels=1, num_classes=2, depth=1,
@@ -187,11 +187,12 @@ def test_mean_ce_equals_ce_of_one_forward_pass():
     assert mean_ce(model, ds) == expected
 
 
-def _predict_peak(model, n):
+def _peak(run, n):
+    """tracemalloc peak of run(stack of n 16x16 images)."""
     x = np.random.default_rng(n).normal(size=(n, 1, 16, 16))
     tracemalloc.start()
     try:
-        model.predict_probs(x)
+        run(x)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -199,4 +200,23 @@ def _predict_peak(model, n):
 
 def test_predict_memory_does_not_grow_with_the_stack():
     model = SegModel(DEFAULT, seed=14)
-    assert _predict_peak(model, 128) < 1.5 * _predict_peak(model, 32)
+    assert _peak(model.predict_probs, 128) < 1.5 * _peak(model.predict_probs, 32)
+
+
+def test_chunked_embed_equals_one_encoder_pass():
+    model = SegModel(DEFAULT, seed=15)
+    x = np.random.default_rng(13).normal(size=(37, 1, 16, 16))
+    expected = sample_sites(model.encode(Tensor(x)), 5, seed=2).points.data
+    with no_grad():
+        got = embed(model, x, n_sites=5, seed=2).points.data
+    assert np.array_equal(got, expected)
+
+
+def test_embed_memory_does_not_grow_with_the_stack():
+    model = SegModel(DEFAULT, seed=16)
+
+    def run(x):
+        with no_grad():
+            embed(model, x, n_sites=8)
+
+    assert _peak(run, 128) < 1.5 * _peak(run, 32)

@@ -6,10 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedseg.data import DomainShift, generate_domains
-from fedseg.network import NetConfig, SegModel
-from fedseg.autodiff import Tensor
+from fedseg.data import DomainDataset, DomainShift, generate_domains
+from fedseg.network import NetConfig, SegModel, ce_loss, embed
+from fedseg.autodiff import Adam, Tensor, add, mul
+from fedseg.sliced import sample_projections, swd2
 from fedseg.training import TrainPlan, adapt, pretrain
+from fedseg.util import derive_seed
 
 CFG = NetConfig(depth=2, base_width=4, latent_dim=8)
 
@@ -176,3 +178,76 @@ def test_adapt_ema_trend_not_increasing():
 
     smoothed = ema(totals)
     assert smoothed[-1] <= smoothed[0]
+
+
+def test_adapt_encodes_each_batch_once(monkeypatch):
+    """One encoder pass for the source batch (shared by the CE term and the
+    source embedding) and one for the target batch."""
+    src, tgt = quick_domains()
+    plan = quick_plan(epochs_adapt=2)
+    model = pretrain(src, plan, CFG)
+    calls = []
+    original = SegModel.encode
+
+    def counted(self, x):
+        calls.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(SegModel, "encode", counted)
+    adapted = adapt(model, src, tgt.unlabeled_copy(), plan)
+    assert len(calls) == 2 * len(adapted.step_records)
+
+
+def test_one_adapt_step_equals_the_two_pass_loss():
+    """adapt's one-encoding step gives the parameters of the loss that
+    encodes the source batch twice (once in forward, once in embed)."""
+    src, tgt = quick_domains()
+    tgt = tgt.unlabeled_copy()
+    plan = quick_plan(epochs_adapt=1, batch_size=len(src))
+    model = pretrain(src, plan, CFG)
+    new = adapt(model, src, tgt, plan).model
+
+    old = model.clone()
+    rng = np.random.default_rng(derive_seed(plan.seed, "adapt", src.domain_id))
+    idx = rng.permutation(len(src))
+    tgt_idx = rng.choice(len(tgt), size=len(idx), replace=False)
+    x_src = Tensor(src.image_stack()[idx])
+    sup = ce_loss(old.forward(x_src), src.mask_stack()[idx])
+    src_emb = embed(old, x_src, plan.embed_sites,
+                    seed=derive_seed(plan.seed, "sites-src", 0), domain_tag=src.domain_id)
+    tgt_emb = embed(old, Tensor(tgt.image_stack()[tgt_idx]), plan.embed_sites,
+                    seed=derive_seed(plan.seed, "sites-tgt", 0), domain_tag=tgt.domain_id)
+    proj = sample_projections(plan.swd_L, CFG.latent_dim,
+                              seed=derive_seed(plan.seed, "proj", 0))
+    add(sup, mul(swd2(src_emb, tgt_emb, proj), plan.gamma)).backward()
+    Adam(old.parameters(), learning_rate=plan.learning_rate).step()
+
+    for name, p in old.parameters().items():
+        assert not np.array_equal(p.data, model.parameters()[name].data), name
+        np.testing.assert_allclose(new.parameters()[name].data, p.data,
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def with_nan_pixel(dataset, index=2):
+    images = [im.copy() for im in dataset.images]
+    images[index][0, 5, 7] = np.nan
+    return DomainDataset(images, dataset.masks, domain_id=dataset.domain_id)
+
+
+def test_pretrain_stops_at_the_first_non_finite_loss():
+    src, _ = quick_domains()
+    plan = quick_plan(batch_size=len(src))
+    with pytest.raises(FloatingPointError,
+                       match=r"pretrain of domain 'domain0': non-finite loss nan "
+                             r"at epoch 0, step 0"):
+        pretrain(with_nan_pixel(src), plan, CFG)
+
+
+def test_adapt_stops_at_the_first_non_finite_loss():
+    src, tgt = quick_domains()
+    plan = quick_plan(batch_size=len(src))
+    model = pretrain(src, plan, CFG)
+    with pytest.raises(FloatingPointError,
+                       match=r"adapt of domain 'domain0': non-finite loss nan "
+                             r"at epoch 0, step 0"):
+        adapt(model, with_nan_pixel(src), tgt.unlabeled_copy(), plan)
