@@ -25,6 +25,25 @@ wide gradient, accumulates dx into a flat buffer of the same layout through
 the same shifted slices, and takes dw from those slices of the forward's
 buffer, so no window is copied in either direction.
 
+conv is also the fused conv block: an optional bias is added in place on
+the wide grid after the tap sum, and with rectify the crop itself is the
+ReLU pass np.where(v <= 0, 0.0, v) (NaN passes through, zeros are +0.0), so
+bias and ReLU cost no tape node and no full-size pass of their own. The
+result is always a fresh compact array: a view of the crop would keep the
+wide buffer alive. Backward masks the gradient while scattering it into the
+wide grid and takes the bias gradient from that grid.
+
+A one-channel input (cin == 1) would make each offset a 1-deep matmul, so
+its k^rank shifted windows are copied once into a (taps, batch, n_wide)
+array instead: the forward is one GEMM (cout, taps) @ (taps, batch * n_wide)
+and dw one tensordot; dx keeps the loop over offsets.
+
+max_pool and upsample_nearest work on the k^rank strided views
+x[:, :, i::k, j::k] (one per window offset, in np.ndindex order). The pool
+is np.maximum over them; its backward sends each window's gradient to the
+first view holding the maximum, as argmax would. The upsample backward is
+the sum of the gradient's views.
+
 Also provides the Adam optimizer and a binary parameter-archive format
 for checkpointing named parameter sets.
 """
@@ -424,12 +443,13 @@ def _per_axis(value, rank, name):
     return value
 
 
-def conv(x, w, padding=0):
+def conv(x, w, padding=0, b=None, rectify=False):
     """N-D stride-1 cross-correlation over (batch, channels, *spatial) inputs.
 
-    w has shape (out_channels, in_channels, *kernel). No bias; add one with
-    a broadcast add. Works for any spatial rank; used here with rank 2 and 3.
-    Computed over the flat/wide layout of the module docstring.
+    w has shape (out_channels, in_channels, *kernel) and the optional bias b
+    shape (out_channels,). With rectify the result is relu(conv + b), in one
+    node. Works for any spatial rank; used here with rank 2 and 3. Computed
+    over the flat/wide layout of the module docstring.
     """
     x, w = as_tensor(x), as_tensor(w)
     rank = x.ndim - 2
@@ -440,6 +460,11 @@ def conv(x, w, padding=0):
             f"conv: input channels {x.shape[1]} (shape {x.shape}) != "
             f"kernel channels {w.shape[1]} (shape {w.shape})"
         )
+    batch, cin, cout = x.shape[0], x.shape[1], w.shape[0]
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != (cout,):
+            raise ValueError(f"conv: bias shape {b.shape} != ({cout},) for kernel {w.shape}")
     padding = _per_axis(padding, rank, "padding")
     kernel = w.shape[2:]
     spatial = x.shape[2:]
@@ -450,7 +475,6 @@ def conv(x, w, padding=0):
             f"does not fit input spatial shape {spatial}"
         )
 
-    batch, cin, cout = x.shape[0], x.shape[1], w.shape[0]
     padded = tuple(s + 2 * p for s, p in zip(spatial, padding))
     n_pad = int(np.prod(padded))
     strides = [int(np.prod(padded[d + 1:])) for d in range(rank)]
@@ -467,56 +491,87 @@ def conv(x, w, padding=0):
     # (kernel offsets, cout, cin): each offset's taps as one contiguous matrix
     wk = np.ascontiguousarray(w.data.reshape(cout, cin, -1).transpose(2, 0, 1))
 
-    out = np.zeros((batch, cout, n_wide))
-    for shift, taps in zip(shifts, wk):
-        out += taps @ xf[:, :, shift:shift + n_wide]
+    if cin == 1:
+        # one GEMM over all offsets: (cout, taps) @ (taps, batch * n_wide)
+        cols = np.empty((len(shifts), batch, n_wide))
+        for i, shift in enumerate(shifts):
+            cols[i] = xf[:, 0, shift:shift + n_wide]
+        out = (w.data.reshape(cout, -1) @ cols.reshape(len(shifts), -1))
+        out = out.reshape(cout, batch, n_wide).transpose(1, 0, 2)
+    else:
+        out = np.zeros((batch, cout, n_wide))
+        for shift, taps in zip(shifts, wk):
+            out += taps @ xf[:, :, shift:shift + n_wide]
+    if b is not None:
+        out += b.data[:, None]
     out = out.reshape(wide)[valid]
+    # a fresh compact array: a view of the crop would keep the wide buffer alive
+    out = np.where(out <= 0, 0.0, out) if rectify else out.copy()
 
     def back(g):
-        gw = np.zeros((batch, cout, n_wide))
-        gw.reshape(wide)[valid] = g
+        # in the forward's memory order, which the one-channel GEMM makes cout-major
+        gw = (np.zeros((cout, batch, n_wide)).transpose(1, 0, 2) if cin == 1
+              else np.zeros((batch, cout, n_wide)))
+        if rectify:
+            np.multiply(g, out > 0, out=gw.reshape(wide)[valid])
+        else:
+            gw.reshape(wide)[valid] = g
         if x.requires_grad:
             dxf = np.zeros_like(xf)
             for shift, taps in zip(shifts, wk):
                 dxf[:, :, shift:shift + n_wide] += taps.T @ gw
             _accumulate(x, dxf[:, :, :n_pad].reshape((batch, cin) + padded)[inner])
         if w.requires_grad:
-            dw = np.empty_like(wk)
-            for i, shift in enumerate(shifts):
-                window = xf[:, :, shift:shift + n_wide]
-                dw[i] = np.matmul(gw, window.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(w, dw.transpose(1, 2, 0).reshape(w.shape))
+            if cin == 1:
+                dw = np.tensordot(gw, cols, axes=([0, 2], [1, 2]))
+            else:
+                dw = np.empty_like(wk)
+                for i, shift in enumerate(shifts):
+                    window = xf[:, :, shift:shift + n_wide]
+                    dw[i] = np.matmul(gw, window.transpose(0, 2, 1)).sum(axis=0)
+                dw = dw.transpose(1, 2, 0)
+            _accumulate(w, dw.reshape(w.shape))
+        if b is not None:
+            _accumulate(b, gw.sum(axis=(0, 2)))
 
-    return _make(out, (x, w), back)
+    return _make(out, (x, w) if b is None else (x, w, b), back)
+
+
+def _window_views(rank, k):
+    """Indices of the k**rank strided views of a (batch, channels, *spatial)
+    array, in np.ndindex window order: view o holds element o of every
+    non-overlapping k-window."""
+    return [(slice(None),) * 2 + tuple(slice(o, None, k) for o in offset)
+            for offset in np.ndindex(*(k,) * rank)]
 
 
 def max_pool(x, k=2):
-    """Non-overlapping max pooling with window k along every spatial axis."""
+    """Non-overlapping max pooling with window k along every spatial axis.
+
+    The gradient of a window goes to its first maximum in window order, as
+    argmax would route it (a NaN counts as the maximum).
+    """
     x = as_tensor(x)
     rank = x.ndim - 2
     spatial = x.shape[2:]
     if any(s % k != 0 for s in spatial):
         raise ValueError(f"max_pool: spatial shape {spatial} not divisible by window {k}")
-    out_spatial = tuple(s // k for s in spatial)
-
-    # Split each spatial axis into (blocks, k), move the window axes last,
-    # flatten them, and take the max over that flat window axis.
-    split_shape = x.shape[:2] + sum(((o, k) for o in out_spatial), ())
-    order = list(range(2))
-    order += [2 + 2 * i for i in range(rank)]
-    order += [3 + 2 * i for i in range(rank)]
-    blocks = x.data.reshape(split_shape).transpose(order)
-    flat = blocks.reshape(x.shape[:2] + out_spatial + (k**rank,))
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    views = _window_views(rank, k)
+    out = x.data[views[0]].copy()
+    for view in views[1:]:
+        np.maximum(out, x.data[view], out=out)
 
     def back(g):
         if not x.requires_grad:
             return
-        dflat = np.zeros_like(flat)
-        np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
-        dblocks = dflat.reshape(x.shape[:2] + out_spatial + (k,) * rank)
-        _accumulate(x, dblocks.transpose(np.argsort(order)).reshape(x.shape))
+        dx = np.empty_like(x.data)
+        pending = np.ones(out.shape, dtype=bool)
+        for view in views:
+            xv = x.data[view]
+            hit = pending & ((xv == out) | np.isnan(xv))
+            pending &= ~hit
+            dx[view] = np.where(hit, g, 0.0)
+        _accumulate(x, dx)
 
     return _make(out, (x,), back)
 
@@ -532,9 +587,11 @@ def upsample_nearest(x, factor=2):
     def back(g):
         if not x.requires_grad:
             return
-        shape = x.shape[:2] + sum(((s, factor) for s in x.shape[2:]), ())
-        axes = tuple(3 + 2 * i for i in range(rank))
-        _accumulate(x, g.reshape(shape).sum(axis=axes))
+        views = _window_views(rank, factor)
+        dx = g[views[0]].copy()
+        for view in views[1:]:
+            dx += g[view]
+        _accumulate(x, dx)
 
     return _make(out, (x,), back)
 

@@ -24,11 +24,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, concat, no_grad
 from .data import DomainDataset
 from .ensembling import (aggregate, average_vote, confidence_weights, popular_vote,
                          stack_probs)
-from .network import ce_loss, embed
+from .network import ce_loss, embed, encode_chunks, sample_sites
 from .sliced import sample_projections, swd2
 from .training import pretrain
 from .util import derive_seed, hash_images
@@ -105,16 +105,19 @@ def bound_terms(adapted_models, sources, target, swd_L: int, embed_sites: int,
         model = am.model
         proj = sample_projections(swd_L, model.config.latent_dim, seed=proj_seed)
         with no_grad():
-            src_emb = embed(model, Tensor(source.image_stack()), embed_sites,
-                            seed=derive_seed(seed, "bound-src", source.domain_id),
-                            domain_tag=source.domain_id)
+            # one encoder pass per source slice feeds both the CE and the codes
+            z_src = encode_chunks(model, source.image_stack())
+            logits = np.concatenate([model.classify(z).data for z in z_src])
+            src_emb = sample_sites(concat(z_src, axis=0), embed_sites,
+                                   seed=derive_seed(seed, "bound-src", source.domain_id),
+                                   domain_tag=source.domain_id)
             tgt_emb = embed(model, Tensor(target.image_stack()), embed_sites,
                             seed=derive_seed(seed, "bound-tgt", source.domain_id),
                             domain_tag=target.domain_id)
         joint = None if joint_errors is None else joint_errors.get(am.source_id)
         out.append(BoundTerm(
             source_id=am.source_id,
-            source_ce=mean_ce(model, source),
+            source_ce=ce_loss(logits, source.mask_stack()).item(),
             swd_term=swd2(tgt_emb, src_emb, proj).item(),
             complexity=complexity_term(len(source), len(target), xi, zeta),
             joint_ce=joint,

@@ -7,7 +7,9 @@ classify(encode(x)): the classifier is a pure function of the latent field,
 so the embedding used for distribution alignment is exactly the classifier's
 input space. When skip_connections is enabled, each decoder level is fed an
 upsampled copy of the latent field alongside the upsampled features; the
-classifier still sees nothing but the latent field.
+classifier still sees nothing but the latent field. Every conv layer is
+one fused autodiff.conv node: convolution, bias and (except for the head)
+ReLU.
 
 Inference (predict_logits) builds no autodiff graph and runs forward on
 INFERENCE_CHUNK images at a time; each image is computed on its own, so the
@@ -20,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat, conv, log_softmax, max_pool, mul,
-                       no_grad, relu, reshape, softmax, take_rows, transpose,
-                       tsum, upsample_nearest)
+from .autodiff import (Tensor, concat, conv, log_softmax, max_pool, mul, no_grad,
+                       reshape, softmax, take_rows, transpose, tsum, upsample_nearest)
 from .sliced import EmbeddingBatch
 from .util import derive_seed
 
@@ -117,19 +118,16 @@ class SegModel:
             )
         return x
 
-    def _conv_block(self, x, name, padding):
-        cfg = self.config
-        w = self.params[name + ".w"]
-        b = self.params[name + ".b"]
-        bias_shape = (1, w.shape[0]) + (1,) * cfg.spatial_rank
-        return add(conv(x, w, padding=padding), reshape(b, bias_shape))
+    def _conv_block(self, x, name, padding, rectify=True):
+        return conv(x, self.params[name + ".w"], padding,
+                    b=self.params[name + ".b"], rectify=rectify)
 
     def encode(self, x) -> Tensor:
         """Image batch -> latent field (batch, latent_dim, *spatial/2^depth)."""
         h = self._check_input(x)
         for i in range(self.config.depth):
-            h = max_pool(relu(self._conv_block(h, f"enc{i}", 1)), 2)
-        return relu(self._conv_block(h, "bottleneck", 1))
+            h = max_pool(self._conv_block(h, f"enc{i}", 1), 2)
+        return self._conv_block(h, "bottleneck", 1)
 
     def classify(self, z: Tensor) -> Tensor:
         """Latent field -> per-pixel class logits at the input resolution."""
@@ -139,8 +137,8 @@ class SegModel:
             h = upsample_nearest(h, 2)
             if cfg.skip_connections:
                 h = concat([h, upsample_nearest(z, 2 ** (cfg.depth - i))], axis=1)
-            h = relu(self._conv_block(h, f"dec{i}", 1))
-        return self._conv_block(h, "head", 0)
+            h = self._conv_block(h, f"dec{i}", 1)
+        return self._conv_block(h, "head", 0, rectify=False)
 
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
@@ -201,6 +199,13 @@ def sample_sites(z: Tensor, n_sites: int = 64, seed: int = 0,
     return EmbeddingBatch(points=take_rows(flat, rows), domain_tag=domain_tag)
 
 
+def encode_chunks(model: SegModel, x) -> list:
+    """The model's latent fields of an image batch, one per INFERENCE_CHUNK
+    slice; their concat is the latent field of one pass."""
+    return [model.encode(chunk)
+            for chunk in _chunks(x.data if isinstance(x, Tensor) else np.asarray(x))]
+
+
 def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
           domain_tag: str = "") -> EmbeddingBatch:
     """sample_sites of the model's latent field of an image batch.
@@ -210,10 +215,7 @@ def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
     every sampled row, equals that of one pass. Differentiable with respect
     to the model parameters.
     """
-    parts = [model.encode(chunk)
-             for chunk in _chunks(x.data if isinstance(x, Tensor) else np.asarray(x))]
-    z = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-    return sample_sites(z, n_sites, seed, domain_tag)
+    return sample_sites(concat(encode_chunks(model, x), axis=0), n_sites, seed, domain_tag)
 
 
 def ce_loss(logits: Tensor, mask) -> Tensor:

@@ -8,9 +8,10 @@ step runs the encoder twice, once per domain. Target labels are never read;
 the caller can verify via the dataset's label_reads counter, and the
 returned record keeps a snapshot of it.
 
-Both loops stop at the first step whose loss is not finite, raising
-FloatingPointError that names the phase, the source domain, the epoch and
-the step.
+Both loops stop at the first step whose loss is not finite, and adapt also
+at the first target batch whose embedding is not finite (before its sites
+are sampled), raising FloatingPointError that names the phase, the source
+domain, the epoch and the step.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,10 @@ import numpy as np
 
 from .autodiff import Adam, Tensor, add, mul
 from .data import DomainDataset
-from .network import NetConfig, SegModel, ce_loss, embed, sample_sites
+from .network import NetConfig, SegModel, ce_loss, sample_sites
+# Bound here only because perfbench/tracing.py wraps this name on this
+# module and fails when it is missing.
+from .network import embed  # noqa: F401
 from .sliced import sample_projections, swd2
 from .util import derive_seed
 
@@ -71,9 +75,12 @@ class AdaptedModel:
 
 def _check_finite(loss, phase, domain_id, epoch, step):
     if not np.isfinite(loss.item()):
-        raise FloatingPointError(
-            f"{phase} of domain '{domain_id}': non-finite loss {loss.item()} "
-            f"at epoch {epoch}, step {step}")
+        _fail(f"loss {loss.item()}", phase, domain_id, epoch, step)
+
+
+def _fail(what, phase, domain_id, epoch, step):
+    raise FloatingPointError(
+        f"{phase} of domain '{domain_id}': non-finite {what} at epoch {epoch}, step {step}")
 
 
 def _batches(n, batch_size, rng):
@@ -147,9 +154,12 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
             src_emb = sample_sites(z_src, plan.embed_sites,
                                    seed=derive_seed(plan.seed, "sites-src", step),
                                    domain_tag=source.domain_id)
-            tgt_emb = embed(adapted, Tensor(tgt_images[tgt_idx]), plan.embed_sites,
-                            seed=derive_seed(plan.seed, "sites-tgt", step),
-                            domain_tag=target_unlabeled.domain_id)
+            z_tgt = adapted.encode(Tensor(tgt_images[tgt_idx]))
+            if not np.isfinite(z_tgt.data).all():
+                _fail("target embedding", "adapt", source.domain_id, epoch, step)
+            tgt_emb = sample_sites(z_tgt, plan.embed_sites,
+                                   seed=derive_seed(plan.seed, "sites-tgt", step),
+                                   domain_tag=target_unlabeled.domain_id)
             alignment = swd2(src_emb, tgt_emb, proj)
             total = add(sup, mul(alignment, plan.gamma))
             _check_finite(total, "adapt", source.domain_id, epoch, step)

@@ -1,9 +1,7 @@
 """Shared test utilities: finite-difference gradients, error measures, and
-a predict_probs call counter."""
+a call counter."""
 
 import numpy as np
-
-from fedseg.network import SegModel
 
 
 def numerical_grad(f, params, h=1e-5):
@@ -50,14 +48,15 @@ def gradient_check(f, params, h=1e-5, floor=1e-6):
     return worst
 
 
-def count_predict_probs(monkeypatch):
-    """Count SegModel.predict_probs calls; returns the list of calling models."""
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.name; returns the list of each call's first
+    argument (the instance, for a method looked up on its class)."""
     calls = []
-    original = SegModel.predict_probs
+    original = getattr(owner, name)
 
-    def counted(self, images):
-        calls.append(self)
-        return original(self, images)
+    def counted(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(SegModel, "predict_probs", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls

@@ -161,16 +161,65 @@ def direct_conv(x, w, padding):
     ((1, 2, 4, 3, 5), (3, 1, 3), (1, 0, 0)),
     ((2, 1, 2, 3, 4), (1, 1, 1), (0, 0, 0)),
     ((1, 2, 3, 3, 3), (3, 3, 3), (0, 0, 0)),  # 1x1x1 output
+    ((4, 1, 32, 32), (3, 3), (1, 1)),      # enc0 of the default net
 ])
 def test_conv_matches_direct_sum(x_shape, kernel, padding):
+    """Plain, biased, and biased-and-rectified conv against the loop."""
     rng = np.random.default_rng(sum(x_shape) + sum(kernel))
     x = rng.normal(size=x_shape)
     w = rng.normal(size=(3, x_shape[1]) + kernel)
+    b = rng.normal(size=3)
     expected = direct_conv(x, w, padding)
+    biased = expected + b.reshape((1, 3) + (1,) * len(kernel))
     pad = padding[0] if len(set(padding)) == 1 else padding
-    out = conv(Tensor(x), Tensor(w), padding=pad).data
-    assert out.shape == expected.shape
-    assert max_rel_error(out, expected, floor=1.0) < 1e-12
+    for out, want in [
+        (conv(Tensor(x), Tensor(w), padding=pad), expected),
+        (conv(Tensor(x), Tensor(w), pad, b=Tensor(b)), biased),
+        (conv(Tensor(x), Tensor(w), pad, b=Tensor(b), rectify=True),
+         np.maximum(biased, 0.0)),
+    ]:
+        assert out.shape == want.shape
+        assert out.data.base is None  # owns its data, holds no wide buffer
+        assert max_rel_error(out.data, want, floor=1.0) < 1e-12
+
+
+@pytest.mark.parametrize("x_shape, kernel, padding, rectify", [
+    ((2, 3, 5, 4), (3, 3), 1, True),
+    ((2, 3, 5, 4), (3, 3), 1, False),
+    ((2, 1, 5, 6), (3, 3), 1, True),       # one input channel
+    ((2, 1, 4, 5), (3, 2), 0, False),
+    ((1, 2, 3, 4, 3), (3, 3, 3), 1, True),
+    ((1, 1, 3, 4, 3), (3, 1, 3), (1, 0, 1), True),
+])
+def test_fused_conv_gradients(x_shape, kernel, padding, rectify):
+    rng = np.random.default_rng(len(x_shape) + x_shape[1] + int(rectify))
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(scale=0.4, size=(3, x_shape[1]) + kernel), requires_grad=True)
+    b = Tensor(rng.normal(scale=0.3, size=3), requires_grad=True)
+    out_shape = conv(x, w, padding, b=b).shape
+    fixed = Tensor(rng.normal(size=out_shape))
+
+    def f():
+        return tsum(mul(conv(x, w, padding, b=b, rectify=rectify), fixed))
+
+    assert gradient_check(f, [x, w, b]) < 1e-4
+
+
+def test_conv_rejects_a_bias_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"bias shape \(2,\) != \(3,\)"):
+        conv(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3))),
+             b=Tensor(np.ones(2)))
+
+
+@pytest.mark.parametrize("cin", [1, 2])
+def test_fused_relu_passes_nan_through(cin):
+    values = np.array([np.nan, -1.0, -0.0, 0.0, 2.0])
+    x = np.repeat(values.reshape(1, 1, 1, 5), cin, axis=1) / cin
+    w = np.ones((1, cin, 1, 1))
+    out = conv(Tensor(x), Tensor(w), b=Tensor(np.zeros(1)), rectify=True).data.ravel()
+    assert np.isnan(out[0])
+    np.testing.assert_array_equal(out[1:], [0.0, 0.0, 0.0, 2.0])
+    assert not np.signbit(out[1:]).any()
 
 
 def test_conv3d_per_axis_padding_gradients():
@@ -198,6 +247,57 @@ def test_max_pool_and_take_per_column_gradients():
 
     fixed = np.random.default_rng(6).normal(size=(6, 3))
     assert gradient_check(f, [x, pts]) < 1e-4
+
+
+def argmax_pool(x, k):
+    """Max pooling by moving each window into a last axis and taking argmax;
+    returns the pooled values and the argmax-routed gradient of their sum
+    weighted by g."""
+    rank = x.ndim - 2
+    out_spatial = tuple(s // k for s in x.shape[2:])
+    split = x.shape[:2] + sum(((o, k) for o in out_spatial), ())
+    order = [0, 1] + [2 + 2 * i for i in range(rank)] + [3 + 2 * i for i in range(rank)]
+    flat = x.reshape(split).transpose(order).reshape(x.shape[:2] + out_spatial + (-1,))
+    arg = flat.argmax(axis=-1)[..., None]
+
+    def grad(g):
+        dflat = np.zeros_like(flat)
+        np.put_along_axis(dflat, arg, g[..., None], axis=-1)
+        blocks = dflat.reshape(x.shape[:2] + out_spatial + (k,) * rank)
+        return blocks.transpose(np.argsort(order)).reshape(x.shape)
+
+    return np.take_along_axis(flat, arg, axis=-1)[..., 0], grad
+
+
+@pytest.mark.parametrize("shape, k", [
+    ((2, 3, 8, 6), 2),
+    ((1, 2, 6, 9), 3),
+    ((2, 2, 4, 6, 2), 2),
+])
+def test_max_pool_routes_ties_to_the_first_max(shape, k):
+    rng = np.random.default_rng(len(shape) + k)
+    # few distinct values, so most windows hold tied maxima
+    x = Tensor(rng.integers(-2, 2, size=shape).astype(np.float64), requires_grad=True)
+    x.data[0, 0, :k, :k] = np.nan
+    x.data[-1, -1, :k, :k] = [[1.0] + [np.nan] * (k - 1)] + [[1.0] * k] * (k - 1)
+    expected, expected_grad = argmax_pool(x.data, k)
+    out = max_pool(x, k)
+    np.testing.assert_array_equal(out.data, expected)
+    g = rng.normal(size=out.shape)
+    tsum(mul(out, Tensor(g))).backward()
+    np.testing.assert_array_equal(x.grad, expected_grad(g))
+
+
+@pytest.mark.parametrize("shape, factor", [((2, 3, 3, 2), 4), ((1, 2, 2, 3, 2), 2)])
+def test_upsample_gradients(shape, factor):
+    rng = np.random.default_rng(factor)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    fixed = Tensor(rng.normal(size=shape[:2] + tuple(s * factor for s in shape[2:])))
+
+    def f():
+        return tsum(mul(upsample_nearest(x, factor), fixed))
+
+    assert gradient_check(f, [x]) < 1e-4
 
 
 def test_forward_backward_deterministic():

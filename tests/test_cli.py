@@ -3,6 +3,7 @@ and the add-source flow."""
 
 import hashlib
 import os
+import re
 import shutil
 
 import numpy as np
@@ -15,7 +16,7 @@ from fedseg.ensembling import compute_weights
 from fedseg.evaluation import read_report
 from fedseg.federation import AuditLog
 from fedseg.network import NetConfig, SegModel
-from helpers import count_predict_probs
+from helpers import count_calls
 
 FAST = ["--epochs-pretrain", "4", "--epochs-adapt", "3", "--batch-size", "3",
         "--swd-l", "8", "--sites", "16", "--depth", "2", "--base-width", "4",
@@ -179,7 +180,7 @@ def test_eval_predicts_once_per_model(tmp_path, monkeypatch):
     out = tmp_path / "r"
     assert main(["run", "--data", manifest, "--out", str(out), "--seed", "0",
                  *FAST]) == 0
-    calls = count_predict_probs(monkeypatch)
+    calls = count_calls(monkeypatch, SegModel, "predict_probs")
     assert main(["eval", "--data", manifest, "--run", str(out), "--oracle",
                  "--depth", "2", "--base-width", "4", "--latent-dim", "8",
                  "--sites", "16"]) == 0
@@ -189,7 +190,7 @@ def test_eval_predicts_once_per_model(tmp_path, monkeypatch):
 
 def test_eval_new_lambda_reweights_the_one_probability_stack(dataset, trained_run,
                                                             tmp_path, monkeypatch):
-    calls = count_predict_probs(monkeypatch)
+    calls = count_calls(monkeypatch, SegModel, "predict_probs")
     assert main(["eval", "--data", str(dataset), "--run", str(trained_run),
                  "--out", str(tmp_path / "eval"), "--lambda", "0.6", "--depth", "2",
                  "--base-width", "4", "--latent-dim", "8", "--sites", "16"]) == 0
@@ -222,6 +223,21 @@ def test_nan_pixel_fails_the_run_naming_domain_epoch_and_step(tmp_path, capsys):
                  str(tmp_path / "r"), "--workers", "1", *FAST]) == 2
     err = capsys.readouterr().err
     assert "pretrain of domain 'site_b': non-finite loss nan at epoch 0, step" in err
+
+
+def test_nan_target_pixel_fails_the_run_naming_domain_epoch_and_step(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(gen_args(data)) == 0
+    path = data / "site_t" / "img_003.ndr"
+    image = read_raster(path)
+    image[0, 4, 4] = np.nan
+    write_raster(path, image)
+    capsys.readouterr()
+    assert main(["run", "--data", str(data / "manifest.txt"), "--out",
+                 str(tmp_path / "r"), "--workers", "1", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"adapt of domain 'site_[ab]': non-finite target embedding "
+                     r"at epoch \d+, step \d+", err), err
 
 
 @pytest.mark.parametrize("text, complaint", [

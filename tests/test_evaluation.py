@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from fedseg.benchmark import run_benchmark
-from fedseg.evaluation import (MetricsReport, BoundTerm, complexity_term, dice,
-                               emit_report, export_embeddings, read_report)
-from fedseg.sliced import EmbeddingBatch
-from fedseg.autodiff import Tensor
-from fedseg.training import TrainPlan
-from helpers import count_predict_probs
+from fedseg.evaluation import (MetricsReport, BoundTerm, bound_terms, complexity_term,
+                               dice, emit_report, export_embeddings, mean_ce,
+                               read_report)
+from fedseg.sliced import EmbeddingBatch, sample_projections, swd2
+from fedseg.autodiff import Tensor, no_grad
+from fedseg.data import DomainShift, generate_domains
+from fedseg.network import NetConfig, SegModel, embed
+from fedseg.training import AdaptedModel, TrainPlan
+from fedseg.util import derive_seed
+from helpers import count_calls
 
 
 def test_dice_identical_masks():
@@ -164,10 +168,46 @@ def test_export_embeddings_writes_the_repr_of_every_value(tmp_path):
 
 def test_benchmark_predicts_at_most_three_times_per_source(monkeypatch):
     # weights at the target node, then the pretrained and adapted snapshots
-    calls = count_predict_probs(monkeypatch)
+    calls = count_calls(monkeypatch, SegModel, "predict_probs")
     plan = TrainPlan(epochs_pretrain=1, epochs_adapt=1, batch_size=6, swd_L=4,
                      lambda_conf=0.97, embed_sites=8)
     bench = run_benchmark(seed=0, plan=plan)
     assert np.isfinite(bench.bound_lhs) and set(bench.mode_dice) == {
         "fmuda", "av", "pv", "suda"}
     assert len(calls) <= 3 * len(bench.post_dice)
+
+
+def bound_inputs(n_images):
+    *sources, target = generate_domains(
+        0, 3, n_images, (16, 16),
+        [DomainShift(1.0, 0.0, 0.02, 0.0, seed=1), DomainShift(0.7, 0.2, 0.02, 0.0, seed=2),
+         DomainShift(0.4, 0.45, 0.02, 0.0, seed=3)])
+    cfg = NetConfig(depth=2, base_width=4, latent_dim=8)
+    models = [AdaptedModel(SegModel(cfg, seed=i), s.domain_id)
+              for i, s in enumerate(sources)]
+    return models, sources, target
+
+
+def test_bound_terms_encodes_each_source_stack_once(monkeypatch):
+    """One encoder pass over the source stack (shared by its CE and its
+    codes) and one over the target stack, per source."""
+    models, sources, target = bound_inputs(6)
+    calls = count_calls(monkeypatch, SegModel, "encode")
+    bound_terms(models, sources, target, swd_L=8, embed_sites=16, seed=3)
+    assert len(calls) == 2 * len(sources)
+
+
+def test_bound_terms_equal_the_two_pass_terms():
+    """The shared pass gives the CE of predict_logits and the SWD of embed,
+    bit for bit, also over a stack of more than one inference slice."""
+    models, sources, target = bound_inputs(20)
+    terms = bound_terms(models, sources, target, swd_L=8, embed_sites=16, seed=3)
+    proj = sample_projections(8, 8, seed=derive_seed(3, "bound-projections"))
+    for term, am, source in zip(terms, models, sources):
+        with no_grad():
+            src_emb = embed(am.model, source.image_stack(), 16,
+                            seed=derive_seed(3, "bound-src", source.domain_id))
+            tgt_emb = embed(am.model, target.image_stack(), 16,
+                            seed=derive_seed(3, "bound-tgt", source.domain_id))
+        assert term.source_ce == mean_ce(am.model, source)
+        assert term.swd_term == swd2(tgt_emb, src_emb, proj).item()

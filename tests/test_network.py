@@ -138,6 +138,21 @@ def test_network_gradients_match_finite_differences():
     assert gradient_check(f, params) < 1e-4
 
 
+def test_default_forward_records_one_node_per_layer_op():
+    """Each conv block is one fused node (conv, bias and ReLU): 6 convs,
+    2 pools, 4 upsamples and 2 concats. A bias add with its reshape, and a
+    ReLU, per conv made it 31."""
+    model = SegModel(DEFAULT, seed=4)
+    x = np.random.default_rng(4).normal(size=(2, 1, 16, 16))
+    nodes, stack = set(), [model.forward(Tensor(x))]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in nodes:
+            nodes.add(id(node))
+            stack.extend(node._parents)
+    assert len(nodes) == 6 + 2 + 4 + 2
+
+
 def test_flip_equivariance_with_symmetric_kernels():
     cfg = NetConfig(depth=2, base_width=4, latent_dim=6, skip_connections=True)
     model = SegModel(cfg, seed=9)

@@ -12,6 +12,7 @@ from fedseg.autodiff import Adam, Tensor, add, mul
 from fedseg.sliced import sample_projections, swd2
 from fedseg.training import TrainPlan, adapt, pretrain
 from fedseg.util import derive_seed
+from helpers import count_calls
 
 CFG = NetConfig(depth=2, base_width=4, latent_dim=8)
 
@@ -186,14 +187,7 @@ def test_adapt_encodes_each_batch_once(monkeypatch):
     src, tgt = quick_domains()
     plan = quick_plan(epochs_adapt=2)
     model = pretrain(src, plan, CFG)
-    calls = []
-    original = SegModel.encode
-
-    def counted(self, x):
-        calls.append(self)
-        return original(self, x)
-
-    monkeypatch.setattr(SegModel, "encode", counted)
+    calls = count_calls(monkeypatch, SegModel, "encode")
     adapted = adapt(model, src, tgt.unlabeled_copy(), plan)
     assert len(calls) == 2 * len(adapted.step_records)
 
@@ -251,3 +245,13 @@ def test_adapt_stops_at_the_first_non_finite_loss():
                        match=r"adapt of domain 'domain0': non-finite loss nan "
                              r"at epoch 0, step 0"):
         adapt(model, with_nan_pixel(src), tgt.unlabeled_copy(), plan)
+
+
+def test_adapt_names_a_non_finite_target_embedding():
+    src, tgt = quick_domains()
+    plan = quick_plan(batch_size=len(src))
+    model = pretrain(src, plan, CFG)
+    with pytest.raises(FloatingPointError,
+                       match=r"adapt of domain 'domain0': non-finite target "
+                             r"embedding at epoch 0, step 0"):
+        adapt(model, src, with_nan_pixel(tgt).unlabeled_copy(), plan)
