@@ -20,23 +20,32 @@ rows have the padded row length: out_spatial[0] rows of the padded
 (*spatial[1:]) plane, flattened to n_wide positions. Position i of the wide
 grid plus the shift is the input position that tap reads, so each offset
 costs one matmul over all positions; the columns past out_spatial[1:] are
-discarded by a crop. Backward scatters the output gradient into a zeroed
-wide gradient, accumulates dx into a flat buffer of the same layout through
-the same shifted slices, and takes dw from those slices of the forward's
-buffer, so no window is copied in either direction.
+discarded by a crop. dw is taken per offset from those slices of the
+forward's buffer.
+
+Backward writes the output gradient g into a zeroed buffer. When x needs a
+gradient, g starts after a head room of shifts[-1] zero columns and is
+followed by zeros up to n_pad columns: the flat input position q < n_pad
+reads g[q - shift] through each offset, and that window is then the plain
+slice starting at column shifts[-1] - shift. dx is gathered, not
+accumulated: per image the k^rank windows are copied into one
+(taps * cout, n_pad) block, and one GEMM (cin, taps * cout) @ block writes
+that image's dx. Per image keeps the block small; over the whole batch the
+transient would grow with it. Without dx (the network's input layer) the
+buffer is the wide grid alone, which keeps it contiguous for dw.
 
 conv is also the fused conv block: an optional bias is added in place on
 the wide grid after the tap sum, and with rectify the crop itself is the
-ReLU pass np.where(v <= 0, 0.0, v) (NaN passes through, zeros are +0.0), so
-bias and ReLU cost no tape node and no full-size pass of their own. The
-result is always a fresh compact array: a view of the crop would keep the
-wide buffer alive. Backward masks the gradient while scattering it into the
-wide grid and takes the bias gradient from that grid.
+ReLU pass (np.maximum(v, 0.0), then += 0.0: NaN passes through, zeros are
++0.0), so bias and ReLU cost no tape node and no full-size pass of their
+own. The result is always a fresh compact array: a view of the crop would
+keep the wide buffer alive. Backward masks the gradient while writing it
+into the buffer above and takes the bias gradient from its wide grid.
 
-A one-channel input (cin == 1) would make each offset a 1-deep matmul, so
-its k^rank shifted windows are copied once into a (taps, batch, n_wide)
-array instead: the forward is one GEMM (cout, taps) @ (taps, batch * n_wide)
-and dw one tensordot; dx keeps the loop over offsets.
+A one-channel input (cin == 1) would make each forward offset a 1-deep
+matmul, so its k^rank shifted windows are copied once into a
+(taps, batch, n_wide) array instead: the forward is one GEMM
+(cout, taps) @ (taps, batch * n_wide) and dw one tensordot.
 
 max_pool and upsample_nearest work on the k^rank strided views
 x[:, :, i::k, j::k] (one per window offset, in np.ndindex order). The pool
@@ -335,17 +344,21 @@ def take_rows(t, indices):
 
 
 def take_per_column(t, indices):
-    """Gather along axis 0 with a per-column index matrix (sorting gather)."""
+    """Gather along axis 0 with a per-column index matrix (sorting gather).
+
+    Each column of indices must be a permutation of the rows, as an argsort
+    along axis 0 gives: backward then puts every gradient entry in its own
+    place, where a repeated index would keep only one of its entries.
+    """
     t = as_tensor(t)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.shape != t.shape:
         raise ValueError(f"take_per_column: index shape {idx.shape} != data shape {t.shape}")
-    cols = np.broadcast_to(np.arange(idx.shape[1]), idx.shape)
 
     def back(g):
         if t.requires_grad:
-            full = np.zeros_like(t.data)
-            np.add.at(full, (idx, cols), g)
+            full = np.empty_like(t.data)
+            np.put_along_axis(full, idx, g, axis=0)
             _accumulate(t, full)
 
     return _make(np.take_along_axis(t.data, idx, axis=0), (t,), back)
@@ -379,6 +392,13 @@ def tmean(t):
 
 # -- nonlinearities -----------------------------------------------------------
 
+def _rectified(v):
+    """max(v, 0) as a fresh array; a NaN passes through and zeros are +0.0."""
+    out = np.maximum(v, 0.0)
+    out += 0.0  # -0.0 + 0.0 is +0.0, whichever zero maximum kept
+    return out
+
+
 def relu(t):
     t = as_tensor(t)
     mask = t.data > 0
@@ -386,8 +406,7 @@ def relu(t):
     def back(g):
         _accumulate(t, g * mask)
 
-    # `<= 0` rather than `~mask`: a NaN passes through instead of becoming 0
-    return _make(np.where(t.data <= 0, 0.0, t.data), (t,), back)
+    return _make(_rectified(t.data), (t,), back)
 
 
 def tlog(t):
@@ -506,21 +525,28 @@ def conv(x, w, padding=0, b=None, rectify=False):
         out += b.data[:, None]
     out = out.reshape(wide)[valid]
     # a fresh compact array: a view of the crop would keep the wide buffer alive
-    out = np.where(out <= 0, 0.0, out) if rectify else out.copy()
+    out = _rectified(out) if rectify else out.copy()
 
     def back(g):
-        # in the forward's memory order, which the one-channel GEMM makes cout-major
-        gw = (np.zeros((cout, batch, n_wide)).transpose(1, 0, 2) if cin == 1
-              else np.zeros((batch, cout, n_wide)))
+        # head room for dx (module docstring), in the forward's memory order,
+        # which the one-channel GEMM makes cout-major
+        head, width = (shifts[-1], shifts[-1] + n_pad) if x.requires_grad else (0, n_wide)
+        gbuf = (np.zeros((cout, batch, width)).transpose(1, 0, 2) if cin == 1
+                else np.zeros((batch, cout, width)))
+        gw = gbuf[:, :, head:head + n_wide]
         if rectify:
             np.multiply(g, out > 0, out=gw.reshape(wide)[valid])
         else:
             gw.reshape(wide)[valid] = g
         if x.requires_grad:
-            dxf = np.zeros_like(xf)
-            for shift, taps in zip(shifts, wk):
-                dxf[:, :, shift:shift + n_wide] += taps.T @ gw
-            _accumulate(x, dxf[:, :, :n_pad].reshape((batch, cin) + padded)[inner])
+            wt = wk.reshape(-1, cin).T  # (cin, taps * cout), taps-major like block
+            block = np.empty((len(shifts), cout, n_pad))
+            dxf = np.empty((batch, cin, n_pad))
+            for i in range(batch):
+                for t, shift in enumerate(shifts):
+                    block[t] = gbuf[i, :, head - shift:head - shift + n_pad]
+                np.matmul(wt, block.reshape(-1, n_pad), out=dxf[i])
+            _accumulate(x, dxf.reshape((batch, cin) + padded)[inner])
         if w.requires_grad:
             if cin == 1:
                 dw = np.tensordot(gw, cols, axes=([0, 2], [1, 2]))

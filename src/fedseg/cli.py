@@ -90,21 +90,33 @@ def _plan(args) -> TrainPlan:
 
 
 def _load_datasets(manifest_path, oracle_mode):
+    """The target's manifest entry, the source datasets and the target."""
     if not os.path.exists(manifest_path):
         raise UsageError(f"manifest not found: {manifest_path}")
-    header, entries = read_manifest(manifest_path)
+    _, entries = read_manifest(manifest_path)
     sources, targets = [], []
     for entry in entries:
         if entry.role == "source":
             sources.append(load_domain(manifest_path, entry, read_masks=True))
         else:
-            targets.append(load_domain(manifest_path, entry, read_masks=oracle_mode))
+            targets.append(entry)
     if not sources or len(targets) != 1:
         raise UsageError(
             f"manifest must designate >=1 source and exactly 1 target, found "
             f"{len(sources)} sources and {len(targets)} targets"
         )
-    return header, sources, targets[0]
+    return targets[0], sources, load_domain(manifest_path, targets[0],
+                                            read_masks=oracle_mode)
+
+
+def _check_target_finite(manifest_path, entry, target):
+    """Fail naming the raster before eval writes anything for a non-finite
+    target image; a run names the phase and step where the NaN surfaces."""
+    for path, image in zip(entry.image_paths, target.images):
+        if not np.isfinite(image).all():
+            raise ValueError(
+                f"target domain '{target.domain_id}': non-finite values in "
+                f"{os.path.join(os.path.dirname(manifest_path), path)}")
 
 
 def _prepare_out(path, force):
@@ -260,7 +272,7 @@ def cmd_run(args) -> int:
     oracle = args.oracle
     if args.aggregation == "suda" and not oracle:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
-    header, sources, target = _load_datasets(args.data, oracle)
+    _, sources, target = _load_datasets(args.data, oracle)
     plan = _plan(args)
     config = _net_config(args)
 
@@ -337,7 +349,8 @@ def cmd_eval(args) -> int:
     oracle = args.oracle
     if args.aggregation == "suda" and not oracle:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
-    header, sources, target = _load_datasets(args.data, oracle)
+    target_entry, sources, target = _load_datasets(args.data, oracle)
+    _check_target_finite(args.data, target_entry, target)
     config = _net_config(args)
     ids, weights, models = _load_run(args.run, config)
     eval_sources = _run_sources(sources, ids)
@@ -373,7 +386,7 @@ def cmd_sweep(args) -> int:
         if any(v < 0 for v in parsed):
             raise UsageError(f"gamma values must be >= 0: {parsed}")
 
-    header, sources, target = _load_datasets(args.data, oracle_mode=True)
+    _, sources, target = _load_datasets(args.data, oracle_mode=True)
     plan = _plan(args)
     config = _net_config(args)
     _prepare_out(args.out, args.force)

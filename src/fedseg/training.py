@@ -11,7 +11,9 @@ returned record keeps a snapshot of it.
 Both loops stop at the first step whose loss is not finite, and adapt also
 at the first target batch whose embedding is not finite (before its sites
 are sampled), raising FloatingPointError that names the phase, the source
-domain, the epoch and the step.
+domain, the epoch and the step. A finite loss whose backward pass leaves a
+non-finite parameter gradient stops them too, before the update, and the
+error names the parameter as well.
 """
 
 from dataclasses import dataclass, field
@@ -78,6 +80,12 @@ def _check_finite(loss, phase, domain_id, epoch, step):
         _fail(f"loss {loss.item()}", phase, domain_id, epoch, step)
 
 
+def _check_gradients(params, phase, domain_id, epoch, step):
+    for name, p in params.items():
+        if not np.isfinite(p.grad).all():
+            _fail(f"gradient of '{name}'", phase, domain_id, epoch, step)
+
+
 def _fail(what, phase, domain_id, epoch, step):
     raise FloatingPointError(
         f"{phase} of domain '{domain_id}': non-finite {what} at epoch {epoch}, step {step}")
@@ -104,10 +112,11 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
         for idx in _batches(len(source), plan.batch_size, rng):
             loss = ce_loss(model.forward(Tensor(images[idx])), masks[idx])
             _check_finite(loss, "pretrain", source.domain_id, epoch, step)
-            step += 1
             opt.zero_grad()
             loss.backward()
+            _check_gradients(opt.params, "pretrain", source.domain_id, epoch, step)
             opt.step()
+            step += 1
     return model
 
 
@@ -165,6 +174,7 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
             _check_finite(total, "adapt", source.domain_id, epoch, step)
             opt.zero_grad()
             total.backward()
+            _check_gradients(opt.params, "adapt", source.domain_id, epoch, step)
             opt.step()
             ce_vals.append(sup.item())
             swd_vals.append(alignment.item())

@@ -150,7 +150,26 @@ def direct_conv(x, w, padding):
     return out
 
 
-@pytest.mark.parametrize("x_shape, kernel, padding", [
+def direct_conv_grads(x, w, padding, g):
+    """Plain-loop adjoint of direct_conv for the output gradient g: dx, dw
+    and the bias gradient db, one multiply-add per output, channel and tap."""
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for b in range(x.shape[0]):
+        for co in range(w.shape[0]):
+            for pos in np.ndindex(*g.shape[2:]):
+                go = g[(b, co) + pos]
+                for ci in range(x.shape[1]):
+                    for k in np.ndindex(*w.shape[2:]):
+                        at = (b, ci) + tuple(p + q for p, q in zip(pos, k))
+                        dxp[at] += w[(co, ci) + k] * go
+                        dw[(co, ci) + k] += xp[at] * go
+    inner = (slice(None),) * 2 + tuple(slice(p, p + s) for p, s in zip(padding, x.shape[2:]))
+    return dxp[inner], dw, g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+
+
+CONV_CASES = [
     ((2, 3, 5, 7), (3, 3), (1, 1)),
     ((2, 3, 5, 7), (3, 3), (0, 0)),
     ((1, 2, 4, 6), (1, 1), (0, 0)),
@@ -162,7 +181,11 @@ def direct_conv(x, w, padding):
     ((2, 1, 2, 3, 4), (1, 1, 1), (0, 0, 0)),
     ((1, 2, 3, 3, 3), (3, 3, 3), (0, 0, 0)),  # 1x1x1 output
     ((4, 1, 32, 32), (3, 3), (1, 1)),      # enc0 of the default net
-])
+    ((2, 5, 6, 5), (3, 3), (1, 1)),        # cin > cout, as in the decoder
+]
+
+
+@pytest.mark.parametrize("x_shape, kernel, padding", CONV_CASES)
 def test_conv_matches_direct_sum(x_shape, kernel, padding):
     """Plain, biased, and biased-and-rectified conv against the loop."""
     rng = np.random.default_rng(sum(x_shape) + sum(kernel))
@@ -181,6 +204,29 @@ def test_conv_matches_direct_sum(x_shape, kernel, padding):
         assert out.shape == want.shape
         assert out.data.base is None  # owns its data, holds no wide buffer
         assert max_rel_error(out.data, want, floor=1.0) < 1e-12
+
+
+@pytest.mark.parametrize("x_shape, kernel, padding", CONV_CASES)
+def test_conv_gradients_match_direct_adjoint(x_shape, kernel, padding):
+    """dx, dw and db of the plain, biased, and biased-and-rectified conv
+    against the loop, to rounding: pins the head room and the shifts that
+    the finite-difference checks only see to 1e-4."""
+    rng = np.random.default_rng(sum(x_shape) + sum(kernel) + 1)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(3, x_shape[1]) + kernel)
+    b = rng.normal(size=3)
+    biased = direct_conv(x, w, padding) + b.reshape((1, 3) + (1,) * len(kernel))
+    g = rng.normal(size=biased.shape)
+    pad = padding[0] if len(set(padding)) == 1 else padding
+    for bias, rectify in [(False, False), (True, False), (True, True)]:
+        xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+        out = conv(xt, wt, pad, b=bt if bias else None, rectify=rectify)
+        tsum(mul(out, Tensor(g))).backward()
+        want = direct_conv_grads(x, w, padding, g * (biased > 0) if rectify else g)
+        got = [xt.grad, wt.grad] + ([bt.grad] if bias else [])
+        for name, have, expect in zip(("dx", "dw", "db"), got, want):
+            assert have.shape == expect.shape, name
+            assert max_rel_error(have, expect, floor=1.0) < 1e-12, name
 
 
 @pytest.mark.parametrize("x_shape, kernel, padding, rectify", [
@@ -247,6 +293,13 @@ def test_max_pool_and_take_per_column_gradients():
 
     fixed = np.random.default_rng(6).normal(size=(6, 3))
     assert gradient_check(f, [x, pts]) < 1e-4
+
+
+def test_take_rows_accumulates_duplicate_indices():
+    t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    weights = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
+    tsum(mul(take_rows(t, [2, 0, 2, 2]), Tensor(weights))).backward()
+    np.testing.assert_array_equal(t.grad, [[2.0, 20.0], [0.0, 0.0], [8.0, 80.0]])
 
 
 def argmax_pool(x, k):

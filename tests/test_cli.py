@@ -240,6 +240,24 @@ def test_nan_target_pixel_fails_the_run_naming_domain_epoch_and_step(tmp_path, c
                      r"at epoch \d+, step \d+", err), err
 
 
+def test_eval_on_a_nan_target_raster_names_it_and_writes_nothing(dataset, trained_run,
+                                                                 tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset.parent, data)
+    path = data / "site_t" / "img_003.ndr"
+    image = read_raster(path)
+    image[0, 4, 4] = np.nan
+    write_raster(path, image)
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data / "manifest.txt"), "--run", str(trained_run),
+                 "--out", str(out), "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert (f"target domain 'site_t': non-finite values in "
+            f"{os.path.join(str(data), 'site_t/img_003.ndr')}") in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, complaint", [
     ("", "no 'source_id,raw_count' rows"),
     ("target_hash: x\nsource_id,raw_count\nsite_a,3\nsite_b,1\n", "'lambda_conf'"),

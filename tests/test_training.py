@@ -255,3 +255,28 @@ def test_adapt_names_a_non_finite_target_embedding():
                        match=r"adapt of domain 'domain0': non-finite target "
                              r"embedding at epoch 0, step 0"):
         adapt(model, src, with_nan_pixel(tgt).unlabeled_copy(), plan)
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "adapt"])
+def test_a_non_finite_gradient_under_a_finite_loss_names_the_parameter(monkeypatch,
+                                                                       phase):
+    src, tgt = quick_domains()
+    plan = quick_plan(batch_size=len(src))  # one step per epoch
+    model = pretrain(src, plan, CFG) if phase == "adapt" else None
+    optimizers = count_calls(monkeypatch, Adam, "step")
+    backward = Tensor.backward
+
+    def poisoned(loss):
+        backward(loss)
+        if optimizers:  # from the second step on
+            optimizers[0].params["dec0.w"].grad[0, 0, 1, 1] = np.inf
+
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    with pytest.raises(FloatingPointError,
+                       match=rf"{phase} of domain 'domain0': non-finite gradient "
+                             rf"of 'dec0.w' at epoch 1, step 1"):
+        if phase == "pretrain":
+            pretrain(src, plan, CFG)
+        else:
+            adapt(model, src, tgt.unlabeled_copy(), plan)
+    assert len(optimizers) == 1  # the poisoned step made no update
