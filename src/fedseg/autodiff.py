@@ -42,6 +42,22 @@ own. The result is always a fresh compact array: a view of the crop would
 keep the wide buffer alive. Backward masks the gradient while writing it
 into the buffer above and takes the bias gradient from its wide grid.
 
+conv(x, w, 1, upsample=2) is conv(upsample_nearest(x, 2), w, 1) for a 3-tap
+kernel, computed at x's resolution (the sub-pixel identity). Along an axis,
+output 2m + pi reads upsampled positions 2m + pi - 1 + t for taps t = 0..2,
+which are low-res positions m + floor((pi - 1 + t) / 2): parity 0 reads m - 1
+through tap 0 and m through taps 1 and 2, parity 1 reads m through taps 0
+and 1 and m + 1 through tap 2. A constant 0/1 map therefore folds w, once per
+call, into 2^rank phase kernels of 2^rank taps each, stacked as 2^rank blocks
+of cout GEMM rows, and the tap loop above runs that 2-tap kernel over x
+padded by 1. Phase pi's outputs are the block of its rows of the wide grid
+that starts at offset s_pi = pi along each axis; the crop pass is the parity
+interleave, writing each block into its strided view out[..., pi::2, ...]
+with the ReLU applied on the way. Backward de-interleaves the masked
+gradient into the wide grid the same way, runs the same dx and dw code, and
+maps dw back through the transpose of the fold. upsample=1 is the identity
+fold: one phase at offset 0, and the crop is the plain one.
+
 A one-channel input (cin == 1) would make each forward offset a 1-deep
 matmul, so its k^rank shifted windows are copied once into a
 (taps, batch, n_wide) array instead: the forward is one GEMM
@@ -58,6 +74,9 @@ for checkpointing named parameter sets.
 """
 
 import contextlib
+import functools
+import itertools
+import math
 import struct
 import threading
 
@@ -462,13 +481,37 @@ def _per_axis(value, rank, name):
     return value
 
 
-def conv(x, w, padding=0, b=None, rectify=False):
+# Per axis, the fold of a 3-tap kernel at padding 1 over a 2x nearest
+# upsample: _PHASE_TAPS[parity, a, t] is 1 where output parity pi reads kernel
+# tap t through phase tap a, at low-res offset floor((pi - 1 + t) / 2), which
+# is a + pi - 1: phase tap a sits at padded offset a + s_pi, with s_pi = pi.
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]],
+                        [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_fold(rank):
+    """The 0/1 map (phases * phase taps, kernel taps) of a 3^rank kernel onto
+    its 2^rank phase kernels of 2^rank taps, all in np.ndindex order."""
+    fold = np.ones((1, 1, 1))
+    for _ in range(rank):
+        p, a, t = fold.shape
+        fold = np.einsum("pat,qbu->pqabtu", fold, _PHASE_TAPS).reshape(2 * p, 2 * a, 3 * t)
+    fold = fold.reshape(-1, fold.shape[2])
+    fold.setflags(write=False)  # one cached array serves every call
+    return fold
+
+
+def conv(x, w, padding=0, b=None, rectify=False, upsample=1):
     """N-D stride-1 cross-correlation over (batch, channels, *spatial) inputs.
 
     w has shape (out_channels, in_channels, *kernel) and the optional bias b
     shape (out_channels,). With rectify the result is relu(conv + b), in one
-    node. Works for any spatial rank; used here with rank 2 and 3. Computed
-    over the flat/wide layout of the module docstring.
+    node. With upsample=2 the result is that of the same conv on
+    upsample_nearest(x, 2), computed at x's resolution (3-tap kernels at
+    padding 1 only). Works for any spatial rank; used here with rank 2 and 3.
+    Computed over the flat/wide layout and the phase fold of the module
+    docstring.
     """
     x, w = as_tensor(x), as_tensor(w)
     rank = x.ndim - 2
@@ -486,61 +529,95 @@ def conv(x, w, padding=0, b=None, rectify=False):
             raise ValueError(f"conv: bias shape {b.shape} != ({cout},) for kernel {w.shape}")
     padding = _per_axis(padding, rank, "padding")
     kernel = w.shape[2:]
+    if upsample == 2:
+        if any(k != 3 for k in kernel) or any(p != 1 for p in padding):
+            raise ValueError(f"conv: upsample=2 needs kernel 3 and padding 1 on every "
+                             f"axis, got kernel {kernel} with padding {padding}")
+        taps = (2,) * rank
+    elif upsample == 1:
+        taps = kernel
+    else:
+        raise ValueError(f"conv: upsample must be 1 or 2, got {upsample}")
     spatial = x.shape[2:]
-    out_spatial = tuple(s + 2 * p - k + 1 for s, p, k in zip(spatial, padding, kernel))
-    if any(o < 1 for o in out_spatial):
+    # the tap loop's output grid; each phase's output is its block at offset s_pi
+    out_taps = tuple(s + 2 * p - k + 1 for s, p, k in zip(spatial, padding, taps))
+    if any(o < 1 for o in out_taps):
         raise ValueError(
             f"conv: kernel {kernel} with padding {padding} "
             f"does not fit input spatial shape {spatial}"
         )
+    extent = tuple(o - upsample + 1 for o in out_taps)
+    phases = list(itertools.product(range(upsample), repeat=rank))
+    rows = len(phases) * cout  # GEMM rows: a block of cout channels per phase
 
     padded = tuple(s + 2 * p for s, p in zip(spatial, padding))
-    n_pad = int(np.prod(padded))
-    strides = [int(np.prod(padded[d + 1:])) for d in range(rank)]
+    n_pad = math.prod(padded)
+    strides = [math.prod(padded[d + 1:]) for d in range(rank)]
     shifts = [sum(k * st for k, st in zip(k_off, strides))
-              for k_off in np.ndindex(*kernel)]
-    n_wide = out_spatial[0] * strides[0]
+              for k_off in itertools.product(*map(range, taps))]
+    n_wide = out_taps[0] * strides[0]
     n_flat = shifts[-1] + n_wide
-    wide = (batch, cout, out_spatial[0]) + padded[1:]
-    valid = (slice(None),) * 3 + tuple(slice(0, o) for o in out_spatial[1:])
+    wide = (batch, len(phases), cout, out_taps[0]) + padded[1:]
+    # per phase: its crop of the wide grid and its strided view of the output
+    crops = [(slice(None),) * 2 + tuple(slice(s, s + e) for s, e in zip(ph, extent))
+             for ph in phases]
+    dests = [(slice(None),) * 2 + tuple(slice(s, None, upsample) for s in ph)
+             for ph in phases]
     inner = (slice(None),) * 2 + tuple(slice(p, p + s) for p, s in zip(padding, spatial))
 
     xf = np.zeros((batch, cin, n_flat))
     xf[:, :, :n_pad].reshape((batch, cin) + padded)[inner] = x.data
-    # (kernel offsets, cout, cin): each offset's taps as one contiguous matrix
-    wk = np.ascontiguousarray(w.data.reshape(cout, cin, -1).transpose(2, 0, 1))
+    wflat = w.data.reshape(cout * cin, -1)
+    if upsample == 2:
+        wflat = wflat @ _phase_fold(rank).T
+    # (phase taps, phases * cout, cin): each offset's taps as one contiguous matrix
+    wk = np.ascontiguousarray(
+        wflat.reshape(cout, cin, len(phases), -1).transpose(3, 2, 0, 1).reshape(-1, rows, cin))
 
     if cin == 1:
-        # one GEMM over all offsets: (cout, taps) @ (taps, batch * n_wide)
+        # one GEMM over all offsets: (rows, taps) @ (taps, batch * n_wide)
         cols = np.empty((len(shifts), batch, n_wide))
         for i, shift in enumerate(shifts):
             cols[i] = xf[:, 0, shift:shift + n_wide]
-        out = (w.data.reshape(cout, -1) @ cols.reshape(len(shifts), -1))
-        out = out.reshape(cout, batch, n_wide).transpose(1, 0, 2)
+        out = np.ascontiguousarray(wk[:, :, 0].T) @ cols.reshape(len(shifts), -1)
+        out = out.reshape(rows, batch, n_wide).transpose(1, 0, 2)
     else:
-        out = np.zeros((batch, cout, n_wide))
-        for shift, taps in zip(shifts, wk):
-            out += taps @ xf[:, :, shift:shift + n_wide]
+        out = np.zeros((batch, rows, n_wide))
+        for shift, tap in zip(shifts, wk):
+            out += tap @ xf[:, :, shift:shift + n_wide]
     if b is not None:
-        out += b.data[:, None]
-    out = out.reshape(wide)[valid]
-    # a fresh compact array: a view of the crop would keep the wide buffer alive
-    out = _rectified(out) if rectify else out.copy()
+        # over whole wide rows: broadcast over the spatial axes, the inner
+        # loop would run along one short padded row at a time
+        rows_view = out.reshape(batch, len(phases), cout, n_wide)
+        rows_view += b.data[:, None]
+    out = out.reshape(wide)
+    # the crop pass (interleave and ReLU) into a fresh compact array: a view
+    # of the crop would keep the wide buffer alive
+    res = np.empty((batch, cout) + tuple(upsample * e for e in extent))
+    for p, (crop, dest) in enumerate(zip(crops, dests)):
+        if rectify:
+            np.maximum(out[:, p][crop], 0.0, out=res[dest])
+        else:
+            res[dest] = out[:, p][crop]
+    if rectify:
+        res += 0.0  # -0.0 + 0.0 is +0.0, whichever zero maximum kept
 
     def back(g):
         # head room for dx (module docstring), in the forward's memory order,
-        # which the one-channel GEMM makes cout-major
+        # which the one-channel GEMM makes rows-major
         head, width = (shifts[-1], shifts[-1] + n_pad) if x.requires_grad else (0, n_wide)
-        gbuf = (np.zeros((cout, batch, width)).transpose(1, 0, 2) if cin == 1
-                else np.zeros((batch, cout, width)))
+        gbuf = (np.zeros((rows, batch, width)).transpose(1, 0, 2) if cin == 1
+                else np.zeros((batch, rows, width)))
         gw = gbuf[:, :, head:head + n_wide]
-        if rectify:
-            np.multiply(g, out > 0, out=gw.reshape(wide)[valid])
-        else:
-            gw.reshape(wide)[valid] = g
+        gwide = gw.reshape(wide)
+        for p, (crop, dest) in enumerate(zip(crops, dests)):
+            if rectify:
+                np.multiply(g[dest], res[dest] > 0, out=gwide[:, p][crop])
+            else:
+                gwide[:, p][crop] = g[dest]
         if x.requires_grad:
-            wt = wk.reshape(-1, cin).T  # (cin, taps * cout), taps-major like block
-            block = np.empty((len(shifts), cout, n_pad))
+            wt = wk.reshape(-1, cin).T  # (cin, taps * rows), taps-major like block
+            block = np.empty((len(shifts), rows, n_pad))
             dxf = np.empty((batch, cin, n_pad))
             for i in range(batch):
                 for t, shift in enumerate(shifts):
@@ -549,18 +626,22 @@ def conv(x, w, padding=0, b=None, rectify=False):
             _accumulate(x, dxf.reshape((batch, cin) + padded)[inner])
         if w.requires_grad:
             if cin == 1:
-                dw = np.tensordot(gw, cols, axes=([0, 2], [1, 2]))
+                dwk = np.tensordot(gw, cols, axes=([0, 2], [1, 2])).T[:, :, None]
             else:
-                dw = np.empty_like(wk)
+                dwk = np.empty_like(wk)
                 for i, shift in enumerate(shifts):
                     window = xf[:, :, shift:shift + n_wide]
-                    dw[i] = np.matmul(gw, window.transpose(0, 2, 1)).sum(axis=0)
-                dw = dw.transpose(1, 2, 0)
+                    dwk[i] = np.matmul(gw, window.transpose(0, 2, 1)).sum(axis=0)
+            # back to (cout * cin, phases * taps), then through the transposed fold
+            dw = dwk.reshape(-1, len(phases), cout, cin).transpose(2, 3, 1, 0)
+            dw = dw.reshape(cout * cin, -1)
+            if upsample == 2:
+                dw = dw @ _phase_fold(rank)
             _accumulate(w, dw.reshape(w.shape))
         if b is not None:
-            _accumulate(b, gw.sum(axis=(0, 2)))
+            _accumulate(b, gw.reshape(batch, len(phases), cout, n_wide).sum(axis=(0, 1, 3)))
 
-    return _make(out, (x, w) if b is None else (x, w, b), back)
+    return _make(res, (x, w) if b is None else (x, w, b), back)
 
 
 def _window_views(rank, k):

@@ -11,6 +11,7 @@ read target labels; plain runs never do, which the audit counter verifies.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -77,16 +78,28 @@ def _net_config(args) -> NetConfig:
                      skip_connections=not args.no_skips)
 
 
-def _plan(args) -> TrainPlan:
+# the flag that sets each field TrainPlan can reject
+_PLAN_FLAGS = {"epochs_pretrain": "--epochs-pretrain", "epochs_adapt": "--epochs-adapt",
+               "batch_size": "--batch-size", "swd_L": "--swd-l", "embed_sites": "--sites",
+               "gamma": "--gamma", "lambda_conf": "--lambda", "learning_rate": "--lr"}
+
+
+def _checked_plan(**fields) -> TrainPlan:
+    """TrainPlan(**fields); a rejected field is a usage error naming its flag."""
     try:
-        return TrainPlan(
-            epochs_pretrain=args.epochs_pretrain, epochs_adapt=args.epochs_adapt,
-            batch_size=args.batch_size, gamma=args.gamma, swd_L=args.swd_l,
-            lambda_conf=args.lambda_conf, seed=args.seed, embed_sites=args.sites,
-            learning_rate=args.lr,
-        )
+        return TrainPlan(**fields)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        field = str(exc).split()[0]
+        raise UsageError(f"{_PLAN_FLAGS[field]}: {exc}") from None
+
+
+def _plan(args) -> TrainPlan:
+    return _checked_plan(
+        epochs_pretrain=args.epochs_pretrain, epochs_adapt=args.epochs_adapt,
+        batch_size=args.batch_size, gamma=args.gamma, swd_L=args.swd_l,
+        lambda_conf=args.lambda_conf, seed=args.seed, embed_sites=args.sites,
+        learning_rate=args.lr,
+    )
 
 
 def _load_datasets(manifest_path, oracle_mode):
@@ -357,7 +370,7 @@ def cmd_eval(args) -> int:
     lambda_conf = weights.lambda_conf if args.lambda_conf is None else args.lambda_conf
     if lambda_conf != weights.lambda_conf:
         weights = None  # evaluate_run weights its own probability stack
-    plan = TrainPlan(seed=args.seed, lambda_conf=lambda_conf, embed_sites=args.sites)
+    plan = _checked_plan(seed=args.seed, lambda_conf=lambda_conf, embed_sites=args.sites)
     out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
     report, masks = evaluate_run(models, weights, eval_sources, target, plan,
@@ -378,13 +391,13 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--values: {exc}") from None
     if args.parameter == "lambda":
         if any(not 0.0 < v < 1.0 for v in parsed):
-            raise UsageError(f"lambda values must lie in (0,1): {parsed}")
+            raise UsageError(f"--values: lambda values must lie in (0,1): {parsed}")
     elif args.parameter == "L":
         if any(v < 1 for v in parsed):
-            raise UsageError(f"L values must be >= 1: {parsed}")
+            raise UsageError(f"--values: L values must be >= 1: {parsed}")
     else:  # gamma
-        if any(v < 0 for v in parsed):
-            raise UsageError(f"gamma values must be >= 0: {parsed}")
+        if any(not math.isfinite(v) or v < 0 for v in parsed):
+            raise UsageError(f"--values: gamma values must be finite and >= 0: {parsed}")
 
     _, sources, target = _load_datasets(args.data, oracle_mode=True)
     plan = _plan(args)

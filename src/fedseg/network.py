@@ -9,7 +9,10 @@ input space. When skip_connections is enabled, each decoder level is fed an
 upsampled copy of the latent field alongside the upsampled features; the
 classifier still sees nothing but the latent field. Every conv layer is
 one fused autodiff.conv node: convolution, bias and (except for the head)
-ReLU.
+ReLU. Nearest upsampling commutes with concat, so a decoder level joins its
+features with the latent field at the features' size and leaves the last 2x
+upsample to its conv (upsample=2): each decoder conv runs at half its output
+resolution, and neither the upsampled features nor their concat is built.
 
 Inference (predict_logits) builds no autodiff graph and runs forward on
 INFERENCE_CHUNK images at a time; each image is computed on its own, so the
@@ -118,9 +121,9 @@ class SegModel:
             )
         return x
 
-    def _conv_block(self, x, name, padding, rectify=True):
+    def _conv_block(self, x, name, padding, rectify=True, upsample=1):
         return conv(x, self.params[name + ".w"], padding,
-                    b=self.params[name + ".b"], rectify=rectify)
+                    b=self.params[name + ".b"], rectify=rectify, upsample=upsample)
 
     def encode(self, x) -> Tensor:
         """Image batch -> latent field (batch, latent_dim, *spatial/2^depth)."""
@@ -134,10 +137,13 @@ class SegModel:
         cfg = self.config
         h = z
         for i in reversed(range(cfg.depth)):
-            h = upsample_nearest(h, 2)
+            # up(concat(h, skip), 2) is concat(up(h, 2), up(skip, 2)): the
+            # conv does the last 2x itself, so the level runs at h's size
             if cfg.skip_connections:
-                h = concat([h, upsample_nearest(z, 2 ** (cfg.depth - i))], axis=1)
-            h = self._conv_block(h, f"dec{i}", 1)
+                factor = 2 ** (cfg.depth - 1 - i)
+                skip = z if factor == 1 else upsample_nearest(z, factor)
+                h = concat([h, skip], axis=1)
+            h = self._conv_block(h, f"dec{i}", 1, upsample=2)
         return self._conv_block(h, "head", 0, rectify=False)
 
     def forward(self, x) -> Tensor:

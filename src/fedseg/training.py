@@ -16,6 +16,7 @@ non-finite parameter gradient stops them too, before the update, and the
 error names the parameter as well.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +46,20 @@ class TrainPlan:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if self.epochs_pretrain < 0 or self.epochs_adapt < 0:
-            raise ValueError("epoch counts must be >= 0")
-        if self.batch_size < 1 or self.swd_L < 1 or self.embed_sites < 1:
-            raise ValueError("batch_size, swd_L and embed_sites must be >= 1")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 < self.lambda_conf < 1.0:
-            raise ValueError(f"lambda_conf must be in (0,1), got {self.lambda_conf}")
+        # each message starts with the field it rejects; the CLI maps it to a flag
+        for name, holds, rule in (
+            ("epochs_pretrain", self.epochs_pretrain >= 0, ">= 0"),
+            ("epochs_adapt", self.epochs_adapt >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("swd_L", self.swd_L >= 1, ">= 1"),
+            ("embed_sites", self.embed_sites >= 1, ">= 1"),
+            ("gamma", math.isfinite(self.gamma) and self.gamma >= 0, "finite and >= 0"),
+            ("lambda_conf", 0.0 < self.lambda_conf < 1.0, "in (0,1)"),
+            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0,
+             "finite and > 0"),
+        ):
+            if not holds:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

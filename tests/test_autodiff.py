@@ -280,6 +280,73 @@ def test_conv3d_per_axis_padding_gradients():
     assert gradient_check(f, [x, w]) < 1e-4
 
 
+UPSAMPLE_CASES = [
+    ((2, 3, 4, 5), 5),         # non-square, cin < cout
+    ((2, 6, 3, 2), 2),         # cin > cout
+    ((1, 4, 1, 3), 3),         # a 1-pixel low-res axis
+    ((2, 1, 3, 4), 4),         # one input channel
+    ((2, 3, 2, 3, 4), 2),      # rank 3, cin > cout
+    ((1, 2, 1, 3, 2), 5),      # rank 3, a 1-pixel axis, cin < cout
+]
+
+
+@pytest.mark.parametrize("bias, rectify", [(False, False), (True, False), (False, True),
+                                           (True, True)])
+@pytest.mark.parametrize("x_shape, cout", UPSAMPLE_CASES)
+def test_upsample_conv_matches_conv_of_the_upsampled_input(x_shape, cout, bias, rectify):
+    """conv(x, w, 1, upsample=2) against conv(upsample_nearest(x, 2), w, 1):
+    the output and dx, dw and db agree to rounding."""
+    rng = np.random.default_rng(sum(x_shape) + cout)
+    rank = len(x_shape) - 2
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(cout, x_shape[1]) + (3,) * rank)
+    b = rng.normal(size=cout)
+    g = rng.normal(size=(x_shape[0], cout) + tuple(2 * s for s in x_shape[2:]))
+    results = []
+    for fused in (True, False):
+        xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+        bt = bt if bias else None
+        if fused:
+            out = conv(xt, wt, 1, b=bt, rectify=rectify, upsample=2)
+        else:
+            out = conv(upsample_nearest(xt, 2), wt, 1, b=bt, rectify=rectify)
+        tsum(mul(out, Tensor(g))).backward()
+        results.append([out.data, xt.grad, wt.grad] + ([bt.grad] if bias else []))
+    assert results[0][0].base is None  # owns its data, holds no wide buffer
+    for name, have, want in zip(("out", "dx", "dw", "db"), *results):
+        assert have.shape == want.shape, name
+        assert max_rel_error(have, want, floor=1.0) < 1e-12, name
+
+
+@pytest.mark.parametrize("x_shape", [(2, 3, 3, 2), (1, 2, 2, 1, 2)], ids=["rank2", "rank3"])
+def test_upsample_conv_gradients(x_shape):
+    rng = np.random.default_rng(len(x_shape))
+    rank = len(x_shape) - 2
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(scale=0.4, size=(3, x_shape[1]) + (3,) * rank), requires_grad=True)
+    b = Tensor(rng.normal(scale=0.3, size=3), requires_grad=True)
+    fixed = Tensor(rng.normal(size=(x_shape[0], 3) + tuple(2 * s for s in x_shape[2:])))
+
+    def f():
+        return tsum(mul(conv(x, w, 1, b=b, rectify=True, upsample=2), fixed))
+
+    assert gradient_check(f, [x, w, b]) < 1e-4
+
+
+@pytest.mark.parametrize("kernel, padding", [
+    ((3, 3), 0), ((1, 1), 0), ((3, 1), 1), ((3, 3), (1, 0)),
+])
+def test_upsample_conv_needs_kernel_3_at_padding_1(kernel, padding):
+    x, w = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2) + kernel))
+    pad = tuple(padding) if isinstance(padding, tuple) else (padding, padding)
+    with pytest.raises(ValueError) as err:
+        conv(x, w, padding, upsample=2)
+    assert f"kernel {kernel}" in str(err.value)
+    assert f"padding {pad}" in str(err.value)
+    with pytest.raises(ValueError, match="upsample must be 1 or 2, got 3"):
+        conv(x, Tensor(np.ones((3, 2, 3, 3))), 1, upsample=3)
+
+
 def test_max_pool_and_take_per_column_gradients():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)

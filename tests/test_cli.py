@@ -314,14 +314,35 @@ def test_unknown_flag_is_usage_error():
     (["gen", "--domains", "0"], "--domains"),
     (["gen", "--images", "0"], "--images"),
     (["gen", "--size", "2"], "--size"),
-], ids=["sweep-float", "sweep-int", "gen-domains", "gen-images", "gen-size"])
-def test_bad_flag_value_is_usage_error(dataset, tmp_path, capsys, argv, flag):
+    (["sweep", "--parameter", "gamma", "--values", "1,nan"], "--values"),
+    (["run", "--lr", "0"], "--lr"),
+    (["run", "--lr", "-1"], "--lr"),
+    (["run", "--lr", "nan"], "--lr"),
+    (["run", "--lr", "inf"], "--lr"),
+    (["run", "--gamma", "nan"], "--gamma"),
+    (["run", "--gamma", "inf"], "--gamma"),
+    (["eval", "--lambda", "1.5"], "--lambda"),
+    (["eval", "--sites", "0"], "--sites"),
+], ids=["sweep-float", "sweep-int", "gen-domains", "gen-images", "gen-size",
+        "sweep-gamma-nan", "run-lr-zero", "run-lr-negative", "run-lr-nan", "run-lr-inf",
+        "run-gamma-nan", "run-gamma-inf", "eval-lambda", "eval-sites"])
+def test_bad_flag_value_is_usage_error(dataset, trained_run, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
-    extra = ["--data", str(dataset), *FAST] if argv[0] == "sweep" else []
+    extra = {"sweep": ["--data", str(dataset), *FAST], "run": ["--data", str(dataset), *FAST],
+             "eval": ["--data", str(dataset), "--run", str(trained_run), *FAST[-6:]]}
     capsys.readouterr()
-    assert main([argv[0], "--out", str(out), *argv[1:], *extra]) == 1
+    assert main([argv[0], "--out", str(out), *argv[1:], *extra.get(argv[0], [])]) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_divergent_learning_rate_fails_naming_domain_epoch_and_step(dataset, tmp_path,
+                                                                   capsys):
+    capsys.readouterr()
+    assert main(["run", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                 "--workers", "1", *FAST, "--lr", "1e200"]) == 2
+    err = capsys.readouterr().err
+    assert "pretrain of domain 'site_a': non-finite loss nan at epoch 0, step 1" in err
 
 
 @pytest.mark.parametrize("old, new, complaint", [
