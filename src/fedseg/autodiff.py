@@ -58,6 +58,20 @@ gradient into the wide grid the same way, runs the same dx and dw code, and
 maps dw back through the transpose of the fold. upsample=1 is the identity
 fold: one phase at offset 0, and the crop is the plain one.
 
+conv(x, w, 1, pool=2) is max_pool(conv(x, w, 1), 2) in one node: the
+encoder block. Its crop pass takes np.maximum over the 2^rank window views
+of the wide grid's crop (views in np.ndindex order), and with rectify the
+ReLU runs on the pooled grid, since ReLU commutes with max. When the call
+records a graph it also keeps, per window, the uint8 index of the first view
+whose rectified value is the maximum, as max_pool routes the gradient: view
+0 when that maximum is 0 (every rectified value of the window is), the first
+NaN in a NaN window. Backward writes each window's gradient, masked by its
+ReLU, to that view alone, so neither the full-resolution output nor a pool
+node is kept.
+
+The layout of a call (wide grid, shifts, crops, views and the inner slice)
+depends on shapes only and is computed once per shape (_conv_plan).
+
 A one-channel input (cin == 1) would make each forward offset a 1-deep
 matmul, so its k^rank shifted windows are copied once into a
 (taps, batch, n_wide) array instead: the forward is one GEMM
@@ -69,8 +83,9 @@ is np.maximum over them; its backward sends each window's gradient to the
 first view holding the maximum, as argmax would. The upsample backward is
 the sum of the gradient's views.
 
-Also provides the Adam optimizer and a binary parameter-archive format
-for checkpointing named parameter sets.
+Also provides the Adam optimizer, whose moments live in one flat buffer,
+and a binary parameter-archive format for checkpointing named parameter
+sets.
 """
 
 import contextlib
@@ -231,9 +246,14 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+def _recording(parents):
+    """Whether an op on these parents records a graph node."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn):
     out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -502,16 +522,75 @@ def _phase_fold(rank):
     return fold
 
 
-def conv(x, w, padding=0, b=None, rectify=False, upsample=1):
+@functools.lru_cache(maxsize=256)
+def _conv_plan(spatial, kernel, cout, padding, upsample, pool):
+    """The shape-only layout of a conv call, cached per argument tuple:
+    (grid, out_shape, shifts, crops, dests, inner, padded, n_wide, n_flat).
+
+    grid is the wide grid's shape after the batch axis. crops and dests
+    hold, per phase, its crop of the wide grid and its strided view of the
+    result; with pool=2, crops holds the 2^rank window views of phase 0's
+    crop instead, and dests is empty. A bad shape raises ValueError on every
+    call, since lru_cache keeps no exception.
+    """
+    rank = len(spatial)
+    if upsample == 2:
+        if any(k != 3 for k in kernel) or any(p != 1 for p in padding):
+            raise ValueError(f"conv: upsample=2 needs kernel 3 and padding 1 on every "
+                             f"axis, got kernel {kernel} with padding {padding}")
+        taps = (2,) * rank
+    elif upsample == 1:
+        taps = kernel
+    else:
+        raise ValueError(f"conv: upsample must be 1 or 2, got {upsample}")
+    # the tap loop's output grid; each phase's output is its block at offset s_pi
+    out_taps = tuple(s + 2 * p - k + 1 for s, p, k in zip(spatial, padding, taps))
+    if any(o < 1 for o in out_taps):
+        raise ValueError(
+            f"conv: kernel {kernel} with padding {padding} "
+            f"does not fit input spatial shape {spatial}"
+        )
+    extent = tuple(o - upsample + 1 for o in out_taps)
+    if pool not in (1, 2):
+        raise ValueError(f"conv: pool must be 1 or 2, got {pool}")
+    if pool == 2 and (upsample != 1 or any(e % 2 for e in extent)):
+        raise ValueError(f"conv: pool=2 needs upsample=1 and an even output shape, "
+                         f"got upsample={upsample} with output shape {extent}")
+    phases = tuple(itertools.product(range(upsample), repeat=rank))
+
+    padded = tuple(s + 2 * p for s, p in zip(spatial, padding))
+    strides = [math.prod(padded[d + 1:]) for d in range(rank)]
+    shifts = tuple(sum(k * st for k, st in zip(k_off, strides))
+                   for k_off in itertools.product(*map(range, taps)))
+    n_wide = out_taps[0] * strides[0]
+    grid = (len(phases), cout, out_taps[0]) + padded[1:]
+    head = (slice(None),) * 2
+    if pool == 2:
+        crops = tuple(head + tuple(slice(o, e, 2) for o, e in zip(offset, extent))
+                      for offset in itertools.product(range(2), repeat=rank))
+        dests = ()
+        out_shape = tuple(e // 2 for e in extent)
+    else:
+        crops = tuple(head + tuple(slice(s, s + e) for s, e in zip(ph, extent))
+                      for ph in phases)
+        dests = tuple(head + tuple(slice(s, None, upsample) for s in ph) for ph in phases)
+        out_shape = tuple(upsample * e for e in extent)
+    inner = head + tuple(slice(p, p + s) for p, s in zip(padding, spatial))
+    return grid, out_shape, shifts, crops, dests, inner, padded, n_wide, shifts[-1] + n_wide
+
+
+def conv(x, w, padding=0, b=None, rectify=False, upsample=1, pool=1):
     """N-D stride-1 cross-correlation over (batch, channels, *spatial) inputs.
 
     w has shape (out_channels, in_channels, *kernel) and the optional bias b
     shape (out_channels,). With rectify the result is relu(conv + b), in one
     node. With upsample=2 the result is that of the same conv on
     upsample_nearest(x, 2), computed at x's resolution (3-tap kernels at
-    padding 1 only). Works for any spatial rank; used here with rank 2 and 3.
-    Computed over the flat/wide layout and the phase fold of the module
-    docstring.
+    padding 1 only). With pool=2 it is max_pool of that result with window
+    2, and its gradient is routed as max_pool routes it (upsample=1 and an
+    even output shape only). Works for any spatial rank; used here with
+    rank 2 and 3. Computed over the flat/wide layout and the phase fold of
+    the module docstring.
     """
     x, w = as_tensor(x), as_tensor(w)
     rank = x.ndim - 2
@@ -523,47 +602,17 @@ def conv(x, w, padding=0, b=None, rectify=False, upsample=1):
             f"kernel channels {w.shape[1]} (shape {w.shape})"
         )
     batch, cin, cout = x.shape[0], x.shape[1], w.shape[0]
+    parents = (x, w)
     if b is not None:
         b = as_tensor(b)
         if b.shape != (cout,):
             raise ValueError(f"conv: bias shape {b.shape} != ({cout},) for kernel {w.shape}")
-    padding = _per_axis(padding, rank, "padding")
-    kernel = w.shape[2:]
-    if upsample == 2:
-        if any(k != 3 for k in kernel) or any(p != 1 for p in padding):
-            raise ValueError(f"conv: upsample=2 needs kernel 3 and padding 1 on every "
-                             f"axis, got kernel {kernel} with padding {padding}")
-        taps = (2,) * rank
-    elif upsample == 1:
-        taps = kernel
-    else:
-        raise ValueError(f"conv: upsample must be 1 or 2, got {upsample}")
-    spatial = x.shape[2:]
-    # the tap loop's output grid; each phase's output is its block at offset s_pi
-    out_taps = tuple(s + 2 * p - k + 1 for s, p, k in zip(spatial, padding, taps))
-    if any(o < 1 for o in out_taps):
-        raise ValueError(
-            f"conv: kernel {kernel} with padding {padding} "
-            f"does not fit input spatial shape {spatial}"
-        )
-    extent = tuple(o - upsample + 1 for o in out_taps)
-    phases = list(itertools.product(range(upsample), repeat=rank))
-    rows = len(phases) * cout  # GEMM rows: a block of cout channels per phase
-
-    padded = tuple(s + 2 * p for s, p in zip(spatial, padding))
+        parents = (x, w, b)
+    grid, out_shape, shifts, crops, dests, inner, padded, n_wide, n_flat = _conv_plan(
+        x.shape[2:], w.shape[2:], cout, _per_axis(padding, rank, "padding"), upsample, pool)
+    n_phases = grid[0]
+    rows = n_phases * cout  # GEMM rows: a block of cout channels per phase
     n_pad = math.prod(padded)
-    strides = [math.prod(padded[d + 1:]) for d in range(rank)]
-    shifts = [sum(k * st for k, st in zip(k_off, strides))
-              for k_off in itertools.product(*map(range, taps))]
-    n_wide = out_taps[0] * strides[0]
-    n_flat = shifts[-1] + n_wide
-    wide = (batch, len(phases), cout, out_taps[0]) + padded[1:]
-    # per phase: its crop of the wide grid and its strided view of the output
-    crops = [(slice(None),) * 2 + tuple(slice(s, s + e) for s, e in zip(ph, extent))
-             for ph in phases]
-    dests = [(slice(None),) * 2 + tuple(slice(s, None, upsample) for s in ph)
-             for ph in phases]
-    inner = (slice(None),) * 2 + tuple(slice(p, p + s) for p, s in zip(padding, spatial))
 
     xf = np.zeros((batch, cin, n_flat))
     xf[:, :, :n_pad].reshape((batch, cin) + padded)[inner] = x.data
@@ -572,7 +621,7 @@ def conv(x, w, padding=0, b=None, rectify=False, upsample=1):
         wflat = wflat @ _phase_fold(rank).T
     # (phase taps, phases * cout, cin): each offset's taps as one contiguous matrix
     wk = np.ascontiguousarray(
-        wflat.reshape(cout, cin, len(phases), -1).transpose(3, 2, 0, 1).reshape(-1, rows, cin))
+        wflat.reshape(cout, cin, n_phases, -1).transpose(3, 2, 0, 1).reshape(-1, rows, cin))
 
     if cin == 1:
         # one GEMM over all offsets: (rows, taps) @ (taps, batch * n_wide)
@@ -588,19 +637,47 @@ def conv(x, w, padding=0, b=None, rectify=False, upsample=1):
     if b is not None:
         # over whole wide rows: broadcast over the spatial axes, the inner
         # loop would run along one short padded row at a time
-        rows_view = out.reshape(batch, len(phases), cout, n_wide)
+        rows_view = out.reshape(batch, n_phases, cout, n_wide)
         rows_view += b.data[:, None]
-    out = out.reshape(wide)
-    # the crop pass (interleave and ReLU) into a fresh compact array: a view
-    # of the crop would keep the wide buffer alive
-    res = np.empty((batch, cout) + tuple(upsample * e for e in extent))
-    for p, (crop, dest) in enumerate(zip(crops, dests)):
+    out = out.reshape((batch,) + grid)
+    # the crop pass (interleave, or pool, and ReLU) into a fresh compact
+    # array: a view of the crop would keep the wide buffer alive
+    if pool == 2:
+        # ReLU commutes with max, so it runs once on the pooled grid
+        wins = [out[:, 0][view] for view in crops]
+        res = np.maximum(wins[0], wins[1])
+        for win in wins[2:]:
+            np.maximum(res, win, out=res)
         if rectify:
-            np.maximum(out[:, p][crop], 0.0, out=res[dest])
-        else:
-            res[dest] = out[:, p][crop]
+            np.maximum(res, 0.0, out=res)
+    else:
+        res = np.empty((batch, cout) + out_shape)
+        for p, (crop, dest) in enumerate(zip(crops, dests)):
+            if rectify:
+                np.maximum(out[:, p][crop], 0.0, out=res[dest])
+            else:
+                res[dest] = out[:, p][crop]
     if rectify:
         res += 0.0  # -0.0 + 0.0 is +0.0, whichever zero maximum kept
+    if pool == 2 and _recording(parents):
+        # per window, the first view in window order whose (rectified) value
+        # is the maximum, as max_pool routes it: the number of views before
+        # it. A NaN window's maximum is its first NaN.
+        nan = np.isnan(res).any()
+
+        def missed(win):
+            miss = win != res
+            if nan:
+                miss &= win == win
+            return miss
+
+        pending = missed(wins[0])
+        if rectify:
+            pending &= res != 0  # all rectified values are 0: view 0 holds the max
+        first = pending.astype(np.uint8)
+        for win in wins[1:-1]:
+            pending &= missed(win)
+            first += pending
 
     def back(g):
         # head room for dx (module docstring), in the forward's memory order,
@@ -609,12 +686,18 @@ def conv(x, w, padding=0, b=None, rectify=False, upsample=1):
         gbuf = (np.zeros((rows, batch, width)).transpose(1, 0, 2) if cin == 1
                 else np.zeros((batch, rows, width)))
         gw = gbuf[:, :, head:head + n_wide]
-        gwide = gw.reshape(wide)
-        for p, (crop, dest) in enumerate(zip(crops, dests)):
-            if rectify:
-                np.multiply(g[dest], res[dest] > 0, out=gwide[:, p][crop])
-            else:
-                gwide[:, p][crop] = g[dest]
+        gwide = gw.reshape((batch,) + grid)
+        if pool == 2:
+            # the rectified mask of the routed element is that of the window's max
+            gm = g * (res > 0) if rectify else g
+            for v, view in enumerate(crops):
+                gwide[:, 0][view] = np.where(first == v, gm, 0.0)
+        else:
+            for p, (crop, dest) in enumerate(zip(crops, dests)):
+                if rectify:
+                    np.multiply(g[dest], res[dest] > 0, out=gwide[:, p][crop])
+                else:
+                    gwide[:, p][crop] = g[dest]
         if x.requires_grad:
             wt = wk.reshape(-1, cin).T  # (cin, taps * rows), taps-major like block
             block = np.empty((len(shifts), rows, n_pad))
@@ -633,15 +716,15 @@ def conv(x, w, padding=0, b=None, rectify=False, upsample=1):
                     window = xf[:, :, shift:shift + n_wide]
                     dwk[i] = np.matmul(gw, window.transpose(0, 2, 1)).sum(axis=0)
             # back to (cout * cin, phases * taps), then through the transposed fold
-            dw = dwk.reshape(-1, len(phases), cout, cin).transpose(2, 3, 1, 0)
+            dw = dwk.reshape(-1, n_phases, cout, cin).transpose(2, 3, 1, 0)
             dw = dw.reshape(cout * cin, -1)
             if upsample == 2:
                 dw = dw @ _phase_fold(rank)
             _accumulate(w, dw.reshape(w.shape))
         if b is not None:
-            _accumulate(b, gw.reshape(batch, len(phases), cout, n_wide).sum(axis=(0, 1, 3)))
+            _accumulate(b, gw.reshape(batch, n_phases, cout, n_wide).sum(axis=(0, 1, 3)))
 
-    return _make(res, (x, w) if b is None else (x, w, b), back)
+    return _make(res, parents, back)
 
 
 def _window_views(rank, k):
@@ -709,23 +792,32 @@ class Adam:
     """Adam with bias correction over a named parameter set.
 
     Defaults follow the canonical recommendation: lr 1e-3, betas (0.9, 0.999),
-    epsilon 1e-8.
+    epsilon 1e-8. Both moments live in one flat buffer, so a step is a few
+    passes over every parameter at once; m[name] and v[name] are views of it
+    in each parameter's shape.
     """
 
     def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
                  epsilon=1e-8):
-        if not 0 < beta1 < 1 or not 0 < beta2 < 1:
-            raise ValueError(f"betas must be in (0,1), got {beta1}, {beta2}")
-        if learning_rate <= 0 or epsilon <= 0:
-            raise ValueError("learning_rate and epsilon must be positive")
+        for name, value, low, high in (("beta1", beta1, 0, 1), ("beta2", beta2, 0, 1),
+                                       ("learning_rate", learning_rate, 0, math.inf),
+                                       ("epsilon", epsilon, 0, math.inf)):
+            if not (low < value < high):  # also rejects NaN
+                rule = "in (0,1)" if high == 1 else "finite and > 0"
+                raise ValueError(f"adam: {name} must be {rule}, got {value!r}")
         self.params = dict(params)
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        ends = np.cumsum([0] + [p.data.size for p in self.params.values()])
+        self._slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        self._moments = np.zeros((2, ends[-1]))
+        self._grads = np.empty(ends[-1])
+        self.m, self.v = ({name: flat[sl].reshape(p.shape)
+                           for (name, p), sl in zip(self.params.items(), self._slices)}
+                          for flat in self._moments)
 
     def step(self):
         for name, p in self.params.items():
@@ -735,13 +827,20 @@ class Adam:
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / c1
-            v_hat = self.v[name] / c2
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        g = self._grads
+        for p, sl in zip(self.params.values(), self._slices):
+            g[sl] = p.grad.reshape(-1)
+        m, v = self._moments
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g,
+        # rounded as those expressions are
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = self.learning_rate * (m / c1)
+        update /= np.sqrt(v / c2) + self.epsilon
+        for p, sl in zip(self.params.values(), self._slices):
+            p.data -= update[sl].reshape(p.shape)
 
     def zero_grad(self):
         for p in self.params.values():

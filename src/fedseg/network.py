@@ -8,11 +8,12 @@ so the embedding used for distribution alignment is exactly the classifier's
 input space. When skip_connections is enabled, each decoder level is fed an
 upsampled copy of the latent field alongside the upsampled features; the
 classifier still sees nothing but the latent field. Every conv layer is
-one fused autodiff.conv node: convolution, bias and (except for the head)
-ReLU. Nearest upsampling commutes with concat, so a decoder level joins its
-features with the latent field at the features' size and leaves the last 2x
-upsample to its conv (upsample=2): each decoder conv runs at half its output
-resolution, and neither the upsampled features nor their concat is built.
+one fused autodiff.conv node: convolution, bias, (except for the head)
+ReLU and, in the encoder, the 2x max-pool (pool=2). Nearest upsampling
+commutes with concat, so a decoder level joins its features with the latent
+field at the features' size and leaves the last 2x upsample to its conv
+(upsample=2): each decoder conv runs at half its output resolution, and
+neither the upsampled features nor their concat is built.
 
 Inference (predict_logits) builds no autodiff graph and runs forward on
 INFERENCE_CHUNK images at a time; each image is computed on its own, so the
@@ -25,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, concat, conv, log_softmax, max_pool, mul, no_grad,
-                       reshape, softmax, take_rows, transpose, tsum, upsample_nearest)
+from .autodiff import (Tensor, concat, conv, log_softmax, mul, no_grad, reshape, softmax,
+                       take_rows, transpose, tsum, upsample_nearest)
 from .sliced import EmbeddingBatch
 from .util import derive_seed
+# Bound here only because perfbench/tracing.py wraps this name on this
+# module and fails when it is missing.
+from .autodiff import max_pool  # noqa: F401
 
 # Images per graph-free forward pass: the fastest of the sizes tried on 192
 # 32x32 images with the default net.
@@ -121,15 +125,15 @@ class SegModel:
             )
         return x
 
-    def _conv_block(self, x, name, padding, rectify=True, upsample=1):
-        return conv(x, self.params[name + ".w"], padding,
-                    b=self.params[name + ".b"], rectify=rectify, upsample=upsample)
+    def _conv_block(self, x, name, padding, rectify=True, upsample=1, pool=1):
+        return conv(x, self.params[name + ".w"], padding, b=self.params[name + ".b"],
+                    rectify=rectify, upsample=upsample, pool=pool)
 
     def encode(self, x) -> Tensor:
         """Image batch -> latent field (batch, latent_dim, *spatial/2^depth)."""
         h = self._check_input(x)
         for i in range(self.config.depth):
-            h = max_pool(self._conv_block(h, f"enc{i}", 1), 2)
+            h = self._conv_block(h, f"enc{i}", 1, pool=2)
         return self._conv_block(h, "bottleneck", 1)
 
     def classify(self, z: Tensor) -> Tensor:

@@ -8,7 +8,10 @@ sizes are matched by interpolating the smaller sorted list at the larger
 list's quantile positions.
 
 Gradients flow through projection and the rank matching, with the sorting
-permutation treated as locally constant.
+permutation treated as locally constant. The ranks are those of a stable
+sort, so tied projections pair in index order; they come from an unstable
+argsort and an int64 sort of (run of equal values, index) keys, which give
+the same permutation in half the time.
 """
 
 from dataclasses import dataclass
@@ -88,9 +91,45 @@ def _quantile_weights(m: int, n: int) -> np.ndarray:
     return w
 
 
+# Elements per column block of _stable_argsort: a block's temporaries stay
+# near 1 MiB, so a large embedding batch sorts in no more memory than a
+# stable argsort takes; a training step's (256, 50) is one block.
+_SORT_BLOCK = 1 << 16
+
+
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    """np.argsort(x, axis=0, kind="stable") of a 2-D array, from one
+    unstable argsort and two sorts, which take half its time.
+
+    Equal values (-0.0 == 0.0, and all NaNs, which sort last) are adjacent
+    in any sorted order, so the runs of equal values sit at the same
+    positions of the sorted values and of the unstable order. Sorting the
+    keys (run number << bits) | index puts each run in index order, as a
+    stable sort keeps it.
+    """
+    n, cols = x.shape
+    bits = max(n - 1, 1).bit_length()
+    keys = np.empty(x.shape, dtype=np.int64)
+    width = max(1, _SORT_BLOCK // n)
+    for lo in range(0, cols, width):
+        block, k = x[:, lo:lo + width], keys[:, lo:lo + width]
+        ordered = np.sort(block, axis=0)
+        k[0] = 0
+        k[1:] = ordered[1:] != ordered[:-1]  # 1 where a run begins
+        if np.isnan(ordered[-1]).any():  # NaN != NaN, but the NaNs form one run
+            k[1:] &= ordered[:-1] == ordered[:-1]
+        del ordered
+        np.cumsum(k, axis=0, out=k)
+        k <<= bits
+        k |= np.argsort(block, axis=0)
+        k.sort(axis=0)
+    keys &= (1 << bits) - 1
+    return keys
+
+
 def _sorted_projections(batch: EmbeddingBatch, proj: ProjectionSet, n_out: int) -> Tensor:
     projected = matmul(batch.points, Tensor(proj.directions.T))  # (M, L)
-    order = np.argsort(projected.data, axis=0, kind="stable")
+    order = _stable_argsort(projected.data)
     ordered = take_per_column(projected, order)
     if batch.count == n_out:
         return ordered

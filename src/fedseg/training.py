@@ -13,9 +13,11 @@ at the first target batch whose embedding is not finite (before its sites
 are sampled), raising FloatingPointError that names the phase, the source
 domain, the epoch and the step. A finite loss whose backward pass leaves a
 non-finite parameter gradient stops them too, before the update, and the
-error names the parameter as well.
+error names the parameter as well. Both loops run with numpy's overflow and
+invalid-value warnings off, so that error is all a diverging run prints.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,11 +100,24 @@ def _fail(what, phase, domain_id, epoch, step):
         f"{phase} of domain '{domain_id}': non-finite {what} at epoch {epoch}, step {step}")
 
 
+def _quiet_overflow(loop):
+    """Run a training loop without numpy's overflow and invalid-value
+    warnings: a diverging step overflows inside the ops before its loss or a
+    gradient is checked, and the checks then stop the run naming the step.
+    A fresh errstate per call keeps concurrent calls apart."""
+    @functools.wraps(loop)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return loop(*args, **kwargs)
+    return quiet
+
+
 def _batches(n, batch_size, rng):
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
+@_quiet_overflow
 def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegModel:
     """Train a fresh model on the labeled source by empirical risk minimization."""
     if not source.has_masks:
@@ -127,6 +142,7 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
     return model
 
 
+@_quiet_overflow
 def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDataset,
           plan: TrainPlan) -> AdaptedModel:
     """Tune a pretrained model toward the target domain.

@@ -408,6 +408,98 @@ def test_max_pool_routes_ties_to_the_first_max(shape, k):
     np.testing.assert_array_equal(x.grad, expected_grad(g))
 
 
+def same_bits(have, want):
+    """Equal as arrays (NaN equal to NaN) and in the sign of every zero."""
+    return (have.shape == want.shape and np.array_equal(have, want, equal_nan=True)
+            and np.array_equal(np.signbit(have[have == 0]), np.signbit(want[want == 0])))
+
+
+def pooled_inputs(case, rng):
+    """x, w, b and the output gradient g of a pooled-conv case, built so
+    that windows tie, go all-negative, meet -0.0 or hold a NaN."""
+    x_shape, cout = {"ties": ((3, 2, 6, 4), 3), "one-channel": ((2, 1, 4, 6), 4),
+                     "signed-zeros": ((2, 2, 4, 4), 2), "nan": ((2, 3, 4, 6), 2),
+                     "rank3": ((2, 2, 4, 2, 4), 3)}[case]
+    rank = len(x_shape) - 2
+    x = rng.integers(-2, 3, size=x_shape).astype(np.float64)
+    w = rng.integers(-1, 2, size=(cout, x_shape[1]) + (3,) * rank).astype(np.float64)
+    b = rng.integers(-2, 2, size=cout).astype(np.float64)
+    b[0] = -100.0  # every window of channel 0 is all-negative
+    if case == "signed-zeros":
+        x[:, :, :2] = -0.0
+        b[1:] = -0.0
+    if case == "nan":
+        x[0, 0, 1, 1] = np.nan
+    g = rng.integers(-2, 3, size=(x_shape[0], cout) + tuple(s // 2 for s in x_shape[2:]))
+    g = g.astype(np.float64)
+    g[g == 0] = -0.0  # a zero gradient times a closed ReLU keeps its sign
+    g.flat[0] = np.inf  # on channel 0: inf times a closed ReLU is a NaN in dx
+    return x, w, b, g
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("rectify", [True, False], ids=["rectify", "linear"])
+@pytest.mark.parametrize("case", ["ties", "one-channel", "signed-zeros", "nan", "rank3"])
+def test_pooled_conv_equals_max_pool_of_conv_bit_for_bit(case, rectify):
+    """conv(..., pool=2) against max_pool(conv(...), 2): output, dx, dw and
+    db are the same bits, so the gradient of each window reaches the same
+    element, with the same sign of zero, as max_pool's routing gives it."""
+    x, w, b, g = pooled_inputs(case, np.random.default_rng(len(case) + rectify))
+    results = []
+    for fused in (True, False):
+        xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+        if fused:
+            out = conv(xt, wt, 1, b=bt, rectify=rectify, pool=2)
+        else:
+            out = max_pool(conv(xt, wt, 1, b=bt, rectify=rectify), 2)
+        tsum(mul(out, Tensor(g))).backward()
+        results.append((out.data, xt.grad, wt.grad, bt.grad))
+    assert results[0][0].base is None  # owns its data, holds no wide buffer
+    for name, have, want in zip(("out", "dx", "dw", "db"), *results):
+        assert same_bits(have, want), name
+
+
+def test_pooled_conv_without_gradients_matches_the_recorded_forward():
+    x, w, b, _ = pooled_inputs("ties", np.random.default_rng(3))
+    recorded = conv(Tensor(x, requires_grad=True), Tensor(w), 1, b=Tensor(b),
+                    rectify=True, pool=2)
+    with no_grad():
+        free = conv(Tensor(x, requires_grad=True), Tensor(w), 1, b=Tensor(b),
+                    rectify=True, pool=2)
+    assert free._backward is None
+    assert same_bits(free.data, recorded.data)
+
+
+@pytest.mark.parametrize("x_shape, kwargs, complaint", [
+    ((1, 2, 5, 4), dict(pool=2), r"even output shape, got upsample=1 with output shape \(5, 4\)"),
+    ((1, 2, 4, 4), dict(pool=2, upsample=2), "pool=2 needs upsample=1"),
+    ((1, 2, 4, 4), dict(pool=3), "pool must be 1 or 2, got 3"),
+], ids=["odd-extent", "with-upsample", "pool-3"])
+def test_pooled_conv_rejects_what_it_cannot_pool(x_shape, kwargs, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        conv(Tensor(np.ones(x_shape)), Tensor(np.ones((3, 2, 3, 3))), 1, **kwargs)
+
+
+@pytest.mark.parametrize("x_shape, w_shape, kwargs, complaint", [
+    ((1, 2, 2, 2), (3, 2, 5, 5), dict(), "does not fit input spatial shape"),
+    ((1, 2, 4, 4), (3, 2, 3, 3), dict(upsample=2), r"kernel \(3, 3\) with padding \(0, 0\)"),
+    ((1, 2, 4, 4), (3, 2, 3, 3), dict(padding=1, upsample=3), "upsample must be 1 or 2"),
+    ((1, 2, 4, 4), (3, 2, 3, 3), dict(padding=(1, 1, 1)), "padding must have 2 entries"),
+    ((1, 2, 5, 4), (3, 2, 3, 3), dict(padding=1, pool=2), "even output shape"),
+    ((1, 2, 4, 4), (3, 3, 3, 3), dict(padding=1), "kernel channels 3"),
+    ((1, 2, 4, 4), (3, 2, 3), dict(padding=1), "disagree"),
+    ((1, 2, 4, 4), (3, 2, 3, 3), dict(padding=1, b=Tensor(np.ones(2))), "bias shape"),
+])
+def test_conv_shape_errors_raise_with_the_plan_cached(x_shape, w_shape, kwargs, complaint):
+    """The layout is cached per shape; a bad shape still raises each time,
+    also after a good call on the same input shape filled the cache."""
+    x = Tensor(np.ones(x_shape))
+    conv(x, Tensor(np.ones((3, x_shape[1], 1, 1))))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=complaint):
+            conv(x, Tensor(np.ones(w_shape)), **kwargs)
+
+
 @pytest.mark.parametrize("shape, factor", [((2, 3, 3, 2), 4), ((1, 2, 2, 3, 2), 2)])
 def test_upsample_gradients(shape, factor):
     rng = np.random.default_rng(factor)
@@ -527,6 +619,44 @@ def test_adam_two_steps_bookkeeping():
         opt.step()
     assert opt.step_count == 2
     assert np.isfinite(opt.m["p"]).all() and np.isfinite(opt.v["p"]).all()
+
+
+def test_adam_flat_buffer_matches_the_per_parameter_rule():
+    """Three steps over parameters of several shapes, one of them 0-d,
+    against the per-parameter update written out: the same bits, and m and
+    v read per name. The parameters start at 0, so that no bit of the
+    update is lost to a larger parameter."""
+    rng = np.random.default_rng(12)
+    shapes = {"a": (2, 3), "b": (4,), "c": ()}
+    params = {n: Tensor(np.zeros(s), requires_grad=True) for n, s in shapes.items()}
+    want = {n: p.data.copy() for n, p in params.items()}
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-7
+    opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    for t in range(1, 4):
+        for n, p in params.items():
+            p.grad = rng.normal(size=shapes[n])
+            p.grad.flat[0] = -0.0 if t == 2 else p.grad.flat[0]
+            m[n] = b1 * m[n] + (1.0 - b1) * p.grad
+            v[n] = b2 * v[n] + (1.0 - b2) * p.grad * p.grad
+            m_hat, v_hat = m[n] / (1.0 - b1**t), v[n] / (1.0 - b2**t)
+            want[n] = want[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+        for n, p in params.items():
+            assert np.array_equal(p.data, want[n]), (n, t)
+            assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n]), (n, t)
+            assert opt.m[n].shape == shapes[n]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", 0.0),
+    ("learning_rate", -1e-3), ("epsilon", np.nan), ("epsilon", np.inf), ("epsilon", 0.0),
+    ("beta1", np.nan), ("beta1", 1.0), ("beta2", 0.0), ("beta2", np.nan),
+])
+def test_adam_rejects_a_bad_hyperparameter_naming_it(name, value):
+    with pytest.raises(ValueError, match=f"adam: {name} must be"):
+        Adam({"p": Tensor(np.ones(2), requires_grad=True)}, **{name: value})
 
 
 def test_adam_missing_grad_names_parameter():

@@ -140,9 +140,11 @@ def test_network_gradients_match_finite_differences():
 
 def test_default_forward_records_one_node_per_layer_op():
     """Each conv block is one fused node (conv, bias, ReLU and, in the
-    decoder, the 2x upsample of its input): 6 convs, 2 pools, 1 upsample
-    (the latent skip of dec0) and 2 concats. Upsampling every decoder input
-    made it 14; a bias add with its reshape, and a ReLU, per conv made it 31."""
+    encoder, the 2x max-pool of its output; in the decoder, the 2x upsample
+    of its input): 6 convs, 1 upsample (the latent skip of dec0) and 2
+    concats. A pool node per encoder level made it 11, upsampling every
+    decoder input 14; a bias add with its reshape, and a ReLU, per conv
+    made it 31."""
     model = SegModel(DEFAULT, seed=4)
     x = np.random.default_rng(4).normal(size=(2, 1, 16, 16))
     nodes, stack = set(), [model.forward(Tensor(x))]
@@ -151,7 +153,7 @@ def test_default_forward_records_one_node_per_layer_op():
         if node._parents and id(node) not in nodes:
             nodes.add(id(node))
             stack.extend(node._parents)
-    assert len(nodes) == 6 + 2 + 1 + 2
+    assert len(nodes) == 6 + 1 + 2
 
 
 def test_flip_equivariance_with_symmetric_kernels():

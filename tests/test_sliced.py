@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from fedseg import sliced
 from fedseg.autodiff import Tensor
-from fedseg.sliced import (EmbeddingBatch, ProjectionSet, exact_w2_1d,
+from fedseg.sliced import (EmbeddingBatch, ProjectionSet, _stable_argsort, exact_w2_1d,
                            sample_projections, swd2)
 from helpers import gradient_check
 
@@ -47,6 +48,35 @@ def test_projection_argument_validation():
         sample_projections(0, 4, seed=0)
     with pytest.raises(ValueError):
         sample_projections(4, 0, seed=0)
+
+
+@pytest.mark.parametrize("block", [sliced._SORT_BLOCK, 40, 100],
+                         ids=["one-block", "column-blocks", "ragged-blocks"])
+@pytest.mark.parametrize("case", ["ties", "signed-zeros", "duplicate-rows", "nan-inf",
+                                  "one-row", "256x50"])
+def test_stable_argsort_equals_numpy_stable_argsort(case, block, monkeypatch):
+    """The sort behind swd2's rank matching gives np.argsort(axis=0,
+    kind="stable") index for index, ties and equal zeros in index order,
+    also when it sorts the columns in blocks."""
+    monkeypatch.setattr(sliced, "_SORT_BLOCK", block)
+    rng = np.random.default_rng(len(case))
+    x = rng.integers(-3, 4, size=(40, 7)).astype(np.float64)
+    if case == "signed-zeros":
+        x[rng.random(x.shape) < 0.5] = -0.0
+        x[x == 0] *= rng.choice([-1.0, 1.0], size=(x == 0).sum())
+    elif case == "duplicate-rows":
+        x[1::2] = x[::2]
+        x[-5:] = x[0]
+    elif case == "nan-inf":
+        x[rng.random(x.shape) < 0.2] = np.nan
+        x[rng.random(x.shape) < 0.1] = -np.inf
+        x[rng.random(x.shape) < 0.1] = np.inf
+    elif case == "one-row":
+        x = x[:1]
+    elif case == "256x50":  # a default adapt step's projections, rounded into ties
+        x = np.round(rng.normal(size=(256, 50)), 1)
+    np.testing.assert_array_equal(_stable_argsort(x),
+                                  np.argsort(x, axis=0, kind="stable"))
 
 
 def test_swd2_identical_batches_zero():
