@@ -13,11 +13,12 @@ at the first target batch whose embedding is not finite (before its sites
 are sampled), raising FloatingPointError that names the phase, the source
 domain, the epoch and the step. A finite loss whose backward pass leaves a
 non-finite parameter gradient stops them too, before the update, and the
-error names the parameter as well. Both loops run with numpy's overflow and
-invalid-value warnings off, so that error is all a diverging run prints.
+error names the parameter as well. Each step's forward and backward passes
+run with numpy's overflow and invalid-value warnings off, so that error is
+all a diverging run prints. The Adam update runs outside them, so an
+overflow there, which no check would catch, still warns.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -100,16 +101,12 @@ def _fail(what, phase, domain_id, epoch, step):
         f"{phase} of domain '{domain_id}': non-finite {what} at epoch {epoch}, step {step}")
 
 
-def _quiet_overflow(loop):
-    """Run a training loop without numpy's overflow and invalid-value
-    warnings: a diverging step overflows inside the ops before its loss or a
-    gradient is checked, and the checks then stop the run naming the step.
-    A fresh errstate per call keeps concurrent calls apart."""
-    @functools.wraps(loop)
-    def quiet(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return loop(*args, **kwargs)
-    return quiet
+def _quiet_overflow():
+    """numpy's overflow and invalid-value warnings off for one step's forward
+    and backward: a diverging step overflows inside the ops before its loss
+    or a gradient is checked, and the checks then stop the run naming the
+    step. numpy's error state is per thread, so worker threads stay apart."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _batches(n, batch_size, rng):
@@ -117,7 +114,6 @@ def _batches(n, batch_size, rng):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-@_quiet_overflow
 def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegModel:
     """Train a fresh model on the labeled source by empirical risk minimization."""
     if not source.has_masks:
@@ -132,17 +128,17 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
     step = 0
     for epoch in range(plan.epochs_pretrain):
         for idx in _batches(len(source), plan.batch_size, rng):
-            loss = ce_loss(model.forward(Tensor(images[idx])), masks[idx])
-            _check_finite(loss, "pretrain", source.domain_id, epoch, step)
-            opt.zero_grad()
-            loss.backward()
-            _check_gradients(opt.params, "pretrain", source.domain_id, epoch, step)
+            with _quiet_overflow():
+                loss = ce_loss(model.forward(Tensor(images[idx])), masks[idx])
+                _check_finite(loss, "pretrain", source.domain_id, epoch, step)
+                opt.zero_grad()
+                loss.backward()
+                _check_gradients(opt.params, "pretrain", source.domain_id, epoch, step)
             opt.step()
             step += 1
     return model
 
 
-@_quiet_overflow
 def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDataset,
           plan: TrainPlan) -> AdaptedModel:
     """Tune a pretrained model toward the target domain.
@@ -179,25 +175,26 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
             proj = sample_projections(
                 plan.swd_L, d_latent, seed=derive_seed(plan.seed, "proj", step)
             )
-            z_src = adapted.encode(Tensor(src_images[idx]))
-            sup = ce_loss(adapted.classify(z_src), src_masks[idx])
-            # checked here too: a NaN in z_src fails sample_sites unnamed
-            _check_finite(sup, "adapt", source.domain_id, epoch, step)
-            src_emb = sample_sites(z_src, plan.embed_sites,
-                                   seed=derive_seed(plan.seed, "sites-src", step),
-                                   domain_tag=source.domain_id)
-            z_tgt = adapted.encode(Tensor(tgt_images[tgt_idx]))
-            if not np.isfinite(z_tgt.data).all():
-                _fail("target embedding", "adapt", source.domain_id, epoch, step)
-            tgt_emb = sample_sites(z_tgt, plan.embed_sites,
-                                   seed=derive_seed(plan.seed, "sites-tgt", step),
-                                   domain_tag=target_unlabeled.domain_id)
-            alignment = swd2(src_emb, tgt_emb, proj)
-            total = add(sup, mul(alignment, plan.gamma))
-            _check_finite(total, "adapt", source.domain_id, epoch, step)
-            opt.zero_grad()
-            total.backward()
-            _check_gradients(opt.params, "adapt", source.domain_id, epoch, step)
+            with _quiet_overflow():
+                z_src = adapted.encode(Tensor(src_images[idx]))
+                sup = ce_loss(adapted.classify(z_src), src_masks[idx])
+                # checked here too: a NaN in z_src fails sample_sites unnamed
+                _check_finite(sup, "adapt", source.domain_id, epoch, step)
+                src_emb = sample_sites(z_src, plan.embed_sites,
+                                       seed=derive_seed(plan.seed, "sites-src", step),
+                                       domain_tag=source.domain_id)
+                z_tgt = adapted.encode(Tensor(tgt_images[tgt_idx]))
+                if not np.isfinite(z_tgt.data).all():
+                    _fail("target embedding", "adapt", source.domain_id, epoch, step)
+                tgt_emb = sample_sites(z_tgt, plan.embed_sites,
+                                       seed=derive_seed(plan.seed, "sites-tgt", step),
+                                       domain_tag=target_unlabeled.domain_id)
+                alignment = swd2(src_emb, tgt_emb, proj)
+                total = add(sup, mul(alignment, plan.gamma))
+                _check_finite(total, "adapt", source.domain_id, epoch, step)
+                opt.zero_grad()
+                total.backward()
+                _check_gradients(opt.params, "adapt", source.domain_id, epoch, step)
             opt.step()
             ce_vals.append(sup.item())
             swd_vals.append(alignment.item())

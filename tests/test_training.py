@@ -280,3 +280,26 @@ def test_a_non_finite_gradient_under_a_finite_loss_names_the_parameter(monkeypat
         else:
             adapt(model, src, tgt.unlabeled_copy(), plan)
     assert len(optimizers) == 1  # the poisoned step made no update
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "adapt"])
+def test_an_overflow_in_the_adam_update_still_warns(monkeypatch, phase):
+    """Only forward and backward run with numpy's overflow warnings off: a
+    finite gradient whose square overflows Adam's second moment would
+    otherwise stall the parameter unseen."""
+    src, tgt = quick_domains()
+    plan = quick_plan(batch_size=len(src), epochs_pretrain=1, epochs_adapt=1)
+    model = pretrain(src, plan, CFG) if phase == "adapt" else None
+    step = Adam.step
+
+    def huge_step(opt):  # finite, so it passes _check_gradients
+        for p in opt.params.values():
+            p.grad[...] = 1e200
+        step(opt)
+
+    monkeypatch.setattr(Adam, "step", huge_step)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        if phase == "pretrain":
+            pretrain(src, plan, CFG)
+        else:
+            adapt(model, src, tgt.unlabeled_copy(), plan)

@@ -1,10 +1,13 @@
 """Interleaved in-process A/B timing of the training steps of two source trees.
 
-    python3 tools/ab_steps.py OLD_SRC NEW_SRC [--pairs 30] [--steps 15] [--seed 5]
+    python3 tools/ab_steps.py OLD_SRC NEW_SRC [--pairs 30] [--steps 15]
 
 OLD_SRC and NEW_SRC are directories holding a `fedseg` package (a checkout's
 src/). Both trees are imported into this one process, and each builds the
-benchmark net (benchmark.default_net_config) from the same seed. A pair runs
+benchmark net (benchmark.default_net_config) from seed 5 and takes its batch
+size, learning rate, sites, projections and gamma from its own
+benchmark.default_plan() and its image size from benchmark.IMAGE_SIZE, so the
+steps follow the tree's benchmark. A pair runs
 one block of --steps pretrain steps (forward, cross-entropy, backward, Adam)
 on each tree, then one block of adapt steps (source encode, classify,
 cross-entropy, target encode, swd2 of the sampled sites, backward, Adam),
@@ -28,6 +31,7 @@ import time
 import numpy as np
 
 MODULES = ("autodiff", "benchmark", "network", "sliced")
+SEED = 5
 
 
 def load_tree(src):
@@ -50,18 +54,21 @@ def load_tree(src):
 class Side:
     """One tree's model, optimizer and step functions on fixed batches."""
 
-    def __init__(self, tree, seed, batch, size):
+    def __init__(self, tree, batch, size):
         self.ad, net = tree["autodiff"], tree["network"]
         self.net, self.sliced = net, tree["sliced"]
         config = tree["benchmark"].default_net_config()
-        self.model = net.SegModel(config, seed=seed)
-        self.opt = self.ad.Adam(self.model.parameters(), learning_rate=2e-3)
-        rng = np.random.default_rng(seed)
+        self.plan = plan = tree["benchmark"].default_plan(SEED)
+        self.model = net.SegModel(config, seed=SEED)
+        self.opt = self.ad.Adam(self.model.parameters(), learning_rate=plan.learning_rate)
+        rng = np.random.default_rng(SEED)
+        batch = plan.batch_size if batch is None else batch
+        size = tree["benchmark"].IMAGE_SIZE if size is None else size
         shape = (batch, config.in_channels) + (size,) * config.spatial_rank
         self.src = rng.normal(size=shape)
         self.masks = (self.src[:, 0] > 0).astype(np.int64)
         self.tgt = 0.25 * rng.normal(size=shape) + 0.55
-        self.seed, self.step_no = seed, 0
+        self.step_no = 0
 
     def _update(self, loss):
         self.opt.zero_grad()
@@ -74,13 +81,15 @@ class Side:
         self._update(self.net.ce_loss(self.model.forward(T(self.src)), self.masks))
 
     def adapt_step(self):
-        ad, net, T = self.ad, self.net, self.ad.Tensor
+        ad, net, plan, T = self.ad, self.net, self.plan, self.ad.Tensor
         z_src = self.model.encode(T(self.src))
         sup = net.ce_loss(self.model.classify(z_src), self.masks)
-        src_emb = net.sample_sites(z_src, 64, seed=self.step_no)
-        tgt_emb = net.sample_sites(self.model.encode(T(self.tgt)), 64, seed=self.step_no)
-        proj = self.sliced.sample_projections(50, z_src.shape[1], seed=self.step_no)
-        self._update(ad.add(sup, ad.mul(self.sliced.swd2(src_emb, tgt_emb, proj), 2.0)))
+        src_emb = net.sample_sites(z_src, plan.embed_sites, seed=self.step_no)
+        tgt_emb = net.sample_sites(self.model.encode(T(self.tgt)), plan.embed_sites,
+                                   seed=self.step_no)
+        proj = self.sliced.sample_projections(plan.swd_L, z_src.shape[1], seed=self.step_no)
+        swd = self.sliced.swd2(src_emb, tgt_emb, proj)
+        self._update(ad.add(sup, ad.mul(swd, plan.gamma)))
 
     def digest(self):
         params = self.model.parameters()
@@ -94,20 +103,25 @@ def time_block(step, steps):
     return (time.perf_counter() - start) * 1e3 / steps
 
 
+def positive(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--pairs", type=int, default=30)
-    parser.add_argument("--steps", type=int, default=15, help="steps per timed block")
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--batch", type=int, default=4)
-    parser.add_argument("--size", type=int, default=32, help="image side length")
+    parser.add_argument("--pairs", type=positive, default=30)
+    parser.add_argument("--steps", type=positive, default=15, help="steps per timed block")
+    parser.add_argument("--batch", type=positive, help="images per step (default: the plan's)")
+    parser.add_argument("--size", type=positive,
+                        help="image side length (default: the benchmark's)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.steps < 1:
-        parser.error("--pairs and --steps must be >= 1")
 
-    sides = {label: Side(load_tree(src), args.seed, args.batch, args.size)
+    sides = {label: Side(load_tree(src), args.batch, args.size)
              for label, src in (("old", args.old_src), ("new", args.new_src))}
     for side in sides.values():  # warm-up: first-call allocations and caches
         side.pretrain_step()
