@@ -3,7 +3,7 @@
 A numpy library implementing the full pipeline at desk scale: a reverse-mode
 autodiff substrate, sliced Wasserstein alignment of latent embeddings,
 miniature encoder/decoder segmentation networks, per-source adaptation,
-confidence-weighted ensembling, and an in-process federation with an audited
+confidence-weighted ensembling, and a single-machine federation with an audited
 message bus. See README.md for the tour and the demos/ scripts for worked
 sessions.
 """

@@ -482,10 +482,9 @@ def log_softmax(t, axis=None):
     shifted = t.data - t.data.max(axis=ax, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
     out = shifted - lse
-    y = np.exp(out)
 
     def back(g):
-        _accumulate(t, g - y * g.sum(axis=ax, keepdims=True))
+        _accumulate(t, g - np.exp(out) * g.sum(axis=ax, keepdims=True))
 
     return _make(out, (t,), back)
 

@@ -102,6 +102,13 @@ def _plan(args) -> TrainPlan:
     )
 
 
+def _workers(args, sources) -> int:
+    """--workers, where 0 means one per source."""
+    if args.workers < 0:
+        raise UsageError(f"--workers must be >= 0, got {args.workers}")
+    return args.workers or len(sources)
+
+
 def _load_datasets(manifest_path, oracle_mode):
     """The target's manifest entry, the source datasets and the target."""
     if not os.path.exists(manifest_path):
@@ -288,12 +295,12 @@ def cmd_run(args) -> int:
     _, sources, target = _load_datasets(args.data, oracle)
     plan = _plan(args)
     config = _net_config(args)
+    workers = _workers(args, sources)
 
     if args.add_source:
         return _run_add_source(args, sources, target, plan, config)
 
     _prepare_out(args.out, args.force)
-    workers = args.workers or len(sources)
     result = run_msuda(sources, target, plan, config, oracle_mode=oracle,
                        workers=workers)
     os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
@@ -402,6 +409,7 @@ def cmd_sweep(args) -> int:
     _, sources, target = _load_datasets(args.data, oracle_mode=True)
     plan = _plan(args)
     config = _net_config(args)
+    workers = _workers(args, sources)
     _prepare_out(args.out, args.force)
     truth = target.mask_stack()
     images = target.image_stack()
@@ -409,7 +417,7 @@ def cmd_sweep(args) -> int:
     rows = []
     if args.parameter == "lambda":
         result = run_msuda(sources, target, plan, config, oracle_mode=True,
-                           workers=args.workers or len(sources))
+                           workers=workers)
         probs = stack_probs(result.adapted.models, images)
         for lam in parsed:
             score = dice(aggregate(probs, confidence_weights(probs, lam)).mask, truth)
@@ -419,7 +427,7 @@ def cmd_sweep(args) -> int:
         for value in parsed:
             variant = dataclasses.replace(plan, **{field: value})
             result = run_msuda(sources, target, variant, config, oracle_mode=True,
-                               workers=args.workers or len(sources))
+                               workers=workers)
             probs = stack_probs(result.adapted.models, images)
             score = dice(aggregate(probs, result.weights).mask, truth)
             rows.append((value, score))
@@ -477,7 +485,8 @@ def build_parser() -> _Parser:
     p.add_argument("--oracle", action="store_true",
                    help="read target labels for evaluation quantities")
     p.add_argument("--workers", type=int, default=0,
-                   help="parallel source trainings (default: one per source)")
+                   help="processes training source nodes in parallel "
+                        "(default: one per source)")
     p.add_argument("--add-source", default=None,
                    help="train only this manifest domain and update the ensemble")
     p.add_argument("--force", action="store_true")

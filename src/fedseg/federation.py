@@ -1,4 +1,4 @@
-"""In-process federation: one node per source domain plus a target node.
+"""Single-machine federation: one node per source domain plus a target node.
 
 All cross-node traffic goes through a message bus that deep-copies payloads
 and appends an audit record per transfer. The bus carries two payload
@@ -9,14 +9,20 @@ so the privacy constraint (no data sharing between sources, no target
 labels leaving the target) holds by construction.
 
 Per-node RNG streams derive from the node name plus the master seed, so the
-result is independent of scheduling order and source trainings may run in
-parallel.
+result is independent of scheduling order. With workers > 1 each source
+node trains in a spawned process of its own; it receives only its own
+dataset and the bus copy of the target images, and returns its trained
+models.
 """
 
+import contextlib
 import dataclasses
-# Read as a module global when the pool is built: perfbench/tracing.py
-# swaps in an executor that carries span context into worker threads.
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+# Bound here only because perfbench/tracing.py patches this name on this
+# module and fails when it is missing.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 from .autodiff import serialize_params
@@ -194,31 +200,62 @@ def _validate_domains(sources, target, num_classes):
         raise ValueError(f"class sets differ across sources: {label_sets}")
 
 
+def _train_on_node(dataset, received_images, plan: TrainPlan, config: NetConfig):
+    """Pretrain on the node's own data, then adapt toward the received target
+    images. Runs entirely within the node, in the caller's process or in a
+    worker process; pretrain and adapt are looked up on this module."""
+    local_plan = dataclasses.replace(
+        plan, seed=derive_seed(plan.seed, "node", dataset.domain_id))
+    pre = pretrain(dataset, local_plan, config)
+    target_view = DomainDataset(received_images, None, domain_id="target-view")
+    return pre, adapt(pre, dataset, target_view, local_plan)
+
+
+# A BLAS library sizes its thread pool from these when it loads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread_per_node():
+    """Node processes start with one BLAS thread each, unless the caller's
+    environment sets a BLAS thread count. A BLAS that sizes its pool to all
+    cores in every node process oversubscribes the machine, and a node's
+    GEMMs are too small to gain from a second thread. A spawned process
+    copies the environment when it starts, so the variables hold for the
+    pool's lifetime and are removed after it."""
+    if any(var in os.environ for var in _BLAS_THREAD_VARS):
+        yield
+        return
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var in _BLAS_THREAD_VARS:
+            os.environ.pop(var, None)
+
+
 def _federate(bus: MessageBus, target: DomainDataset, sources, plan: TrainPlan,
               config: NetConfig, workers: int) -> list:
     """One round trip per source node: the target images go out over the bus,
     the node pretrains and adapts locally, and its adapted parameters come
     back. Every image send precedes training; parameter sends follow in
-    source order. Returns (pretrained, adapted) per source."""
+    source order. With more than one worker, min(workers, len(sources))
+    spawned processes train the nodes and all of them have exited on return,
+    also when a node fails. Returns (pretrained, adapted) per source."""
     target_id = NodeId(target.domain_id, "target")
     node_ids = [NodeId(ds.domain_id, "source") for ds in sources]
     received = [bus.send(target_id, node_id, "unlabeled_images", target.images)
                 for node_id in node_ids]
 
-    def train_on_node(dataset, target_images):
-        """Pretrain on the node's own data, then adapt toward the received
-        target images. Runs entirely within the node."""
-        local_plan = dataclasses.replace(
-            plan, seed=derive_seed(plan.seed, "node", dataset.domain_id))
-        pre = pretrain(dataset, local_plan, config)
-        target_view = DomainDataset(target_images, None, domain_id="target-view")
-        return pre, adapt(pre, dataset, target_view, local_plan)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trained = list(pool.map(train_on_node, sources, received))
+    processes = min(workers, len(sources))
+    if processes > 1:
+        with _one_blas_thread_per_node(), ProcessPoolExecutor(
+                processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+            trained = list(pool.map(_train_on_node, sources, received,
+                                    [plan] * len(sources), [config] * len(sources)))
     else:
-        trained = [train_on_node(ds, images) for ds, images in zip(sources, received)]
+        trained = [_train_on_node(ds, images, plan, config)
+                   for ds, images in zip(sources, received)]
 
     for node_id, (_, adapted) in zip(node_ids, trained):
         bus.send(node_id, target_id, "model_params",
@@ -233,8 +270,11 @@ def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
     Target images are broadcast to every source node over the bus; adapted
     model parameters flow back to the target node, which computes the
     ensemble weights. oracle_mode is recorded on the result for the
-    evaluation that follows; training never reads target labels.
+    evaluation that follows; training never reads target labels. workers > 1
+    trains the source nodes in separate processes.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     _validate_domains(sources, target, config.num_classes)
     reads_before = target.label_reads
     bus = MessageBus()

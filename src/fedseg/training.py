@@ -105,7 +105,7 @@ def _quiet_overflow():
     """numpy's overflow and invalid-value warnings off for one step's forward
     and backward: a diverging step overflows inside the ops before its loss
     or a gradient is checked, and the checks then stop the run naming the
-    step. numpy's error state is per thread, so worker threads stay apart."""
+    step. numpy's error state is per thread, so other threads keep theirs."""
     return np.errstate(over="ignore", invalid="ignore")
 
 

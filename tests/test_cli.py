@@ -324,9 +324,13 @@ def test_unknown_flag_is_usage_error():
     (["run", "--gamma", "inf"], "--gamma"),
     (["eval", "--lambda", "1.5"], "--lambda"),
     (["eval", "--sites", "0"], "--sites"),
+    (["run", "--workers", "-1"], "--workers"),
+    (["sweep", "--parameter", "lambda", "--values", "0.5", "--workers", "-1"],
+     "--workers"),
 ], ids=["sweep-float", "sweep-int", "gen-domains", "gen-images", "gen-size",
         "sweep-gamma-nan", "run-lr-zero", "run-lr-negative", "run-lr-nan", "run-lr-inf",
-        "run-gamma-nan", "run-gamma-inf", "eval-lambda", "eval-sites"])
+        "run-gamma-nan", "run-gamma-inf", "eval-lambda", "eval-sites",
+        "run-workers-negative", "sweep-workers-negative"])
 def test_bad_flag_value_is_usage_error(dataset, trained_run, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     extra = {"sweep": ["--data", str(dataset), *FAST], "run": ["--data", str(dataset), *FAST],

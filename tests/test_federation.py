@@ -1,13 +1,17 @@
 """Federated orchestration: bus rules, audit checking, locality, parallel
 equivalence, and incremental source addition."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from fedseg.autodiff import serialize_params
 from fedseg.data import DomainShift, generate_domains
-from fedseg.federation import (AuditLog, Message, MessageBus, NodeId, audit_check,
-                               extend_run, run_msuda)
+from fedseg.federation import (_BLAS_THREAD_VARS, AuditLog, Message, MessageBus, NodeId,
+                               _one_blas_thread_per_node, audit_check, extend_run,
+                               run_msuda)
 from fedseg.network import NetConfig
 from fedseg.training import TrainPlan
 
@@ -129,6 +133,51 @@ def test_run_msuda_parallel_equals_sequential():
     for a, b in zip(seq.adapted.models, par.adapted.models):
         assert serialize_params(a.model.state_dict()) == serialize_params(b.model.state_dict())
     assert seq.weights.weights == par.weights.weights
+
+
+def test_run_msuda_more_workers_than_sources_equals_sequential():
+    sources, target = quick_setup(n_sources=2)
+    seq = run_msuda(sources, target, quick_plan(), CFG, workers=1)
+    par = run_msuda(sources, target, quick_plan(), CFG, workers=3)
+    for a, b in zip(seq.adapted.models, par.adapted.models):
+        assert serialize_params(a.model.state_dict()) == serialize_params(b.model.state_dict())
+    assert seq.weights.weights == par.weights.weights
+    assert multiprocessing.active_children() == []
+
+
+def test_diverging_node_fails_alike_in_a_worker_process():
+    """A node process raises the in-process error, naming the domain, epoch
+    and step, and no worker process outlives run_msuda."""
+    sources, target = quick_setup(n_sources=2)
+    plan = quick_plan(epochs_pretrain=1, epochs_adapt=1, learning_rate=1e200)
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(FloatingPointError) as info:
+            run_msuda(sources, target, plan, CFG, workers=workers)
+        errors.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1] == (
+        f"pretrain of domain '{sources[0].domain_id}': non-finite loss nan "
+        "at epoch 0, step 1")
+
+
+def test_node_processes_get_one_blas_thread_unless_the_caller_sets_a_count(monkeypatch):
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    with _one_blas_thread_per_node():
+        assert [os.environ.get(var) for var in _BLAS_THREAD_VARS] == ["1", "1", "1"]
+    assert not any(var in os.environ for var in _BLAS_THREAD_VARS)
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    with _one_blas_thread_per_node():
+        assert [os.environ.get(var) for var in _BLAS_THREAD_VARS] == [None, "4", None]
+    assert os.environ["OMP_NUM_THREADS"] == "4"
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_msuda_rejects_fewer_than_one_worker(workers):
+    sources, target = quick_setup(n_sources=1)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_msuda(sources, target, quick_plan(), CFG, workers=workers)
 
 
 def test_run_msuda_deterministic_across_calls():
