@@ -13,7 +13,7 @@ this file again; the __main__ guard keeps that import from starting a run.
 
 from fedseg.benchmark import (default_net_config, default_plan,
                               make_benchmark_domains)
-from fedseg.ensembling import aggregate, average_vote, popular_vote, stack_probs
+from fedseg.ensembling import aggregate, average_vote, popular_vote
 from fedseg.evaluation import dice
 from fedseg.federation import audit_check, run_msuda
 
@@ -32,10 +32,11 @@ def main():
             print(f"  {message.sender.name} -> {message.receiver.name}: "
                   f"{message.payload_kind} ({message.byte_size} bytes)")
 
-        # each adapted model runs once on the target; every score reads that stack
+        # each adapted model ran once on the target, in run_msuda; every
+        # score reads that probability stack
         models = result.adapted.models
         truth = target.mask_stack()
-        probs = stack_probs(models, target.image_stack())
+        probs = result.target_probs
         for am, weight, p in zip(models, result.weights.weights, probs):
             print(f"  {am.source_id}: weight {weight:.3f} "
                   f"target Dice {dice(p.argmax(axis=1), truth):.3f}")

@@ -24,8 +24,10 @@ sources, target = make_benchmark_domains(seed=0)
 plan = default_plan(seed=0)
 joint = {s.domain_id: measure_joint_error(s, target, plan, default_net_config())
          for s in sources}
-terms = bound_terms(result.adapted.models, sources, target, plan.swd_L,
-                    plan.embed_sites, seed=123, joint_errors=joint)
+# the bound's target embeddings are sampled from each model's latent field
+# of the one target pass that run_benchmark's run kept
+terms = bound_terms(result.adapted.models, sources, target, result.target_latents,
+                    plan.swd_L, plan.embed_sites, seed=123, joint_errors=joint)
 print(f"{'source':8s} {'src CE':>8s} {'swd':>8s} {'complexity':>10s} {'joint CE':>9s} {'weight':>7s}")
 for term, w in zip(terms, result.weights.weights):
     print(f"{term.source_id:8s} {term.source_ce:8.4f} {term.swd_term:8.4f} "

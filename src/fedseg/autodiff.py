@@ -191,14 +191,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -206,29 +200,8 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
-    def mean(self):
-        return tmean(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
     def transpose(self, axes):
         return transpose(self, axes)
-
-    def relu(self):
-        return relu(self)
-
-    def log(self):
-        return tlog(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -382,27 +355,6 @@ def take_rows(t, indices):
     return _make(np.take(t.data, idx, axis=0), (t,), back)
 
 
-def take_per_column(t, indices):
-    """Gather along axis 0 with a per-column index matrix (sorting gather).
-
-    Each column of indices must be a permutation of the rows, as an argsort
-    along axis 0 gives: backward then puts every gradient entry in its own
-    place, where a repeated index would keep only one of its entries.
-    """
-    t = as_tensor(t)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.shape != t.shape:
-        raise ValueError(f"take_per_column: index shape {idx.shape} != data shape {t.shape}")
-
-    def back(g):
-        if t.requires_grad:
-            full = np.empty_like(t.data)
-            np.put_along_axis(full, idx, g, axis=0)
-            _accumulate(t, full)
-
-    return _make(np.take_along_axis(t.data, idx, axis=0), (t,), back)
-
-
 # -- reductions ---------------------------------------------------------------
 
 def tsum(t, axis=None):
@@ -446,15 +398,6 @@ def relu(t):
         _accumulate(t, g * mask)
 
     return _make(_rectified(t.data), (t,), back)
-
-
-def tlog(t):
-    t = as_tensor(t)
-
-    def back(g):
-        _accumulate(t, g / t.data)
-
-    return _make(np.log(t.data), (t,), back)
 
 
 def _default_axis(t):

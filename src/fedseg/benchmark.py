@@ -111,10 +111,11 @@ def run_benchmark(seed: int = 0, corrupted: bool = False, workers: int = 1,
     plan = plan or default_plan(seed)
     config = default_net_config()
     result = run_msuda(sources, target, plan, config, oracle_mode=True,
-                       workers=workers)
+                       workers=workers, keep_latents=with_bound)
 
     report, _ = evaluate_run(result.adapted.models, result.weights, sources, target,
-                             plan, config, True, seed, pretrained=result.pretrained,
+                             plan, config, True, seed, result.target_probs,
+                             result.target_latents, pretrained=result.pretrained,
                              with_bound=with_bound)
     bench = BenchmarkResult(seed=seed, corrupted=corrupted, result=result,
                             mode_dice=report.ensemble_dice)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .autodiff import load_params, no_grad, save_params
+from .autodiff import load_params, save_params
 from .benchmark import benchmark_shifts
 from .data import (DomainShift, ManifestEntry, generate_domains, load_domain,
                    read_manifest, write_manifest, write_raster)
@@ -25,7 +25,7 @@ from .ensembling import (AdaptedModelSet, EnsembleWeights, aggregate,
                          confidence_weights, stack_probs)
 from .evaluation import dice, emit_report, evaluate_run, export_embeddings
 from .federation import AuditLog, FederationResult, audit_check, extend_run, run_msuda
-from .network import NetConfig, SegModel, embed
+from .network import NetConfig, SegModel, sample_sites
 from .training import AdaptedModel, TrainPlan, write_step_log
 from .util import derive_seed
 
@@ -34,6 +34,7 @@ from .util import derive_seed
 from .ensembling import average_vote, compute_weights, popular_vote  # noqa: F401
 from .evaluation import (bound_right_hand_side, bound_terms,  # noqa: F401
                          measure_joint_error, mixture_target_ce, model_target_dice)
+from .network import embed  # noqa: F401
 
 
 class UsageError(Exception):
@@ -109,24 +110,26 @@ def _workers(args, sources) -> int:
     return args.workers or len(sources)
 
 
-def _load_datasets(manifest_path, oracle_mode):
-    """The target's manifest entry, the source datasets and the target."""
+def _manifest_roles(manifest_path):
+    """The manifest's source entries and its one target entry."""
     if not os.path.exists(manifest_path):
         raise UsageError(f"manifest not found: {manifest_path}")
     _, entries = read_manifest(manifest_path)
-    sources, targets = [], []
-    for entry in entries:
-        if entry.role == "source":
-            sources.append(load_domain(manifest_path, entry, read_masks=True))
-        else:
-            targets.append(entry)
+    sources = [e for e in entries if e.role == "source"]
+    targets = [e for e in entries if e.role != "source"]
     if not sources or len(targets) != 1:
         raise UsageError(
             f"manifest must designate >=1 source and exactly 1 target, found "
             f"{len(sources)} sources and {len(targets)} targets"
         )
-    return targets[0], sources, load_domain(manifest_path, targets[0],
-                                            read_masks=oracle_mode)
+    return sources, targets[0]
+
+
+def _load_datasets(manifest_path, oracle_mode):
+    """The source datasets and the target of a manifest."""
+    entries, target = _manifest_roles(manifest_path)
+    return ([load_domain(manifest_path, e, read_masks=True) for e in entries],
+            load_domain(manifest_path, target, read_masks=oracle_mode))
 
 
 def _check_target_finite(manifest_path, entry, target):
@@ -246,8 +249,9 @@ def _read_ensemble(path):
                                             header.get("target_hash", ""))
 
 
-def _write_outputs(out_dir, report, masks, mode, models, target, plan,
+def _write_outputs(out_dir, report, masks, mode, models, latents, plan,
                    audit_log=None):
+    """Report, masks, audit log and the embeddings sampled from latents."""
     report.aggregation = mode
     emit_report(report, os.path.join(out_dir, "report.txt"))
     mask_dir = os.path.join(out_dir, "masks", mode)
@@ -256,11 +260,10 @@ def _write_outputs(out_dir, report, masks, mode, models, target, plan,
         write_raster(os.path.join(mask_dir, f"pred_{i:03d}.ndr"), mask)
     if audit_log is not None:
         audit_log.write(os.path.join(out_dir, "audit.log"))
-    with no_grad():
-        batches = [embed(am.model, target.image_stack(), plan.embed_sites,
-                         seed=derive_seed(plan.seed, "export", am.source_id),
-                         domain_tag=f"{am.source_id}/target_post")
-                   for am in models]
+    batches = [sample_sites(z, plan.embed_sites,
+                            seed=derive_seed(plan.seed, "export", am.source_id),
+                            domain_tag=f"{am.source_id}/target_post")
+               for am, z in zip(models, latents)]
     export_embeddings(batches, os.path.join(out_dir, "embeddings.csv"))
 
 
@@ -276,15 +279,19 @@ def _write_run(args, result, trained, sources, target):
     _write_ensemble(os.path.join(args.out, "ensemble.txt"), result.weights,
                     result.adapted.source_ids())
 
+    probs, latents = result.target_probs, result.target_latents
+    if latents is None:  # an extended run: extend_run ran only the new model
+        latents = []
+        probs = stack_probs(result.adapted.models, target.image_stack(), latents)
     report, masks = evaluate_run(result.adapted.models, result.weights, sources,
                                  target, result.plan, result.config,
-                                 result.oracle_mode, args.seed,
+                                 result.oracle_mode, args.seed, probs, latents,
                                  pretrained=result.pretrained)
     report.settings["audit.target_label_reads"] = target.label_reads
     if not result.oracle_mode and target.label_reads != 0:
         raise RuntimeError("target labels were read outside oracle mode")
     _write_outputs(args.out, report, masks, args.aggregation,
-                   result.adapted.models, target, result.plan,
+                   result.adapted.models, latents, result.plan,
                    audit_log=result.audit_log)
 
 
@@ -292,7 +299,7 @@ def cmd_run(args) -> int:
     oracle = args.oracle
     if args.aggregation == "suda" and not oracle:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
-    _, sources, target = _load_datasets(args.data, oracle)
+    sources, target = _load_datasets(args.data, oracle)
     plan = _plan(args)
     config = _net_config(args)
     workers = _workers(args, sources)
@@ -302,7 +309,7 @@ def cmd_run(args) -> int:
 
     _prepare_out(args.out, args.force)
     result = run_msuda(sources, target, plan, config, oracle_mode=oracle,
-                       workers=workers)
+                       workers=workers, keep_latents=True)
     os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
     os.makedirs(os.path.join(args.out, "curves"), exist_ok=True)
     _write_run(args, result, result.adapted.models, sources, target)
@@ -369,20 +376,23 @@ def cmd_eval(args) -> int:
     oracle = args.oracle
     if args.aggregation == "suda" and not oracle:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
-    target_entry, sources, target = _load_datasets(args.data, oracle)
+    source_entries, target_entry = _manifest_roles(args.data)  # no source is read
+    target = load_domain(args.data, target_entry, read_masks=oracle)
     _check_target_finite(args.data, target_entry, target)
     config = _net_config(args)
     ids, weights, models = _load_run(args.run, config)
-    eval_sources = _run_sources(sources, ids)
+    _run_sources(source_entries, ids)
     lambda_conf = weights.lambda_conf if args.lambda_conf is None else args.lambda_conf
     if lambda_conf != weights.lambda_conf:
         weights = None  # evaluate_run weights its own probability stack
     plan = _checked_plan(seed=args.seed, lambda_conf=lambda_conf, embed_sites=args.sites)
     out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
-    report, masks = evaluate_run(models, weights, eval_sources, target, plan,
-                                 config, oracle, args.seed, with_bound=False)
-    _write_outputs(out_dir, report, masks, args.aggregation, models, target, plan)
+    latents = []
+    probs = stack_probs(models, target.image_stack(), latents)
+    report, masks = evaluate_run(models, weights, None, target, plan, config, oracle,
+                                 args.seed, probs, with_bound=False)
+    _write_outputs(out_dir, report, masks, args.aggregation, models, latents, plan)
     print(f"eval complete: {out_dir}")
     return 0
 
@@ -406,19 +416,18 @@ def cmd_sweep(args) -> int:
         if any(not math.isfinite(v) or v < 0 for v in parsed):
             raise UsageError(f"--values: gamma values must be finite and >= 0: {parsed}")
 
-    _, sources, target = _load_datasets(args.data, oracle_mode=True)
+    sources, target = _load_datasets(args.data, oracle_mode=True)
     plan = _plan(args)
     config = _net_config(args)
     workers = _workers(args, sources)
     _prepare_out(args.out, args.force)
     truth = target.mask_stack()
-    images = target.image_stack()
 
     rows = []
     if args.parameter == "lambda":
         result = run_msuda(sources, target, plan, config, oracle_mode=True,
                            workers=workers)
-        probs = stack_probs(result.adapted.models, images)
+        probs = result.target_probs
         for lam in parsed:
             score = dice(aggregate(probs, confidence_weights(probs, lam)).mask, truth)
             rows.append((lam, score))
@@ -428,8 +437,7 @@ def cmd_sweep(args) -> int:
             variant = dataclasses.replace(plan, **{field: value})
             result = run_msuda(sources, target, variant, config, oracle_mode=True,
                                workers=workers)
-            probs = stack_probs(result.adapted.models, images)
-            score = dice(aggregate(probs, result.weights).mask, truth)
+            score = dice(aggregate(result.target_probs, result.weights).mask, truth)
             rows.append((value, score))
 
     csv_path = os.path.join(args.out, f"sweep_{args.parameter}.csv")

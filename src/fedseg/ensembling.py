@@ -10,12 +10,12 @@ count and renormalizing.
 
 Every ensemble quantity is a function of one array: the probability stack
 (n_models, batch, classes, *spatial) that stack_probs builds by running each
-model once on the target images. confidence_weights, aggregate,
-average_vote and popular_vote take that stack, never the models.
-compute_weights and add_source take models (anything with
-predict_probs(images) -> (batch, classes, *spatial)) because they run at
-the target node as models arrive. All image arguments are batches; pass a
-single image as a batch of one.
+model once on the target images; run_msuda builds it once and keeps it.
+confidence_weights, aggregate, average_vote and popular_vote take that
+stack, never the models. compute_weights and add_source take models
+(anything with predict_probs(images) -> (batch, classes, *spatial)), which
+add_source needs for a model that arrives after the run. All image
+arguments are batches; pass a single image as a batch of one.
 """
 
 from dataclasses import dataclass, field
@@ -81,10 +81,12 @@ def _as_image_batch(images) -> np.ndarray:
     return arr
 
 
-def stack_probs(models, images) -> np.ndarray:
+def stack_probs(models, images, latents=None) -> np.ndarray:
     """(n_models, batch, classes, *spatial): one predict_probs call per model,
-    with shape agreement enforced."""
-    probs = [np.asarray(m.predict_probs(images)) for m in models]
+    with shape agreement enforced; a list given as latents receives each
+    model's latent field of that pass."""
+    probs = [np.asarray(m.predict_probs(images) if latents is None
+                        else m.predict_probs(images, latents)) for m in models]
     if not probs:
         raise ValueError("need at least one model")
     base = probs[0].shape

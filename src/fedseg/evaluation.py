@@ -14,7 +14,8 @@ per-model errors.
 
 evaluate_run is the one evaluation path: the CLI's run, eval and
 add-source reports and the benchmark's acceptance quantities all come
-from it.
+from it. It runs no adapted model: it reads each model's one pass over the
+target images (run_msuda keeps it), its probabilities and its latent field.
 """
 
 import dataclasses
@@ -24,14 +25,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, no_grad
 from .data import DomainDataset
-from .ensembling import (aggregate, average_vote, confidence_weights, popular_vote,
-                         stack_probs)
-from .network import ce_loss, embed, encode_chunks, sample_sites
+from .ensembling import aggregate, average_vote, confidence_weights, popular_vote
+from .network import ce_loss, sample_sites
 from .sliced import sample_projections, swd2
 from .training import pretrain
 from .util import derive_seed, hash_images
+# Bound here only because perfbench/tracing.py wraps this name on this
+# module and fails when it is missing.
+from .network import embed  # noqa: F401
 
 
 def dice(pred, truth, foreground: int = 1) -> float:
@@ -95,25 +97,24 @@ class BoundTerm:
     joint_ce: float = None  # None outside oracle mode
 
 
-def bound_terms(adapted_models, sources, target, swd_L: int, embed_sites: int,
-                seed: int, xi: float = 0.05, zeta: float = 1.0,
+def bound_terms(adapted_models, sources, target, target_latents, swd_L: int,
+                embed_sites: int, seed: int, xi: float = 0.05, zeta: float = 1.0,
                 joint_errors: dict = None) -> list:
-    """Per-source diagnostic terms of the target-error upper bound."""
+    """Per-source diagnostic terms of the target-error upper bound; the
+    target codes are sampled from each model's target latent field."""
     out = []
     proj_seed = derive_seed(seed, "bound-projections")
-    for am, source in zip(adapted_models, sources):
+    for am, source, z_tgt in zip(adapted_models, sources, target_latents):
         model = am.model
         proj = sample_projections(swd_L, model.config.latent_dim, seed=proj_seed)
-        with no_grad():
-            # one encoder pass per source slice feeds both the CE and the codes
-            z_src = encode_chunks(model, source.image_stack())
-            logits = np.concatenate([model.classify(z).data for z in z_src])
-            src_emb = sample_sites(concat(z_src, axis=0), embed_sites,
-                                   seed=derive_seed(seed, "bound-src", source.domain_id),
-                                   domain_tag=source.domain_id)
-            tgt_emb = embed(model, Tensor(target.image_stack()), embed_sites,
-                            seed=derive_seed(seed, "bound-tgt", source.domain_id),
-                            domain_tag=target.domain_id)
+        z_src = []  # one pass over the source feeds both the CE and the codes
+        logits = model.predict_logits(source.image_stack(), z_src)
+        src_emb = sample_sites(z_src[0], embed_sites,
+                               seed=derive_seed(seed, "bound-src", source.domain_id),
+                               domain_tag=source.domain_id)
+        tgt_emb = sample_sites(z_tgt, embed_sites,
+                               seed=derive_seed(seed, "bound-tgt", source.domain_id),
+                               domain_tag=target.domain_id)
         joint = None if joint_errors is None else joint_errors.get(am.source_id)
         out.append(BoundTerm(
             source_id=am.source_id,
@@ -172,19 +173,19 @@ class MetricsReport:
 
 
 def evaluate_run(models, weights, sources, target, plan, config, oracle_mode,
-                 seed, pretrained=None, with_bound=True):
+                 seed, probs, latents=None, pretrained=None, with_bound=True):
     """The report and the masks of every aggregation mode for one model set.
 
-    Each adapted model runs once on the target stack; per-model Dice, the
-    fmuda/av/pv/suda masks and the bound's left-hand side all read that one
-    probability stack. weights=None weights that stack by confidence at
-    plan.lambda_conf. In oracle mode each pretrained snapshot (by source
-    id, where given) runs once more for the pre-adaptation Dice. Returns
-    (MetricsReport, {mode: mask}); the suda mask needs oracle mode. Tie
-    breaks and bound projections draw from seeds derived from `seed`.
+    probs and latents come from the models' one pass over the target stack
+    (ensembling.stack_probs): per-model Dice, the fmuda/av/pv/suda masks and
+    the bound's left-hand side read probs, its target codes the latents.
+    weights=None weights probs by confidence at plan.lambda_conf. In oracle
+    mode each pretrained snapshot (by source id, where given) runs once for
+    the pre-adaptation Dice. Returns (MetricsReport, {mode: mask}); the suda
+    mask needs oracle mode. Tie breaks and bound projections draw from seeds
+    derived from `seed`.
     """
     images = target.image_stack()
-    probs = stack_probs(models, images)
     if weights is None:
         weights = confidence_weights(probs, plan.lambda_conf, hash_images(images))
     report = MetricsReport(seed=seed, oracle_mode=oracle_mode)
@@ -209,7 +210,7 @@ def evaluate_run(models, weights, sources, target, plan, config, oracle_mode,
         if oracle_mode:
             joint = {src.domain_id: measure_joint_error(src, target, plan, config)
                      for src in sources}
-        report.bound = bound_terms(models, sources, target, plan.swd_L,
+        report.bound = bound_terms(models, sources, target, latents, plan.swd_L,
                                    plan.embed_sites,
                                    seed=derive_seed(seed, "benchmark-bound"),
                                    joint_errors=joint)
@@ -314,15 +315,19 @@ def read_report(path) -> dict:
     return {"header": header, "tables": tables}
 
 
+_EXPORT_ROWS = 1024  # rows per write of export_embeddings
+
+
 def export_embeddings(batches, path):
-    """CSV of latent codes: domain_tag, dim_0 .. dim_{d-1} per row."""
+    """CSV of latent codes: domain_tag, dim_0 .. dim_{d-1} per row, written
+    _EXPORT_ROWS rows at a time, so the text is never held whole."""
     dims = batches[0].dim
-    lines = ["domain_tag," + ",".join(f"dim_{i}" for i in range(dims))]
-    for batch in batches:
-        if batch.dim != dims:
-            raise ValueError(f"embedding dims differ: {dims} vs {batch.dim}")
-        prefix = batch.domain_tag + ","
-        lines.extend(prefix + ",".join(map(repr, row))
-                     for row in batch.points.data.tolist())
+    if any(batch.dim != dims for batch in batches):
+        raise ValueError(f"embedding dims differ: {[batch.dim for batch in batches]}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("domain_tag," + ",".join(f"dim_{i}" for i in range(dims)) + "\n")
+        for batch in batches:
+            points = batch.points.data
+            for lo in range(0, len(points), _EXPORT_ROWS):
+                fh.write("".join(f"{batch.domain_tag},{','.join(map(repr, row))}\n"
+                                 for row in points[lo:lo + _EXPORT_ROWS].tolist()))

@@ -25,15 +25,19 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autodiff import serialize_params
 from .data import DomainDataset
-from .ensembling import AdaptedModelSet, EnsembleWeights, add_source, compute_weights
+from .ensembling import (AdaptedModelSet, EnsembleWeights, add_source, confidence_weights,
+                         stack_probs)
 from .network import NetConfig
 from .training import TrainPlan, adapt, pretrain
-from .util import derive_seed
+from .util import derive_seed, hash_images
 
-# Bound here only because perfbench/tracing.py wraps this name on this
-# module and fails when it is missing.
+# Bound here only because perfbench/tracing.py wraps these names on this
+# module and fails when one is missing.
+from .ensembling import compute_weights  # noqa: F401
 from .evaluation import model_target_dice  # noqa: F401
 
 PAYLOAD_KINDS = ("model_params", "unlabeled_images")
@@ -169,6 +173,9 @@ class FederationResult:
     plan: TrainPlan
     oracle_mode: bool
     target_label_reads: int
+    # run_msuda's one pass of the adapted models over the target images
+    target_probs: np.ndarray = None  # (models, batch, classes, *spatial)
+    target_latents: list = None      # per model, where kept
 
 
 def _validate_domains(sources, target, num_classes):
@@ -264,14 +271,17 @@ def _federate(bus: MessageBus, target: DomainDataset, sources, plan: TrainPlan,
 
 
 def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
-              oracle_mode: bool = False, workers: int = 1) -> FederationResult:
+              oracle_mode: bool = False, workers: int = 1,
+              keep_latents: bool = False) -> FederationResult:
     """Per-source pretrain + adapt, then confidence-weighted ensembling.
 
     Target images are broadcast to every source node over the bus; adapted
-    model parameters flow back to the target node, which computes the
-    ensemble weights. oracle_mode is recorded on the result for the
-    evaluation that follows; training never reads target labels. workers > 1
-    trains the source nodes in separate processes.
+    model parameters flow back to the target node, which runs each model
+    once on the target images. The result keeps that pass's probability
+    stack, which the weights and the evaluation read, and with keep_latents
+    its latent fields, for a bound or an embedding export. oracle_mode is
+    recorded for the evaluation; training never reads target labels.
+    workers > 1 trains the source nodes in separate processes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -280,16 +290,20 @@ def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
     bus = MessageBus()
     trained = _federate(bus, target, sources, plan, config, workers)
     adapted_models = [adapted for _, adapted in trained]
-    weights = compute_weights(adapted_models, target.image_stack(), plan.lambda_conf)
+    images = target.image_stack()
+    latents = [] if keep_latents else None
+    probs = stack_probs(adapted_models, images, latents)
     return FederationResult(
         adapted=AdaptedModelSet(adapted_models),
-        weights=weights,
+        weights=confidence_weights(probs, plan.lambda_conf, hash_images(images)),
         audit_log=bus.log,
         pretrained={ds.domain_id: pre for ds, (pre, _) in zip(sources, trained)},
         config=config,
         plan=plan,
         oracle_mode=oracle_mode,
         target_label_reads=target.label_reads - reads_before,
+        target_probs=probs,
+        target_latents=latents,
     )
 
 

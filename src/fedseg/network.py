@@ -17,9 +17,11 @@ neither the upsampled features nor their concat is built.
 
 Inference (predict_logits) builds no autodiff graph and runs forward on
 INFERENCE_CHUNK images at a time; each image is computed on its own, so the
-result equals one pass over the whole stack bit for bit. embed encodes in
-the same slices. sample_sites draws embedding rows from a latent field the
-caller already has, so training reuses the encoding its logits came from.
+result equals one pass over the whole stack bit for bit. It can hand back
+that pass's latent field, and sample_sites draws embedding rows from a
+latent field the caller already has, so neither training nor evaluation
+encodes an image twice for its logits and its codes. embed encodes in the
+same slices.
 """
 
 from dataclasses import dataclass
@@ -153,16 +155,20 @@ class SegModel:
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
 
-    def predict_logits(self, images) -> np.ndarray:
+    def predict_logits(self, images, latents=None) -> np.ndarray:
         """Class logits of an image stack, graph-free, INFERENCE_CHUNK images
-        per forward pass."""
+        per forward pass. A list given as latents receives the stack's latent
+        field (batch, latent_dim, *spatial/2^depth) from the same pass."""
         with no_grad():
-            return np.concatenate([self.forward(Tensor(chunk)).data
-                                   for chunk in _chunks(np.asarray(images))])
+            z = [self.encode(Tensor(c)) for c in _chunks(np.asarray(images))]
+            if latents is not None:
+                latents.append(np.concatenate([c.data for c in z]))
+            return np.concatenate([self.classify(c).data for c in z])
 
-    def predict_probs(self, images) -> np.ndarray:
-        """Per-pixel class probabilities for a stacked image batch (no grad)."""
-        return softmax(self.predict_logits(images), axis=1).data
+    def predict_probs(self, images, latents=None) -> np.ndarray:
+        """Per-pixel class probabilities for a stacked image batch (no grad);
+        latents as in predict_logits."""
+        return softmax(self.predict_logits(images, latents), axis=1).data
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -209,13 +215,6 @@ def sample_sites(z: Tensor, n_sites: int = 64, seed: int = 0,
     return EmbeddingBatch(points=take_rows(flat, rows), domain_tag=domain_tag)
 
 
-def encode_chunks(model: SegModel, x) -> list:
-    """The model's latent fields of an image batch, one per INFERENCE_CHUNK
-    slice; their concat is the latent field of one pass."""
-    return [model.encode(chunk)
-            for chunk in _chunks(x.data if isinstance(x, Tensor) else np.asarray(x))]
-
-
 def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
           domain_tag: str = "") -> EmbeddingBatch:
     """sample_sites of the model's latent field of an image batch.
@@ -225,7 +224,9 @@ def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
     every sampled row, equals that of one pass. Differentiable with respect
     to the model parameters.
     """
-    return sample_sites(concat(encode_chunks(model, x), axis=0), n_sites, seed, domain_tag)
+    x = x.data if isinstance(x, Tensor) else np.asarray(x)
+    return sample_sites(concat([model.encode(c) for c in _chunks(x)], axis=0),
+                        n_sites, seed, domain_tag)
 
 
 def ce_loss(logits: Tensor, mask) -> Tensor:

@@ -7,18 +7,22 @@ the squared gaps. For equal batch sizes the rank pairing is exact; unequal
 sizes are matched by interpolating the smaller sorted list at the larger
 list's quantile positions.
 
-Gradients flow through projection and the rank matching, with the sorting
-permutation treated as locally constant. The ranks are those of a stable
-sort, so tied projections pair in index order; they come from an unstable
-argsort and an int64 sort of (run of equal values, index) keys, which give
-the same permutation in half the time.
+swd2 is one autodiff node with the closed-form gradient, the sorting
+permutation held locally constant: 2/(L n) times the gaps, mapped back
+through the interpolation where there is one, unsorted, and taken to each
+side's points by one GEMM with the directions. The ranks are those of a
+stable sort, so tied projections pair in index order; an unstable argsort
+and an int64 sort of (run of equal values, index) keys give them in half
+the time. Only a call that records a graph needs them: otherwise the
+projections are sorted in place, the same values, so the same sum of
+squared gaps bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, matmul, mul, sub, take_per_column, tsum
+from .autodiff import Tensor, _accumulate, _make, _recording, as_tensor
 
 
 @dataclass(frozen=True)
@@ -127,13 +131,15 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sorted_projections(batch: EmbeddingBatch, proj: ProjectionSet, n_out: int) -> Tensor:
-    projected = matmul(batch.points, Tensor(proj.directions.T))  # (M, L)
-    order = _stable_argsort(projected.data)
-    ordered = take_per_column(projected, order)
-    if batch.count == n_out:
-        return ordered
-    return matmul(Tensor(_quantile_weights(batch.count, n_out)), ordered)
+def _rank_matched(projected: np.ndarray, n_out: int, order=None) -> np.ndarray:
+    """(n_out, L) rank-matched values of (M, L) projections: gathered by
+    their stable argsort `order` or, without one, sorted in place."""
+    if order is None:
+        projected.sort(axis=0)
+    else:
+        projected = np.take_along_axis(projected, order, axis=0)
+    m = projected.shape[0]
+    return projected if m == n_out else _quantile_weights(m, n_out) @ projected
 
 
 def swd2(a: EmbeddingBatch, b: EmbeddingBatch, proj: ProjectionSet) -> Tensor:
@@ -143,10 +149,28 @@ def swd2(a: EmbeddingBatch, b: EmbeddingBatch, proj: ProjectionSet) -> Tensor:
     if proj.dim != a.dim:
         raise ValueError(f"projection dimension {proj.dim} != embedding dimension {a.dim}")
     n = max(a.count, b.count)
-    sa = _sorted_projections(a, proj, n)
-    sb = _sorted_projections(b, proj, n)
-    gaps = sub(sa, sb)
-    return mul(tsum(mul(gaps, gaps)), 1.0 / (proj.count * n))
+    scale = 1.0 / (proj.count * n)
+    parents = (a.points, b.points)
+    projected = [p.data @ proj.directions.T for p in parents]  # (M, L) each
+    recording = _recording(parents)
+    orders = [_stable_argsort(x) if recording else None for x in projected]
+    gaps, other = (_rank_matched(x, n, order) for x, order in zip(projected, orders))
+    gaps -= other
+    if not recording:
+        gaps *= gaps
+        return Tensor(gaps.sum() * scale)
+
+    def back(g):
+        g_a = (g * scale) * gaps
+        g_a += g_a  # the two factors of gaps * gaps contribute one term each
+        for points, order, g_sorted in zip(parents, orders, (g_a, -g_a)):
+            if len(order) != n:
+                g_sorted = _quantile_weights(len(order), n).T @ g_sorted
+            g_points = np.empty(order.shape)
+            np.put_along_axis(g_points, order, g_sorted, axis=0)
+            _accumulate(points, g_points @ proj.directions)
+
+    return _make((gaps * gaps).sum() * scale, parents, back)
 
 
 def exact_w2_1d(a, b) -> float:

@@ -81,8 +81,8 @@ class AdaptedModel:
     step_records: list = field(default_factory=list)      # (step, ce, swd, total)
     target_label_reads: int = 0
 
-    def predict_probs(self, images):
-        return self.model.predict_probs(images)
+    def predict_probs(self, images, latents=None):
+        return self.model.predict_probs(images, latents)
 
 
 def _check_finite(loss, phase, domain_id, epoch, step):
@@ -136,6 +136,7 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
                 _check_gradients(opt.params, "pretrain", source.domain_id, epoch, step)
             opt.step()
             step += 1
+    opt.zero_grad()  # the returned model carries no gradient arrays
     return model
 
 
@@ -202,6 +203,7 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
             step += 1
         history.append(EpochRecord(float(np.mean(ce_vals)), float(np.mean(swd_vals))))
 
+    opt.zero_grad()
     return AdaptedModel(
         model=adapted,
         source_id=source.domain_id,

@@ -1,7 +1,11 @@
-"""Shared test utilities: finite-difference gradients, error measures, and
-a call counter."""
+"""Shared test utilities: finite-difference gradients, error measures, call
+counters, and the graph reference of swd2."""
 
 import numpy as np
+
+from fedseg.autodiff import Tensor, matmul, mul, reshape, sub, take_rows, tsum
+from fedseg.network import INFERENCE_CHUNK, SegModel
+from fedseg.sliced import _quantile_weights
 
 
 def numerical_grad(f, params, h=1e-5):
@@ -60,3 +64,40 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_target_passes(monkeypatch, images):
+    """The models that start an inference pass over the image stack: every
+    SegModel.encode call whose input is the stack's first INFERENCE_CHUNK
+    images."""
+    first = np.asarray(images)[:INFERENCE_CHUNK]
+    passes = []
+    original = SegModel.encode
+
+    def encode(self, x):
+        data = x.data if isinstance(x, Tensor) else np.asarray(x)
+        if data.shape == first.shape and np.array_equal(data, first):
+            passes.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(SegModel, "encode", encode)
+    return passes
+
+
+def swd2_graph(a, b, proj):
+    """swd2 built from autodiff ops, as it was before it became one node:
+    a projection matmul per side, a gather of the stable sort order,
+    the quantile matmul for the smaller side, then the mean squared gap.
+    The reference for the node's gradients."""
+    n = max(a.count, b.count)
+
+    def rank_matched(points):
+        projected = matmul(points, Tensor(proj.directions.T))
+        m, L = projected.shape
+        order = np.argsort(projected.data, axis=0, kind="stable")
+        rows = (order * L + np.arange(L)).ravel()  # flat index of each rank
+        ordered = reshape(take_rows(reshape(projected, (m * L, 1)), rows), (m, L))
+        return ordered if m == n else matmul(Tensor(_quantile_weights(m, n)), ordered)
+
+    gaps = sub(rank_matched(a.points), rank_matched(b.points))
+    return mul(tsum(mul(gaps, gaps)), 1.0 / (proj.count * n))

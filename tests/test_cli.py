@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fedseg import data as fedseg_data
 from fedseg.autodiff import load_params
 from fedseg.cli import main
 from fedseg.data import load_domain, read_manifest, read_raster, write_raster
@@ -17,11 +18,14 @@ from fedseg.ensembling import compute_weights
 from fedseg.evaluation import read_report
 from fedseg.federation import AuditLog
 from fedseg.network import NetConfig, SegModel
-from helpers import count_calls
+from helpers import count_calls, count_target_passes
 
 FAST = ["--epochs-pretrain", "4", "--epochs-adapt", "3", "--batch-size", "3",
         "--swd-l", "8", "--sites", "16", "--depth", "2", "--base-width", "4",
         "--latent-dim", "8"]
+
+
+NET = ["--depth", "2", "--base-width", "4", "--latent-dim", "8"]
 
 
 def gen_args(out, domains=3, images=6, seed=0, extra=()):
@@ -187,6 +191,48 @@ def test_eval_predicts_once_per_model(tmp_path, monkeypatch):
                  "--sites", "16"]) == 0
     assert len(calls) == 3
     assert len({id(m) for m in calls}) == 3
+
+
+def test_run_and_eval_encode_the_target_once_per_adapted_model(dataset, tmp_path,
+                                                              monkeypatch):
+    """The weights, the masks, the bound's target codes and the exported
+    embeddings all read one pass of each adapted model over the target."""
+    _, entries = read_manifest(dataset)
+    [target] = [load_domain(str(dataset), e, read_masks=False)
+                for e in entries if e.role == "target"]
+    passes = count_target_passes(monkeypatch, target.image_stack())
+    out = tmp_path / "r"
+    assert main(["run", "--data", str(dataset), "--out", str(out), "--seed", "0",
+                 "--workers", "1", *FAST]) == 0
+    assert len(passes) == len({id(m) for m in passes}) == 2
+    passes.clear()
+    assert main(["eval", "--data", str(dataset), "--run", str(out), *NET,
+                 "--sites", "16"]) == 0
+    assert len(passes) == len({id(m) for m in passes}) == 2
+
+
+def test_eval_reads_only_the_target_rasters(dataset, trained_run, tmp_path, monkeypatch):
+    reads = count_calls(monkeypatch, fedseg_data, "read_raster")
+    assert main(["eval", "--data", str(dataset), "--run", str(trained_run), "--oracle",
+                 "--out", str(tmp_path / "ev"), *NET, "--sites", "16"]) == 0
+    rel = [os.path.relpath(path, dataset.parent) for path in reads]
+    assert len(rel) == 12 and all(r.startswith("site_t" + os.sep) for r in rel), rel
+
+
+def test_eval_on_a_manifest_without_a_run_source_names_it_and_writes_nothing(
+        dataset, trained_run, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset.parent, data)
+    head, *stanzas = (data / "manifest.txt").read_text().split("[domain ")
+    (data / "manifest.txt").write_text(
+        head + "".join("[domain " + s for s in stanzas if not s.startswith("site_b")))
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data / "manifest.txt"), "--run", str(trained_run),
+                 "--out", str(out), *NET]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: manifest lacks source domains ['site_b']" in err, err
+    assert not out.exists()
 
 
 def test_eval_new_lambda_reweights_the_one_probability_stack(dataset, trained_run,

@@ -6,17 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from fedseg.benchmark import run_benchmark
+from fedseg import evaluation
+from fedseg.benchmark import make_benchmark_domains, run_benchmark
 from fedseg.evaluation import (MetricsReport, BoundTerm, bound_terms, complexity_term,
                                dice, emit_report, export_embeddings, mean_ce,
                                read_report)
 from fedseg.sliced import EmbeddingBatch, sample_projections, swd2
 from fedseg.autodiff import Tensor, no_grad
 from fedseg.data import DomainShift, generate_domains
+from fedseg.ensembling import stack_probs
 from fedseg.network import NetConfig, SegModel, embed
 from fedseg.training import AdaptedModel, TrainPlan
 from fedseg.util import derive_seed
-from helpers import count_calls
+from helpers import count_calls, count_target_passes
 
 
 def test_dice_identical_masks():
@@ -166,15 +168,47 @@ def test_export_embeddings_writes_the_repr_of_every_value(tmp_path):
     assert rows == ["d," + ",".join(repr(float(v)) for v in row) for row in values]
 
 
-def test_benchmark_predicts_at_most_three_times_per_source(monkeypatch):
-    # weights at the target node, then the pretrained and adapted snapshots
+@pytest.mark.parametrize("rows", [1, 2, 1024])
+def test_export_embeddings_writes_the_same_bytes_in_any_block_size(tmp_path, monkeypatch,
+                                                                   rows):
+    rng = np.random.default_rng(9)
+    batches = [EmbeddingBatch(Tensor(rng.normal(size=(m, 3))), domain_tag=tag)
+               for m, tag in ((5, "a/target_post"), (3, "b/target_post"))]
+    monkeypatch.setattr(evaluation, "_EXPORT_ROWS", rows)
+    export_embeddings(batches, tmp_path / "emb.csv")
+    expected = ["domain_tag,dim_0,dim_1,dim_2"] + [
+        f"{b.domain_tag}," + ",".join(map(repr, row))
+        for b in batches for row in b.points.data.tolist()]
+    assert (tmp_path / "emb.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def test_export_embeddings_rejects_mixed_dims_before_writing(tmp_path):
+    batches = [EmbeddingBatch(Tensor(np.ones((2, d)))) for d in (3, 4)]
+    with pytest.raises(ValueError, match="embedding dims differ"):
+        export_embeddings(batches, tmp_path / "emb.csv")
+    assert not (tmp_path / "emb.csv").exists()
+
+
+def test_benchmark_predicts_twice_per_source(monkeypatch):
+    """One target pass per adapted model, made at the target node and read
+    by the weights, the masks, the Dice and the bound, and one per
+    pretrained snapshot for the pre-adaptation Dice. The bound's joint-error
+    models, trained on the labeled target, make one pass each for their
+    target CE."""
     calls = count_calls(monkeypatch, SegModel, "predict_probs")
     plan = TrainPlan(epochs_pretrain=1, epochs_adapt=1, batch_size=6, swd_L=4,
                      lambda_conf=0.97, embed_sites=8)
+    target = make_benchmark_domains(seed=0)[1]
+    passes = count_target_passes(monkeypatch, target.image_stack())
     bench = run_benchmark(seed=0, plan=plan)
     assert np.isfinite(bench.bound_lhs) and set(bench.mode_dice) == {
         "fmuda", "av", "pv", "suda"}
-    assert len(calls) <= 3 * len(bench.post_dice)
+    assert len(calls) == 2 * len(bench.post_dice)
+    models = bench.result.adapted.models
+    n = len(models)
+    assert passes[:n] == [am.model for am in models]
+    assert passes[-n:] == [bench.result.pretrained[am.source_id] for am in models]
+    assert len({id(m) for m in passes}) == len(passes) == 3 * n
 
 
 def bound_inputs(n_images):
@@ -190,18 +224,24 @@ def bound_inputs(n_images):
 
 def test_bound_terms_encodes_each_source_stack_once(monkeypatch):
     """One encoder pass over the source stack (shared by its CE and its
-    codes) and one over the target stack, per source."""
+    codes) per source; the target codes come from the latent fields of the
+    target pass, with no encoder pass of their own."""
     models, sources, target = bound_inputs(6)
+    latents = []
+    stack_probs(models, target.image_stack(), latents)
     calls = count_calls(monkeypatch, SegModel, "encode")
-    bound_terms(models, sources, target, swd_L=8, embed_sites=16, seed=3)
-    assert len(calls) == 2 * len(sources)
+    bound_terms(models, sources, target, latents, swd_L=8, embed_sites=16, seed=3)
+    assert len(calls) == len(sources)
 
 
 def test_bound_terms_equal_the_two_pass_terms():
-    """The shared pass gives the CE of predict_logits and the SWD of embed,
+    """The shared passes give the CE of predict_logits and the SWD of embed,
     bit for bit, also over a stack of more than one inference slice."""
     models, sources, target = bound_inputs(20)
-    terms = bound_terms(models, sources, target, swd_L=8, embed_sites=16, seed=3)
+    latents = []
+    stack_probs(models, target.image_stack(), latents)
+    terms = bound_terms(models, sources, target, latents, swd_L=8, embed_sites=16,
+                        seed=3)
     proj = sample_projections(8, 8, seed=derive_seed(3, "bound-projections"))
     for term, am, source in zip(terms, models, sources):
         with no_grad():

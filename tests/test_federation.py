@@ -3,15 +3,17 @@ equivalence, and incremental source addition."""
 
 import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from fedseg.autodiff import serialize_params
+from fedseg.benchmark import default_net_config
 from fedseg.data import DomainShift, generate_domains
 from fedseg.federation import (_BLAS_THREAD_VARS, AuditLog, Message, MessageBus, NodeId,
-                               _one_blas_thread_per_node, audit_check, extend_run,
-                               run_msuda)
+                               _one_blas_thread_per_node, _train_on_node, audit_check,
+                               extend_run, run_msuda)
 from fedseg.network import NetConfig
 from fedseg.training import TrainPlan
 
@@ -171,6 +173,20 @@ def test_node_processes_get_one_blas_thread_unless_the_caller_sets_a_count(monke
     with _one_blas_thread_per_node():
         assert [os.environ.get(var) for var in _BLAS_THREAD_VARS] == [None, "4", None]
     assert os.environ["OMP_NUM_THREADS"] == "4"
+
+
+def test_a_node_returns_its_models_without_gradients():
+    """A node's result leaves its process pickled: the parameters of its two
+    models and the adaptation records, not the last step's gradients, which
+    used to double its size."""
+    sources, target = quick_setup(n_sources=1)
+    result = _train_on_node(sources[0], target.images,
+                            quick_plan(epochs_pretrain=1, epochs_adapt=1),
+                            default_net_config())
+    pre, adapted = result
+    params = [p for m in (pre, adapted.model) for p in m.parameters().values()]
+    assert all(p.grad is None for p in params)
+    assert len(pickle.dumps(result)) < 1.05 * sum(p.data.nbytes for p in params)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -195,6 +195,18 @@ def test_chunked_predict_equals_one_forward_pass():
     assert np.array_equal(model.predict_probs(x), expected)
 
 
+def test_predict_hands_back_the_latent_field_of_its_pass():
+    """The latent field a prediction hands back is that of one encoder pass
+    over the stack, and asking for it leaves the probabilities as they are."""
+    model = SegModel(DEFAULT, seed=12)
+    x = np.random.default_rng(11).normal(size=(37, 1, 16, 16))
+    latents = []
+    probs = model.predict_probs(x, latents)
+    assert np.array_equal(probs, model.predict_probs(x))
+    [z] = latents
+    assert np.array_equal(z, model.encode(Tensor(x)).data)
+
+
 def test_mean_ce_equals_ce_of_one_forward_pass():
     model = SegModel(DEFAULT, seed=13)
     rng = np.random.default_rng(12)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fedseg import sliced
-from fedseg.autodiff import Tensor
+from fedseg.autodiff import Tensor, no_grad
 from fedseg.sliced import (EmbeddingBatch, ProjectionSet, _stable_argsort, exact_w2_1d,
                            sample_projections, swd2)
-from helpers import gradient_check
+from helpers import gradient_check, swd2_graph
 
 
 def batch(points, tag="", requires_grad=False):
@@ -200,3 +200,61 @@ def test_monte_carlo_variance_shrinks_with_more_projections():
                 for s in range(40)]
         variances.append(np.var(vals))
     assert variances[0] > variances[1] > variances[2] > variances[3]
+
+
+def clouds(case):
+    """Two point clouds of 16-dim codes: random, rectified (many exact
+    zeros, so many tied projections), or of unequal sizes (the quantile
+    path)."""
+    rng = np.random.default_rng(len(case))
+    sizes = (48, 80) if case == "unequal" else (64, 64)
+    a, b = (rng.normal(size=(m, 16)) for m in sizes)
+    if case == "relu-ties":
+        a, b = np.maximum(a - 0.8, 0.0), np.maximum(b - 0.5, 0.0)
+        a[::3] = 0.0  # whole rows of zeros: every direction ties them
+    return a, b
+
+
+@pytest.mark.parametrize("case", ["random", "relu-ties", "unequal"])
+def test_swd2_value_without_a_graph_equals_the_value_with_one(case):
+    """The value path sorts in place, the graph path gathers by the stable
+    argsort: the same sorted values, so the same bits."""
+    a, b = clouds(case)
+    proj = sample_projections(50, 16, seed=4)
+    with_graph = swd2(batch(a, requires_grad=True), batch(b, requires_grad=True), proj)
+    assert with_graph.requires_grad
+    with no_grad():
+        no_graph = swd2(batch(a, requires_grad=True), batch(b, requires_grad=True), proj)
+    plain = swd2(batch(a), batch(b), proj)
+    assert not no_graph.requires_grad and not plain.requires_grad
+    assert no_graph.item() == with_graph.item() == plain.item()
+
+
+@pytest.mark.parametrize("case", ["random", "relu-ties", "unequal"])
+def test_swd2_node_gradients_equal_the_graph_gradients(case):
+    """The one node's closed-form backward gives the gradients, and the
+    value, of the graph of autodiff ops it replaced, bit for bit, also
+    scaled by an upstream factor."""
+    a, b = clouds(case)
+    proj = sample_projections(50, 16, seed=5)
+    grads = []
+    for fn in (swd2, swd2_graph):
+        pa, pb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = fn(EmbeddingBatch(pa), EmbeddingBatch(pb), proj)
+        (out * 2.5).backward()
+        grads.append((out.item(), pa.grad, pb.grad))
+    (value, ga, gb), (ref_value, ref_a, ref_b) = grads
+    assert value == ref_value
+    np.testing.assert_array_equal(ga, ref_a)
+    np.testing.assert_array_equal(gb, ref_b)
+
+
+def test_swd2_gradient_reaches_only_the_side_that_needs_it():
+    rng = np.random.default_rng(15)
+    a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    b = rng.normal(size=(9, 3))
+    proj = sample_projections(5, 3, seed=6)
+    swd2(EmbeddingBatch(a), batch(b), proj).backward()
+    ref = Tensor(a.data.copy(), requires_grad=True)
+    swd2_graph(EmbeddingBatch(ref), batch(b), proj).backward()
+    np.testing.assert_array_equal(a.grad, ref.grad)
