@@ -108,15 +108,10 @@ def run_benchmark(seed: int = 0, corrupted: bool = False, workers: int = 1,
                   with_bound: bool = True, plan: TrainPlan = None) -> BenchmarkResult:
     """One oracle-mode benchmark run with all acceptance quantities measured."""
     sources, target = make_benchmark_domains(seed, corrupted)
-    plan = plan or default_plan(seed)
-    config = default_net_config()
-    result = run_msuda(sources, target, plan, config, oracle_mode=True,
-                       workers=workers, keep_latents=with_bound)
+    result = run_msuda(sources, target, plan or default_plan(seed), default_net_config(),
+                       oracle_mode=True, workers=workers, keep_latents=with_bound)
 
-    report, _ = evaluate_run(result.adapted.models, result.weights, sources, target,
-                             plan, config, True, seed, result.target_probs,
-                             result.target_latents, pretrained=result.pretrained,
-                             with_bound=with_bound)
+    report, _ = evaluate_run(result, sources, target, seed, with_bound=with_bound)
     bench = BenchmarkResult(seed=seed, corrupted=corrupted, result=result,
                             mode_dice=report.ensemble_dice)
     for am in result.adapted.models:

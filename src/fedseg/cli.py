@@ -7,11 +7,16 @@ identical runs only in the timestamp line.
 
 Evaluation modes that report Dice (oracle mode, sweeps, suda aggregation)
 read target labels; plain runs never do, which the audit counter verifies.
+
+A run directory describes itself: eval and run --add-source take the net
+and the plan from the net.* and plan.* lines of its report.txt. eval's
+--seed, --lambda and --sites default to the run's, and --add-source exits
+1 naming the field where a net or plan flag differs from the run's.
 """
 
 import argparse
+import ast
 import dataclasses
-import math
 import os
 import sys
 
@@ -23,7 +28,7 @@ from .data import (DomainShift, ManifestEntry, generate_domains, load_domain,
                    read_manifest, write_manifest, write_raster)
 from .ensembling import (AdaptedModelSet, EnsembleWeights, aggregate,
                          confidence_weights, stack_probs)
-from .evaluation import dice, emit_report, evaluate_run, export_embeddings
+from .evaluation import dice, emit_report, evaluate_run, export_embeddings, read_report
 from .federation import AuditLog, FederationResult, audit_check, extend_run, run_msuda
 from .network import NetConfig, SegModel, sample_sites
 from .training import AdaptedModel, TrainPlan, write_step_log
@@ -85,10 +90,11 @@ _PLAN_FLAGS = {"epochs_pretrain": "--epochs-pretrain", "epochs_adapt": "--epochs
                "gamma": "--gamma", "lambda_conf": "--lambda", "learning_rate": "--lr"}
 
 
-def _checked_plan(**fields) -> TrainPlan:
-    """TrainPlan(**fields); a rejected field is a usage error naming its flag."""
+def _checked_plan(plan, **fields) -> TrainPlan:
+    """plan with fields replaced; a rejected field is a usage error naming
+    its flag."""
     try:
-        return TrainPlan(**fields)
+        return dataclasses.replace(plan, **fields)
     except ValueError as exc:
         field = str(exc).split()[0]
         raise UsageError(f"{_PLAN_FLAGS[field]}: {exc}") from None
@@ -96,7 +102,7 @@ def _checked_plan(**fields) -> TrainPlan:
 
 def _plan(args) -> TrainPlan:
     return _checked_plan(
-        epochs_pretrain=args.epochs_pretrain, epochs_adapt=args.epochs_adapt,
+        TrainPlan(), epochs_pretrain=args.epochs_pretrain, epochs_adapt=args.epochs_adapt,
         batch_size=args.batch_size, gamma=args.gamma, swd_L=args.swd_l,
         lambda_conf=args.lambda_conf, seed=args.seed, embed_sites=args.sites,
         learning_rate=args.lr,
@@ -249,21 +255,22 @@ def _read_ensemble(path):
                                             header.get("target_hash", ""))
 
 
-def _write_outputs(out_dir, report, masks, mode, models, latents, plan,
-                   audit_log=None):
-    """Report, masks, audit log and the embeddings sampled from latents."""
+def _write_outputs(out_dir, report, masks, mode, result):
+    """Report, masks, the audit log where the result has one, and the
+    embeddings sampled from the result's target latents."""
     report.aggregation = mode
     emit_report(report, os.path.join(out_dir, "report.txt"))
     mask_dir = os.path.join(out_dir, "masks", mode)
     os.makedirs(mask_dir, exist_ok=True)
     for i, mask in enumerate(masks[mode].astype(np.uint8)):
         write_raster(os.path.join(mask_dir, f"pred_{i:03d}.ndr"), mask)
-    if audit_log is not None:
-        audit_log.write(os.path.join(out_dir, "audit.log"))
+    if result.audit_log is not None:
+        result.audit_log.write(os.path.join(out_dir, "audit.log"))
+    plan = result.plan
     batches = [sample_sites(z, plan.embed_sites,
                             seed=derive_seed(plan.seed, "export", am.source_id),
                             domain_tag=f"{am.source_id}/target_post")
-               for am, z in zip(models, latents)]
+               for am, z in zip(result.adapted.models, result.target_latents)]
     export_embeddings(batches, os.path.join(out_dir, "embeddings.csv"))
 
 
@@ -278,21 +285,11 @@ def _write_run(args, result, trained, sources, target):
         write_step_log(am, os.path.join(args.out, "curves", f"{am.source_id}.csv"))
     _write_ensemble(os.path.join(args.out, "ensemble.txt"), result.weights,
                     result.adapted.source_ids())
-
-    probs, latents = result.target_probs, result.target_latents
-    if latents is None:  # an extended run: extend_run ran only the new model
-        latents = []
-        probs = stack_probs(result.adapted.models, target.image_stack(), latents)
-    report, masks = evaluate_run(result.adapted.models, result.weights, sources,
-                                 target, result.plan, result.config,
-                                 result.oracle_mode, args.seed, probs, latents,
-                                 pretrained=result.pretrained)
+    report, masks = evaluate_run(result, sources, target, args.seed)
     report.settings["audit.target_label_reads"] = target.label_reads
     if not result.oracle_mode and target.label_reads != 0:
         raise RuntimeError("target labels were read outside oracle mode")
-    _write_outputs(args.out, report, masks, args.aggregation,
-                   result.adapted.models, latents, result.plan,
-                   audit_log=result.audit_log)
+    _write_outputs(args.out, report, masks, args.aggregation, result)
 
 
 def cmd_run(args) -> int:
@@ -322,20 +319,53 @@ def _checkpoint(run_dir, source_id, kind, config) -> SegModel:
     path = os.path.join(run_dir, "checkpoints", f"{source_id}_{kind}.fpar")
     if not os.path.exists(path):
         raise UsageError(f"missing checkpoint {path}")
+    state = load_params(path)
     model = SegModel(config, seed=0)
-    model.load_state_dict(load_params(path))
+    try:
+        model.load_state_dict(state)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model
 
 
-def _load_run(run_dir, config):
-    """Source ids, ensemble weights and adapted models of a run directory."""
+def _run_settings(run_dir):
+    """The NetConfig and TrainPlan of the net.* and plan.* lines of a run's
+    report.txt; a missing or bad line raises ValueError naming both."""
+    path = os.path.join(run_dir, "report.txt")
+    if not os.path.exists(path):
+        raise UsageError(f"{run_dir} holds no report.txt (not a run directory?)")
+
+    def value(header, key, default):
+        try:
+            v = ast.literal_eval(header.get(key, "None"))
+        except (ValueError, SyntaxError):
+            v = None
+        if type(v) is not type(default):
+            raise ValueError(f"missing or bad field '{key}'")
+        return v
+
+    try:
+        header = read_report(path)["header"]
+        return [cls(**{f.name: value(header, prefix + f.name, f.default)
+                       for f in dataclasses.fields(cls)})
+                for cls, prefix in ((NetConfig, "net."), (TrainPlan, "plan."))]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_run(run_dir) -> FederationResult:
+    """The run _write_run wrote to run_dir: ensemble.txt's weights, report.txt's
+    net and plan, the adapted checkpoints. It runs no model and reads no audit log."""
     path = os.path.join(run_dir, "ensemble.txt")
     if not os.path.exists(path):
         raise UsageError(f"{run_dir} holds no ensemble.txt (not a run directory?)")
     ids, weights = _read_ensemble(path)
+    config, plan = _run_settings(run_dir)
     models = [AdaptedModel(model=_checkpoint(run_dir, sid, "adapted", config),
                            source_id=sid) for sid in ids]
-    return ids, weights, models
+    return FederationResult(adapted=AdaptedModelSet(models), weights=weights,
+                            audit_log=None, pretrained={}, config=config, plan=plan,
+                            oracle_mode=False, target_label_reads=0)
 
 
 def _run_sources(sources, ids):
@@ -347,10 +377,12 @@ def _run_sources(sources, ids):
 
 
 def _run_add_source(args, sources, target, plan, config) -> int:
-    """Rebuild the run in args.out and extend it by one source over the bus."""
+    """Extend the run in args.out by one source over the bus, under the run's
+    net and plan, which the flags must match."""
     if args.add_source not in {ds.domain_id for ds in sources}:
         raise UsageError(f"--add-source {args.add_source!r} not in the manifest")
-    ids, weights, models = _load_run(args.out, config)
+    run = _load_run(args.out)
+    ids = run.adapted.source_ids()
     if args.add_source in ids:
         raise UsageError(f"source {args.add_source!r} already in the ensemble")
     run_sources = _run_sources(sources, ids + [args.add_source])
@@ -358,14 +390,17 @@ def _run_add_source(args, sources, target, plan, config) -> int:
     if not os.path.exists(audit_path):
         raise UsageError(f"audit log not found: {audit_path} "
                          f"(--add-source extends the run's audit trail)")
+    for prefix, given, recorded in (("net.", config, run.config), ("plan.", plan, run.plan)):
+        for name, value in dataclasses.asdict(recorded).items():
+            if getattr(given, name) != value:
+                raise UsageError(
+                    f"--add-source: {prefix}{name} is {getattr(given, name)!r} by the "
+                    f"flags but {value!r} in {os.path.join(args.out, 'report.txt')}")
 
-    prior = FederationResult(
-        adapted=AdaptedModelSet(models), weights=weights,
-        audit_log=AuditLog.read(audit_path),
-        pretrained={sid: _checkpoint(args.out, sid, "pretrained", config)
-                    for sid in ids},
-        config=config, plan=plan, oracle_mode=args.oracle, target_label_reads=0)
-    result = extend_run(prior, run_sources[-1], target)
+    run = dataclasses.replace(
+        run, audit_log=AuditLog.read(audit_path), oracle_mode=args.oracle,
+        pretrained={sid: _checkpoint(args.out, sid, "pretrained", config) for sid in ids})
+    result = extend_run(run, run_sources[-1], target)
     _write_run(args, result, result.adapted.models[-1:], run_sources, target)
     print(f"added source {args.add_source}: weights "
           f"{[round(w, 4) for w in result.weights.weights]}")
@@ -379,20 +414,20 @@ def cmd_eval(args) -> int:
     source_entries, target_entry = _manifest_roles(args.data)  # no source is read
     target = load_domain(args.data, target_entry, read_masks=oracle)
     _check_target_finite(args.data, target_entry, target)
-    config = _net_config(args)
-    ids, weights, models = _load_run(args.run, config)
-    _run_sources(source_entries, ids)
-    lambda_conf = weights.lambda_conf if args.lambda_conf is None else args.lambda_conf
-    if lambda_conf != weights.lambda_conf:
-        weights = None  # evaluate_run weights its own probability stack
-    plan = _checked_plan(seed=args.seed, lambda_conf=lambda_conf, embed_sites=args.sites)
+    run = _load_run(args.run)
+    _run_sources(source_entries, run.adapted.source_ids())
+    given = {"seed": args.seed, "lambda_conf": args.lambda_conf, "embed_sites": args.sites}
+    plan = _checked_plan(run.plan, **{k: v for k, v in given.items() if v is not None})
     out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
     latents = []
-    probs = stack_probs(models, target.image_stack(), latents)
-    report, masks = evaluate_run(models, weights, None, target, plan, config, oracle,
-                                 args.seed, probs, with_bound=False)
-    _write_outputs(out_dir, report, masks, args.aggregation, models, latents, plan)
+    probs = stack_probs(run.adapted.models, target.image_stack(), latents)
+    weights = (run.weights if plan.lambda_conf == run.weights.lambda_conf
+               else confidence_weights(probs, plan.lambda_conf))
+    result = dataclasses.replace(run, weights=weights, plan=plan, oracle_mode=oracle,
+                                 target_probs=probs, target_latents=latents)
+    report, masks = evaluate_run(result, None, target, plan.seed, with_bound=False)
+    _write_outputs(out_dir, report, masks, args.aggregation, result)
     print(f"eval complete: {out_dir}")
     return 0
 
@@ -402,43 +437,27 @@ def cmd_sweep(args) -> int:
     if not values:
         raise UsageError("--values is empty")
     kind = int if args.parameter == "L" else float
+    field = {"lambda": "lambda_conf", "L": "swd_L", "gamma": "gamma"}[args.parameter]
+    plan = _plan(args)
     try:
         parsed = [kind(v) for v in values]
+        variants = [dataclasses.replace(plan, **{field: v}) for v in parsed]
     except ValueError as exc:
         raise UsageError(f"--values: {exc}") from None
-    if args.parameter == "lambda":
-        if any(not 0.0 < v < 1.0 for v in parsed):
-            raise UsageError(f"--values: lambda values must lie in (0,1): {parsed}")
-    elif args.parameter == "L":
-        if any(v < 1 for v in parsed):
-            raise UsageError(f"--values: L values must be >= 1: {parsed}")
-    else:  # gamma
-        if any(not math.isfinite(v) or v < 0 for v in parsed):
-            raise UsageError(f"--values: gamma values must be finite and >= 0: {parsed}")
 
     sources, target = _load_datasets(args.data, oracle_mode=True)
-    plan = _plan(args)
     config = _net_config(args)
     workers = _workers(args, sources)
     _prepare_out(args.out, args.force)
     truth = target.mask_stack()
 
-    rows = []
-    if args.parameter == "lambda":
-        result = run_msuda(sources, target, plan, config, oracle_mode=True,
-                           workers=workers)
-        probs = result.target_probs
-        for lam in parsed:
-            score = dice(aggregate(probs, confidence_weights(probs, lam)).mask, truth)
-            rows.append((lam, score))
-    else:
-        field = "swd_L" if args.parameter == "L" else "gamma"
-        for value in parsed:
-            variant = dataclasses.replace(plan, **{field: value})
-            result = run_msuda(sources, target, variant, config, oracle_mode=True,
-                               workers=workers)
-            score = dice(aggregate(result.target_probs, result.weights).mask, truth)
-            rows.append((value, score))
+    rows, probs = [], None
+    for value, variant in zip(parsed, variants):
+        if probs is None or args.parameter != "lambda":  # lambda reweights one run
+            probs = run_msuda(sources, target, variant, config, oracle_mode=True,
+                              workers=workers).target_probs
+        mixed = aggregate(probs, confidence_weights(probs, variant.lambda_conf))
+        rows.append((value, dice(mixed.mask, truth)))
 
     csv_path = os.path.join(args.out, f"sweep_{args.parameter}.csv")
     with open(csv_path, "w") as fh:
@@ -506,14 +525,15 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--run", required=True, help="directory of a prior run")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of tie breaks and the export (default: the run's)")
     p.add_argument("--aggregation", choices=("fmuda", "pv", "av", "suda"),
                    default="fmuda")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--lambda", dest="lambda_conf", type=float, default=None,
-                   help="recompute weights at this threshold (default: stored)")
-    p.add_argument("--sites", type=int, default=64)
-    _add_net_flags(p)
+                   help="recompute weights at this threshold (default: the run's)")
+    p.add_argument("--sites", type=int, default=None,
+                   help="embedding sites sampled per image (default: the run's)")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep", help="hyperparameter sensitivity sweep")

@@ -14,8 +14,9 @@ per-model errors.
 
 evaluate_run is the one evaluation path: the CLI's run, eval and
 add-source reports and the benchmark's acceptance quantities all come
-from it. It runs no adapted model: it reads each model's one pass over the
-target images (run_msuda keeps it), its probabilities and its latent field.
+from it. It takes a federation.FederationResult and runs no adapted model:
+it reads the result's one pass of each model over the target images (kept
+by run_msuda and extend_run), its probabilities and its latent fields.
 """
 
 import dataclasses
@@ -26,11 +27,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import DomainDataset
-from .ensembling import aggregate, average_vote, confidence_weights, popular_vote
+from .ensembling import aggregate, average_vote, popular_vote
 from .network import ce_loss, sample_sites
 from .sliced import sample_projections, swd2
 from .training import pretrain
-from .util import derive_seed, hash_images
+from .util import derive_seed
 # Bound here only because perfbench/tracing.py wraps this name on this
 # module and fails when it is missing.
 from .network import embed  # noqa: F401
@@ -172,25 +173,21 @@ class MetricsReport:
     timestamp: str = ""
 
 
-def evaluate_run(models, weights, sources, target, plan, config, oracle_mode,
-                 seed, probs, latents=None, pretrained=None, with_bound=True):
-    """The report and the masks of every aggregation mode for one model set.
-
-    probs and latents come from the models' one pass over the target stack
-    (ensembling.stack_probs): per-model Dice, the fmuda/av/pv/suda masks and
-    the bound's left-hand side read probs, its target codes the latents.
-    weights=None weights probs by confidence at plan.lambda_conf. In oracle
-    mode each pretrained snapshot (by source id, where given) runs once for
-    the pre-adaptation Dice. Returns (MetricsReport, {mode: mask}); the suda
-    mask needs oracle mode. Tie breaks and bound projections draw from seeds
-    derived from `seed`.
+def evaluate_run(result, sources, target, seed, with_bound=True):
+    """The report and the masks of every aggregation mode of a
+    federation.FederationResult, from its models, weights, plan, config,
+    oracle mode and target pass. Per-model Dice, the masks and the bound's
+    left-hand side read target_probs, the bound's target codes
+    target_latents. In oracle mode each pretrained snapshot (by source id,
+    where present) runs once for the pre-adaptation Dice. Returns
+    (MetricsReport, {mode: mask}); the suda mask needs oracle mode. Tie
+    breaks and bound projections draw from seeds derived from `seed`.
     """
-    images = target.image_stack()
-    if weights is None:
-        weights = confidence_weights(probs, plan.lambda_conf, hash_images(images))
+    models, weights, plan = result.adapted.models, result.weights, result.plan
+    probs, oracle_mode = result.target_probs, result.oracle_mode
     report = MetricsReport(seed=seed, oracle_mode=oracle_mode)
     report.settings = {f"plan.{k}": v for k, v in asdict(plan).items()}
-    report.settings.update({f"net.{k}": v for k, v in asdict(config).items()})
+    report.settings.update({f"net.{k}": v for k, v in asdict(result.config).items()})
     report.settings["audit.target_label_reads_before_eval"] = target.label_reads
     report.source_ids = [m.source_id for m in models]
     report.raw_counts = list(weights.raw_counts)
@@ -208,21 +205,20 @@ def evaluate_run(models, weights, sources, target, plan, config, oracle_mode,
     if with_bound:
         joint = None
         if oracle_mode:
-            joint = {src.domain_id: measure_joint_error(src, target, plan, config)
+            joint = {src.domain_id: measure_joint_error(src, target, plan, result.config)
                      for src in sources}
-        report.bound = bound_terms(models, sources, target, latents, plan.swd_L,
-                                   plan.embed_sites,
+        report.bound = bound_terms(models, sources, target, result.target_latents,
+                                   plan.swd_L, plan.embed_sites,
                                    seed=derive_seed(seed, "benchmark-bound"),
                                    joint_errors=joint)
     if not oracle_mode:
         return report, masks
 
-    truth = target.mask_stack()
-    pretrained = pretrained or {}
+    images, truth = target.image_stack(), target.mask_stack()
     for am, p in zip(models, probs):
         pre = float("nan")
-        if am.source_id in pretrained:
-            pre_probs = pretrained[am.source_id].predict_probs(images)
+        if am.source_id in result.pretrained:
+            pre_probs = result.pretrained[am.source_id].predict_probs(images)
             pre = dice(np.asarray(pre_probs).argmax(axis=1), truth)
         report.per_model_dice[am.source_id] = (pre, dice(p.argmax(axis=1), truth))
     post = [d for _, d in report.per_model_dice.values()]

@@ -29,8 +29,8 @@ import numpy as np
 
 from .autodiff import serialize_params
 from .data import DomainDataset
-from .ensembling import (AdaptedModelSet, EnsembleWeights, add_source, confidence_weights,
-                         stack_probs)
+from .ensembling import (AdaptedModelSet, EnsembleWeights, _with_new_count,
+                         confidence_weights, stack_probs)
 from .network import NetConfig
 from .training import TrainPlan, adapt, pretrain
 from .util import derive_seed, hash_images
@@ -173,7 +173,7 @@ class FederationResult:
     plan: TrainPlan
     oracle_mode: bool
     target_label_reads: int
-    # run_msuda's one pass of the adapted models over the target images
+    # the one pass of the adapted models over the target images
     target_probs: np.ndarray = None  # (models, batch, classes, *spatial)
     target_latents: list = None      # per model, where kept
 
@@ -311,11 +311,11 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
                target: DomainDataset) -> FederationResult:
     """Fold a newly arrived source domain into an existing run.
 
-    Trains only the new source; existing adapted models are reused untouched
-    and only the weight vector is recomputed.
+    Trains only the new source; existing adapted models and raw counts are
+    reused untouched. The result keeps every model's one target pass, whose
+    row for the new model gives its raw count.
     """
-    existing = set(result.adapted.source_ids())
-    if new_source.domain_id in existing:
+    if new_source.domain_id in result.adapted.source_ids():
         raise ValueError(f"source '{new_source.domain_id}' already in the run")
     _validate_domains([new_source], target, result.config.num_classes)
     reads_before = target.label_reads
@@ -325,17 +325,13 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
     [(pre, adapted)] = _federate(bus, target, [new_source], result.plan,
                                  result.config, workers=1)
 
-    weights = add_source(result.adapted.models, result.weights, adapted,
-                         target.image_stack())
-    pretrained = dict(result.pretrained)
-    pretrained[new_source.domain_id] = pre
-    return FederationResult(
-        adapted=AdaptedModelSet(list(result.adapted.models) + [adapted]),
-        weights=weights,
-        audit_log=bus.log,
-        pretrained=pretrained,
-        config=result.config,
-        plan=result.plan,
-        oracle_mode=result.oracle_mode,
+    models = list(result.adapted.models) + [adapted]
+    images = target.image_stack()
+    latents = []
+    probs = stack_probs(models, images, latents)
+    return dataclasses.replace(
+        result, adapted=AdaptedModelSet(models),
+        weights=_with_new_count(result.weights, probs[-1], hash_images(images)),
+        audit_log=bus.log, pretrained={**result.pretrained, new_source.domain_id: pre},
         target_label_reads=result.target_label_reads + (target.label_reads - reads_before),
-    )
+        target_probs=probs, target_latents=latents)

@@ -25,9 +25,6 @@ FAST = ["--epochs-pretrain", "4", "--epochs-adapt", "3", "--batch-size", "3",
         "--latent-dim", "8"]
 
 
-NET = ["--depth", "2", "--base-width", "4", "--latent-dim", "8"]
-
-
 def gen_args(out, domains=3, images=6, seed=0, extra=()):
     return ["gen", "--out", str(out), "--domains", str(domains), "--images",
             str(images), "--size", "16", "--seed", str(seed), *extra]
@@ -121,21 +118,22 @@ def test_run_bad_manifest_is_usage_error(tmp_path):
     assert code == 1
 
 
-def test_add_source_keeps_prior_checkpoints(tmp_path, capsys):
+def two_source_run(tmp_path):
+    """A 4-domain manifest and a seed-2 run on a copy of it without site_c."""
     data = tmp_path / "data4"
     assert main(gen_args(data, domains=4)) == 0
-    manifest = data / "manifest.txt"
-    out = tmp_path / "run"
-
-    # initial run restricted to two sources: rewrite the manifest without site_c
-    text = (data / "manifest.txt").read_text()
-    head, *stanzas = text.split("[domain ")
+    head, *stanzas = (data / "manifest.txt").read_text().split("[domain ")
     kept = [s for s in stanzas if not s.startswith("site_c")]
     two = data / "manifest_two.txt"
     two.write_text(head + "".join("[domain " + s for s in kept))
-
+    out = tmp_path / "run"
     assert main(["run", "--data", str(two), "--out", str(out), "--seed", "2",
                  *FAST]) == 0
+    return data / "manifest.txt", out
+
+
+def test_add_source_keeps_prior_checkpoints(tmp_path, capsys):
+    manifest, out = two_source_run(tmp_path)
     before = {rel: file_hash(out / "checkpoints" / rel)
               for rel in os.listdir(out / "checkpoints")}
 
@@ -168,13 +166,103 @@ def test_add_source_keeps_prior_checkpoints(tmp_path, capsys):
     assert main(["audit", "--log", str(audit)]) == 0
 
 
+def test_add_source_with_a_drifted_plan_names_the_field_and_writes_nothing(tmp_path,
+                                                                           capsys):
+    manifest, out = two_source_run(tmp_path)
+    audit = file_hash(out / "audit.log")
+    capsys.readouterr()
+    assert main(["run", "--data", str(manifest), "--out", str(out), "--seed", "2",
+                 "--add-source", "site_c", *FAST, "--epochs-adapt", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "plan.epochs_adapt is 5 by the flags but 3 in" in err, err
+    assert not (out / "checkpoints" / "site_c_adapted.fpar").exists()
+    assert file_hash(out / "audit.log") == audit
+
+
+def test_add_source_predicts_once_per_model(tmp_path, monkeypatch):
+    manifest, out = two_source_run(tmp_path)
+    calls = count_calls(monkeypatch, SegModel, "predict_probs")
+    assert main(["run", "--data", str(manifest), "--out", str(out), "--seed", "2",
+                 "--add-source", "site_c", *FAST]) == 0
+    assert len(calls) == len({id(m) for m in calls}) == 3
+
+
+def settings_lines(path):
+    return [line for line in open(path).read().splitlines()
+            if line.startswith(("net.", "plan."))]
+
+
+def test_eval_takes_the_net_and_plan_of_the_run(dataset, tmp_path):
+    out = tmp_path / "r"
+    assert main(["run", "--data", str(dataset), "--out", str(out), *FAST,
+                 "--depth", "1", "--epochs-adapt", "1", "--gamma", "0.5"]) == 0
+    assert main(["eval", "--data", str(dataset), "--run", str(out)]) == 0
+    lines = settings_lines(out / "eval" / "report.txt")
+    assert "net.depth: 1" in lines and "plan.epochs_adapt: 1" in lines
+    assert lines == settings_lines(out / "report.txt")
+
+
+def test_eval_defaults_to_the_seed_and_sites_of_the_run(dataset, tmp_path):
+    out = tmp_path / "r"
+    assert main(["run", "--data", str(dataset), "--out", str(out), "--seed", "3",
+                 *FAST]) == 0
+    assert main(["eval", "--data", str(dataset), "--run", str(out), "--oracle",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["eval", "--data", str(dataset), "--run", str(out), "--oracle",
+                 "--out", str(tmp_path / "b"), "--seed", "3", "--sites", "16"]) == 0
+    for rel in ("embeddings.csv", "masks/fmuda/pred_000.ndr"):
+        assert file_hash(tmp_path / "a" / rel) == file_hash(tmp_path / "b" / rel)
+    assert report_hash(tmp_path / "a" / "report.txt") == \
+        report_hash(tmp_path / "b" / "report.txt")
+
+
+def test_eval_of_a_run_without_its_report_names_the_file(dataset, trained_run,
+                                                         tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    (run / "report.txt").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset), "--run", str(run),
+                 "--out", str(tmp_path / "ev")]) == 1
+    assert f"{run} holds no report.txt" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("value", ["two", "2.5", "True", "0", None],
+                         ids=["word", "float", "bool", "zero", "missing"])
+def test_bad_net_line_in_the_run_report_names_file_and_field(dataset, trained_run,
+                                                             tmp_path, capsys, value):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    report = run / "report.txt"
+    line = "" if value is None else f"net.depth: {value}\n"
+    report.write_text(report.read_text().replace("net.depth: 2\n", line))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset), "--run", str(run),
+                 "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert f"{report}: " in err and "depth" in err, err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_checkpoint_that_does_not_fit_the_net_names_the_file(dataset, trained_run,
+                                                             tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    report = run / "report.txt"
+    report.write_text(report.read_text().replace("net.depth: 2\n", "net.depth: 1\n"))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset), "--run", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert f"{run / 'checkpoints' / 'site_a_adapted.fpar'}: parameter names" in err, err
+
+
 def test_eval_reuses_checkpoints(dataset, tmp_path):
     out = tmp_path / "r"
     assert main(["run", "--data", str(dataset), "--out", str(out), "--seed", "3",
                  "--oracle", *FAST]) == 0
     assert main(["eval", "--data", str(dataset), "--run", str(out),
-                 "--aggregation", "av", "--oracle", "--depth", "2",
-                 "--base-width", "4", "--latent-dim", "8", "--sites", "16"]) == 0
+                 "--aggregation", "av", "--oracle", "--sites", "16"]) == 0
     assert (out / "eval" / "report.txt").exists()
 
 
@@ -187,7 +275,6 @@ def test_eval_predicts_once_per_model(tmp_path, monkeypatch):
                  *FAST]) == 0
     calls = count_calls(monkeypatch, SegModel, "predict_probs")
     assert main(["eval", "--data", manifest, "--run", str(out), "--oracle",
-                 "--depth", "2", "--base-width", "4", "--latent-dim", "8",
                  "--sites", "16"]) == 0
     assert len(calls) == 3
     assert len({id(m) for m in calls}) == 3
@@ -206,7 +293,7 @@ def test_run_and_eval_encode_the_target_once_per_adapted_model(dataset, tmp_path
                  "--workers", "1", *FAST]) == 0
     assert len(passes) == len({id(m) for m in passes}) == 2
     passes.clear()
-    assert main(["eval", "--data", str(dataset), "--run", str(out), *NET,
+    assert main(["eval", "--data", str(dataset), "--run", str(out),
                  "--sites", "16"]) == 0
     assert len(passes) == len({id(m) for m in passes}) == 2
 
@@ -214,7 +301,7 @@ def test_run_and_eval_encode_the_target_once_per_adapted_model(dataset, tmp_path
 def test_eval_reads_only_the_target_rasters(dataset, trained_run, tmp_path, monkeypatch):
     reads = count_calls(monkeypatch, fedseg_data, "read_raster")
     assert main(["eval", "--data", str(dataset), "--run", str(trained_run), "--oracle",
-                 "--out", str(tmp_path / "ev"), *NET, "--sites", "16"]) == 0
+                 "--out", str(tmp_path / "ev"), "--sites", "16"]) == 0
     rel = [os.path.relpath(path, dataset.parent) for path in reads]
     assert len(rel) == 12 and all(r.startswith("site_t" + os.sep) for r in rel), rel
 
@@ -229,7 +316,7 @@ def test_eval_on_a_manifest_without_a_run_source_names_it_and_writes_nothing(
     out = tmp_path / "ev"
     capsys.readouterr()
     assert main(["eval", "--data", str(data / "manifest.txt"), "--run", str(trained_run),
-                 "--out", str(out), *NET]) == 1
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "usage error: manifest lacks source domains ['site_b']" in err, err
     assert not out.exists()
@@ -239,8 +326,7 @@ def test_eval_new_lambda_reweights_the_one_probability_stack(dataset, trained_ru
                                                             tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, SegModel, "predict_probs")
     assert main(["eval", "--data", str(dataset), "--run", str(trained_run),
-                 "--out", str(tmp_path / "eval"), "--lambda", "0.6", "--depth", "2",
-                 "--base-width", "4", "--latent-dim", "8", "--sites", "16"]) == 0
+                 "--out", str(tmp_path / "eval"), "--lambda", "0.6", "--sites", "16"]) == 0
     assert len(calls) == 2
     # the counts of weighting the adapted checkpoints anew at 0.6
     report = read_report(tmp_path / "eval" / "report.txt")
@@ -380,7 +466,7 @@ def test_unknown_flag_is_usage_error():
 def test_bad_flag_value_is_usage_error(dataset, trained_run, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     extra = {"sweep": ["--data", str(dataset), *FAST], "run": ["--data", str(dataset), *FAST],
-             "eval": ["--data", str(dataset), "--run", str(trained_run), *FAST[-6:]]}
+             "eval": ["--data", str(dataset), "--run", str(trained_run)]}
     capsys.readouterr()
     assert main([argv[0], "--out", str(out), *argv[1:], *extra.get(argv[0], [])]) == 1
     assert flag in capsys.readouterr().err
@@ -427,8 +513,7 @@ def test_truncated_checkpoint_names_file(dataset, trained_run, tmp_path, capsys,
     ckpt = run / "checkpoints" / "site_b_adapted.fpar"
     ckpt.write_bytes(ckpt.read_bytes()[:keep])
     capsys.readouterr()
-    assert main(["eval", "--data", str(dataset), "--run", str(run), "--depth", "2",
-                 "--base-width", "4", "--latent-dim", "8"]) == 2
+    assert main(["eval", "--data", str(dataset), "--run", str(run)]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err
     assert "truncated" in err

@@ -1,12 +1,15 @@
-"""The package surface: every exported name resolves, and no module imports
-a name it never uses."""
+"""The package surface: every exported name resolves, no module imports a
+name it never uses, and the README's commands parse."""
 
 import ast
 import pathlib
+import shlex
 
 import fedseg
+from fedseg.cli import build_parser
 
 SRC = pathlib.Path(fedseg.__file__).parent
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def test_every_export_resolves():
@@ -45,3 +48,16 @@ def test_no_unused_module_imports():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [u for path in modules for u in _unused_imports(path)] == []
+
+
+def test_readme_command_line_block_parses():
+    """Each command of the README's "Command line" block parses, so a flag
+    that is removed or renamed fails here."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    commands = block.replace("\\\n", " ").strip().splitlines()
+    assert len(commands) == 5
+    for command in commands:
+        program, *argv = shlex.split(command)
+        assert program == "fedseg"
+        assert build_parser().parse_args(argv).command == argv[0]
