@@ -109,7 +109,7 @@ def run_benchmark(seed: int = 0, corrupted: bool = False, workers: int = 1,
     """One oracle-mode benchmark run with all acceptance quantities measured."""
     sources, target = make_benchmark_domains(seed, corrupted)
     result = run_msuda(sources, target, plan or default_plan(seed), default_net_config(),
-                       oracle_mode=True, workers=workers, keep_latents=with_bound)
+                       oracle_mode=True, workers=workers)
 
     report, _ = evaluate_run(result, sources, target, seed, with_bound=with_bound)
     bench = BenchmarkResult(seed=seed, corrupted=corrupted, result=result,

@@ -8,16 +8,20 @@ identical runs only in the timestamp line.
 Evaluation modes that report Dice (oracle mode, sweeps, suda aggregation)
 read target labels; plain runs never do, which the audit counter verifies.
 
-A run directory describes itself: eval and run --add-source take the net
-and the plan from the net.* and plan.* lines of its report.txt. eval's
---seed, --lambda and --sites default to the run's, and --add-source exits
-1 naming the field where a net or plan flag differs from the run's.
+A run directory is its report.txt and its checkpoints: eval and run
+--add-source take the net, the plan, the source ids and the target's hash
+from the report's net.* and plan.* lines, [weights] table and target_hash
+line. eval's --seed, --lambda and --sites default to the run's, and
+--add-source exits 1 naming the field where a net or plan flag differs from
+the run's. run, --add-source and eval report weights that
+federation.target_pass counts in the one pass of each model over the target.
 """
 
 import argparse
 import ast
 import dataclasses
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -26,10 +30,10 @@ from .autodiff import load_params, save_params
 from .benchmark import benchmark_shifts
 from .data import (DomainShift, ManifestEntry, generate_domains, load_domain,
                    read_manifest, write_manifest, write_raster)
-from .ensembling import (AdaptedModelSet, EnsembleWeights, aggregate,
-                         confidence_weights, stack_probs)
+from .ensembling import AdaptedModelSet, EnsembleWeights, aggregate, confidence_weights
 from .evaluation import dice, emit_report, evaluate_run, export_embeddings, read_report
-from .federation import AuditLog, FederationResult, audit_check, extend_run, run_msuda
+from .federation import (AuditLog, FederationResult, TargetMismatch, audit_check,
+                         extend_run, run_msuda, target_pass)
 from .network import NetConfig, SegModel, sample_sites
 from .training import AdaptedModel, TrainPlan, write_step_log
 from .util import derive_seed
@@ -215,53 +219,15 @@ def cmd_gen(args) -> int:
 # -- shared run/eval machinery ----------------------------------------------------
 
 
-def _write_ensemble(path, weights: EnsembleWeights, source_ids):
-    lines = [f"lambda_conf: {weights.lambda_conf!r}",
-             f"target_hash: {weights.target_hash}",
-             f"uniform_fallback: {str(weights.uniform_fallback).lower()}",
-             "source_id,raw_count"]
-    for sid, count in zip(source_ids, weights.raw_counts):
-        lines.append(f"{sid},{count}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _read_ensemble(path):
-    """Source ids and weights stored in ensemble.txt. A malformed file raises
-    ValueError naming the path and the bad line or field."""
-    header, counts, ids = {}, [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line == "source_id,raw_count":
-                continue
-            if ":" in line:
-                key, value = line.split(":", 1)
-                header[key.strip()] = value.strip()
-                continue
-            sid, _, count = line.partition(",")
-            if not sid or not count.isdigit():
-                raise ValueError(f"{path}:{lineno}: expected 'source_id,raw_count', "
-                                 f"got {line!r}")
-            ids.append(sid)
-            counts.append(int(count))
-    if not ids:
-        raise ValueError(f"{path}: no 'source_id,raw_count' rows")
-    try:
-        lambda_conf = float(header["lambda_conf"])
-    except (KeyError, ValueError):
-        raise ValueError(f"{path}: missing or bad field 'lambda_conf'") from None
-    return ids, EnsembleWeights.from_counts(counts, lambda_conf,
-                                            header.get("target_hash", ""))
-
-
 def _write_outputs(out_dir, report, masks, mode, result):
     """Report, masks, the audit log where the result has one, and the
     embeddings sampled from the result's target latents."""
     report.aggregation = mode
     emit_report(report, os.path.join(out_dir, "report.txt"))
     mask_dir = os.path.join(out_dir, "masks", mode)
-    os.makedirs(mask_dir, exist_ok=True)
+    if os.path.isdir(os.path.dirname(mask_dir)):  # an earlier mode's or ensemble's
+        shutil.rmtree(os.path.dirname(mask_dir))
+    os.makedirs(mask_dir)
     for i, mask in enumerate(masks[mode].astype(np.uint8)):
         write_raster(os.path.join(mask_dir, f"pred_{i:03d}.ndr"), mask)
     if result.audit_log is not None:
@@ -275,16 +241,14 @@ def _write_outputs(out_dir, report, masks, mode, result):
 
 
 def _write_run(args, result, trained, sources, target):
-    """Checkpoints and step logs of the `trained` models, then ensemble.txt,
-    the evaluated outputs and the audit log of the whole run."""
+    """Checkpoints and step logs of the `trained` models, then the evaluated
+    outputs and the audit log of the whole run."""
     for am in trained:
         ckpt = os.path.join(args.out, "checkpoints", am.source_id)
         save_params(result.pretrained[am.source_id].state_dict(),
                     f"{ckpt}_pretrained.fpar")
         save_params(am.model.state_dict(), f"{ckpt}_adapted.fpar")
         write_step_log(am, os.path.join(args.out, "curves", f"{am.source_id}.csv"))
-    _write_ensemble(os.path.join(args.out, "ensemble.txt"), result.weights,
-                    result.adapted.source_ids())
     report, masks = evaluate_run(result, sources, target, args.seed)
     report.settings["audit.target_label_reads"] = target.label_reads
     if not result.oracle_mode and target.label_reads != 0:
@@ -293,10 +257,9 @@ def _write_run(args, result, trained, sources, target):
 
 
 def cmd_run(args) -> int:
-    oracle = args.oracle
-    if args.aggregation == "suda" and not oracle:
+    if args.aggregation == "suda" and not args.oracle:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
-    sources, target = _load_datasets(args.data, oracle)
+    sources, target = _load_datasets(args.data, args.oracle)
     plan = _plan(args)
     config = _net_config(args)
     workers = _workers(args, sources)
@@ -305,8 +268,8 @@ def cmd_run(args) -> int:
         return _run_add_source(args, sources, target, plan, config)
 
     _prepare_out(args.out, args.force)
-    result = run_msuda(sources, target, plan, config, oracle_mode=oracle,
-                       workers=workers, keep_latents=True)
+    result = run_msuda(sources, target, plan, config, oracle_mode=args.oracle,
+                       workers=workers)
     os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
     os.makedirs(os.path.join(args.out, "curves"), exist_ok=True)
     _write_run(args, result, result.adapted.models, sources, target)
@@ -328,9 +291,11 @@ def _checkpoint(run_dir, source_id, kind, config) -> SegModel:
     return model
 
 
-def _run_settings(run_dir):
-    """The NetConfig and TrainPlan of the net.* and plan.* lines of a run's
-    report.txt; a missing or bad line raises ValueError naming both."""
+def _load_run(run_dir) -> FederationResult:
+    """The run _write_run wrote to run_dir: report.txt's net, plan, [weights]
+    table (raw counts at plan.lambda_conf) and target_hash, and the adapted
+    checkpoints. A bad line or table raises ValueError naming the file and
+    the field. It runs no model and reads no audit log."""
     path = os.path.join(run_dir, "report.txt")
     if not os.path.exists(path):
         raise UsageError(f"{run_dir} holds no report.txt (not a run directory?)")
@@ -345,24 +310,23 @@ def _run_settings(run_dir):
         return v
 
     try:
-        header = read_report(path)["header"]
-        return [cls(**{f.name: value(header, prefix + f.name, f.default)
-                       for f in dataclasses.fields(cls)})
-                for cls, prefix in ((NetConfig, "net."), (TrainPlan, "plan."))]
+        report = read_report(path)
+        header = report["header"]
+        config, plan = [cls(**{f.name: value(header, prefix + f.name, f.default)
+                               for f in dataclasses.fields(cls)})
+                        for cls, prefix in ((NetConfig, "net."), (TrainPlan, "plan."))]
+        rows = report["tables"].get("weights", [])[1:]
+        for row in rows:
+            if len(row) != 3 or not row[1].isdigit():
+                raise ValueError(f"bad row {','.join(row)!r} in table 'weights'")
+        if not rows:
+            raise ValueError("no rows in table 'weights'")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _load_run(run_dir) -> FederationResult:
-    """The run _write_run wrote to run_dir: ensemble.txt's weights, report.txt's
-    net and plan, the adapted checkpoints. It runs no model and reads no audit log."""
-    path = os.path.join(run_dir, "ensemble.txt")
-    if not os.path.exists(path):
-        raise UsageError(f"{run_dir} holds no ensemble.txt (not a run directory?)")
-    ids, weights = _read_ensemble(path)
-    config, plan = _run_settings(run_dir)
+    weights = EnsembleWeights.from_counts([int(row[1]) for row in rows], plan.lambda_conf,
+                                          header.get("target_hash", ""))
     models = [AdaptedModel(model=_checkpoint(run_dir, sid, "adapted", config),
-                           source_id=sid) for sid in ids]
+                           source_id=sid) for sid, _, _ in rows]
     return FederationResult(adapted=AdaptedModelSet(models), weights=weights,
                             audit_log=None, pretrained={}, config=config, plan=plan,
                             oracle_mode=False, target_label_reads=0)
@@ -390,17 +354,23 @@ def _run_add_source(args, sources, target, plan, config) -> int:
     if not os.path.exists(audit_path):
         raise UsageError(f"audit log not found: {audit_path} "
                          f"(--add-source extends the run's audit trail)")
+    report_path = os.path.join(args.out, "report.txt")
     for prefix, given, recorded in (("net.", config, run.config), ("plan.", plan, run.plan)):
         for name, value in dataclasses.asdict(recorded).items():
             if getattr(given, name) != value:
                 raise UsageError(
                     f"--add-source: {prefix}{name} is {getattr(given, name)!r} by the "
-                    f"flags but {value!r} in {os.path.join(args.out, 'report.txt')}")
+                    f"flags but {value!r} in {report_path}")
+    if not run.weights.target_hash:
+        raise ValueError(f"{report_path}: missing field 'target_hash'")
 
     run = dataclasses.replace(
         run, audit_log=AuditLog.read(audit_path), oracle_mode=args.oracle,
         pretrained={sid: _checkpoint(args.out, sid, "pretrained", config) for sid in ids})
-    result = extend_run(run, run_sources[-1], target)
+    try:
+        result = extend_run(run, run_sources[-1], target)
+    except TargetMismatch as exc:
+        raise TargetMismatch(f"{report_path}: {exc}") from None
     _write_run(args, result, result.adapted.models[-1:], run_sources, target)
     print(f"added source {args.add_source}: weights "
           f"{[round(w, 4) for w in result.weights.weights]}")
@@ -408,11 +378,10 @@ def _run_add_source(args, sources, target, plan, config) -> int:
 
 
 def cmd_eval(args) -> int:
-    oracle = args.oracle
-    if args.aggregation == "suda" and not oracle:
+    if args.aggregation == "suda" and not args.oracle:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
     source_entries, target_entry = _manifest_roles(args.data)  # no source is read
-    target = load_domain(args.data, target_entry, read_masks=oracle)
+    target = load_domain(args.data, target_entry, read_masks=args.oracle)
     _check_target_finite(args.data, target_entry, target)
     run = _load_run(args.run)
     _run_sources(source_entries, run.adapted.source_ids())
@@ -420,12 +389,8 @@ def cmd_eval(args) -> int:
     plan = _checked_plan(run.plan, **{k: v for k, v in given.items() if v is not None})
     out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
-    latents = []
-    probs = stack_probs(run.adapted.models, target.image_stack(), latents)
-    weights = (run.weights if plan.lambda_conf == run.weights.lambda_conf
-               else confidence_weights(probs, plan.lambda_conf))
-    result = dataclasses.replace(run, weights=weights, plan=plan, oracle_mode=oracle,
-                                 target_probs=probs, target_latents=latents)
+    result = target_pass(dataclasses.replace(run, plan=plan, oracle_mode=args.oracle),
+                         target)
     report, masks = evaluate_run(result, None, target, plan.seed, with_bound=False)
     _write_outputs(out_dir, report, masks, args.aggregation, result)
     print(f"eval complete: {out_dir}")

@@ -10,12 +10,13 @@ count and renormalizing.
 
 Every ensemble quantity is a function of one array: the probability stack
 (n_models, batch, classes, *spatial) that stack_probs builds by running each
-model once on the target images; run_msuda and extend_run keep it.
-confidence_weights, aggregate, average_vote and popular_vote take that
-stack, never the models. compute_weights and add_source take models
-(anything with predict_probs(images) -> (batch, classes, *spatial)), which
-add_source needs for a model that arrives after the run. All image
-arguments are batches; pass a single image as a batch of one.
+model once on the target images. federation.target_pass builds it once for
+a run, an extended run or an eval, and weights it with confidence_weights;
+aggregate, average_vote and popular_vote take it too, never the models.
+compute_weights and add_source take models (anything with
+predict_probs(images) -> (batch, classes, *spatial)) for a caller that holds
+no stack. All image arguments are batches; pass a single image as a batch
+of one.
 """
 
 from dataclasses import dataclass, field
@@ -128,16 +129,12 @@ def add_source(models, weights: EnsembleWeights, new_model,
     the one the existing weights were computed on.
     """
     images = _as_image_batch(target_images)
-    return _with_new_count(weights, new_model.predict_probs(images), hash_images(images))
-
-
-def _with_new_count(weights: EnsembleWeights, new_probs, target_hash) -> EnsembleWeights:
-    """weights plus the raw count of new_probs, on the target hashed to target_hash."""
+    target_hash = hash_images(images)
     if weights.target_hash and target_hash != weights.target_hash:
         raise ValueError("target image set differs from the one weights were computed on")
-    new_count = _confident_pixels(np.asarray(new_probs), weights.lambda_conf)
-    return EnsembleWeights.from_counts(list(weights.raw_counts) + [new_count],
-                                       weights.lambda_conf, target_hash)
+    new_probs = np.asarray(new_model.predict_probs(images))
+    counts = list(weights.raw_counts) + [_confident_pixels(new_probs, weights.lambda_conf)]
+    return EnsembleWeights.from_counts(counts, weights.lambda_conf, target_hash)
 
 
 def _tie_break_argmax(scores: np.ndarray, rng) -> np.ndarray:

@@ -16,7 +16,7 @@ evaluate_run is the one evaluation path: the CLI's run, eval and
 add-source reports and the benchmark's acceptance quantities all come
 from it. It takes a federation.FederationResult and runs no adapted model:
 it reads the result's one pass of each model over the target images (kept
-by run_msuda and extend_run), its probabilities and its latent fields.
+by federation.target_pass), its probabilities and its latent fields.
 """
 
 import dataclasses
@@ -165,6 +165,7 @@ class MetricsReport:
     source_ids: list = field(default_factory=list)
     lambda_conf: float = 0.3
     uniform_fallback: bool = False
+    target_hash: str = ""                                   # of the weighted images
     per_model_dice: dict = field(default_factory=dict)      # id -> (pre, post)
     ensemble_dice: dict = field(default_factory=dict)       # method -> dice
     bound: list = field(default_factory=list)               # BoundTerm entries
@@ -194,6 +195,7 @@ def evaluate_run(result, sources, target, seed, with_bound=True):
     report.weights = list(weights.weights)
     report.lambda_conf = weights.lambda_conf
     report.uniform_fallback = weights.uniform_fallback
+    report.target_hash = weights.target_hash
 
     fmuda = aggregate(probs, weights)
     # the benchmark's seed labels: its acceptance figures depend on them
@@ -238,54 +240,39 @@ def _fmt(value) -> str:
 
 def emit_report(report: MetricsReport, path):
     """Write the report as a key: value header plus CSV tables."""
-    lines = ["# fedseg run report", "format_version: 1"]
-    lines.append(f"timestamp: {report.timestamp or time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    lines.append(f"seed: {report.seed}")
-    lines.append(f"oracle_mode: {str(report.oracle_mode).lower()}")
-    lines.append(f"aggregation: {report.aggregation}")
-    lines.append(f"lambda_conf: {_fmt(report.lambda_conf)}")
-    lines.append(f"uniform_fallback: {str(report.uniform_fallback).lower()}")
-    for key in sorted(report.settings):
-        lines.append(f"{key}: {_fmt(report.settings[key])}")
+    lines = ["# fedseg run report", "format_version: 1",
+             f"timestamp: {report.timestamp or time.strftime('%Y-%m-%dT%H:%M:%S')}",
+             f"seed: {report.seed}",
+             f"oracle_mode: {str(report.oracle_mode).lower()}",
+             f"aggregation: {report.aggregation}",
+             f"lambda_conf: {_fmt(report.lambda_conf)}",
+             f"uniform_fallback: {str(report.uniform_fallback).lower()}",
+             f"target_hash: {report.target_hash}"]
+    lines += [f"{key}: {_fmt(report.settings[key])}" for key in sorted(report.settings)]
     if not report.oracle_mode:
         lines.append("e_C: not computable")
     if report.bound_lhs is not None:
-        lines.append(f"bound_lhs: {_fmt(report.bound_lhs)}")
-        lines.append(f"bound_rhs: {_fmt(report.bound_rhs)}")
-        lines.append(f"bound_holds: {str(report.bound_lhs <= report.bound_rhs).lower()}")
+        lines += [f"bound_lhs: {_fmt(report.bound_lhs)}", f"bound_rhs: {_fmt(report.bound_rhs)}",
+                  f"bound_holds: {str(report.bound_lhs <= report.bound_rhs).lower()}"]
 
-    lines.append("")
-    lines.append("[weights]")
-    lines.append("source_id,raw_count,weight")
-    for sid, c, w in zip(report.source_ids, report.raw_counts, report.weights):
-        lines.append(f"{sid},{c},{_fmt(float(w))}")
-
+    lines += ["", "[weights]", "source_id,raw_count,weight"]
+    lines += [f"{sid},{c},{_fmt(float(w))}"
+              for sid, c, w in zip(report.source_ids, report.raw_counts, report.weights)]
     if report.bound:
-        lines.append("")
-        lines.append("[bound_terms]")
-        lines.append("source_id,source_ce,swd_term,complexity_term,joint_ce")
+        lines += ["", "[bound_terms]", "source_id,source_ce,swd_term,complexity_term,joint_ce"]
         for t in report.bound:
             joint = "not computable" if t.joint_ce is None else _fmt(float(t.joint_ce))
-            lines.append(
-                f"{t.source_id},{_fmt(float(t.source_ce))},{_fmt(float(t.swd_term))},"
-                f"{_fmt(float(t.complexity))},{joint}"
-            )
-
+            lines.append(f"{t.source_id},{_fmt(float(t.source_ce))},{_fmt(float(t.swd_term))},"
+                         f"{_fmt(float(t.complexity))},{joint}")
     if report.per_model_dice:
-        lines.append("")
-        lines.append("[per_model_dice]")
-        lines.append("source_id,pre_adapt,post_adapt")
+        lines += ["", "[per_model_dice]", "source_id,pre_adapt,post_adapt"]
         for sid in report.source_ids:
             pre, post = report.per_model_dice[sid]
             lines.append(f"{sid},{_fmt(float(pre))},{_fmt(float(post))}")
-
     if report.ensemble_dice:
-        lines.append("")
-        lines.append("[dice]")
-        lines.append("method,dice")
-        for method in sorted(report.ensemble_dice):
-            lines.append(f"{method},{_fmt(float(report.ensemble_dice[method]))}")
-
+        lines += ["", "[dice]", "method,dice"]
+        lines += [f"{method},{_fmt(float(report.ensemble_dice[method]))}"
+                  for method in sorted(report.ensemble_dice)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,6 +13,10 @@ result is independent of scheduling order. With workers > 1 each source
 node trains in a spawned process of its own; it receives only its own
 dataset and the bus copy of the target images, and returns its trained
 models.
+
+run_msuda and extend_run (and the CLI's eval) end in target_pass: the
+weights, probabilities and latent fields of a result all come from one pass
+of each adapted model over the target images.
 """
 
 import contextlib
@@ -29,8 +33,7 @@ import numpy as np
 
 from .autodiff import serialize_params
 from .data import DomainDataset
-from .ensembling import (AdaptedModelSet, EnsembleWeights, _with_new_count,
-                         confidence_weights, stack_probs)
+from .ensembling import AdaptedModelSet, EnsembleWeights, confidence_weights, stack_probs
 from .network import NetConfig
 from .training import TrainPlan, adapt, pretrain
 from .util import derive_seed, hash_images
@@ -175,7 +178,11 @@ class FederationResult:
     target_label_reads: int
     # the one pass of the adapted models over the target images
     target_probs: np.ndarray = None  # (models, batch, classes, *spatial)
-    target_latents: list = None      # per model, where kept
+    target_latents: list = None      # per model
+
+
+class TargetMismatch(ValueError):
+    """The target images differ from the ones a run's weights were counted on."""
 
 
 def _validate_domains(sources, target, num_classes):
@@ -270,18 +277,27 @@ def _federate(bus: MessageBus, target: DomainDataset, sources, plan: TrainPlan,
     return trained
 
 
+def target_pass(result: FederationResult, target: DomainDataset) -> FederationResult:
+    """The result with its models' one pass over the target images: the
+    probability stack, each model's latent field, and the weights at
+    plan.lambda_conf, hashed to those images."""
+    images = target.image_stack()
+    latents = []
+    probs = stack_probs(result.adapted.models, images, latents)
+    return dataclasses.replace(
+        result, target_probs=probs, target_latents=latents,
+        weights=confidence_weights(probs, result.plan.lambda_conf, hash_images(images)))
+
+
 def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
-              oracle_mode: bool = False, workers: int = 1,
-              keep_latents: bool = False) -> FederationResult:
+              oracle_mode: bool = False, workers: int = 1) -> FederationResult:
     """Per-source pretrain + adapt, then confidence-weighted ensembling.
 
     Target images are broadcast to every source node over the bus; adapted
-    model parameters flow back to the target node, which runs each model
-    once on the target images. The result keeps that pass's probability
-    stack, which the weights and the evaluation read, and with keep_latents
-    its latent fields, for a bound or an embedding export. oracle_mode is
-    recorded for the evaluation; training never reads target labels.
-    workers > 1 trains the source nodes in separate processes.
+    model parameters flow back to the target node, where target_pass runs
+    each model once on the target images for the weights and the evaluation.
+    oracle_mode is recorded for the evaluation; training never reads target
+    labels. workers > 1 trains the source nodes in separate processes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -289,49 +305,37 @@ def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
     reads_before = target.label_reads
     bus = MessageBus()
     trained = _federate(bus, target, sources, plan, config, workers)
-    adapted_models = [adapted for _, adapted in trained]
-    images = target.image_stack()
-    latents = [] if keep_latents else None
-    probs = stack_probs(adapted_models, images, latents)
-    return FederationResult(
-        adapted=AdaptedModelSet(adapted_models),
-        weights=confidence_weights(probs, plan.lambda_conf, hash_images(images)),
-        audit_log=bus.log,
+    return target_pass(FederationResult(
+        adapted=AdaptedModelSet([adapted for _, adapted in trained]), weights=None,
+        audit_log=bus.log, config=config, plan=plan, oracle_mode=oracle_mode,
         pretrained={ds.domain_id: pre for ds, (pre, _) in zip(sources, trained)},
-        config=config,
-        plan=plan,
-        oracle_mode=oracle_mode,
-        target_label_reads=target.label_reads - reads_before,
-        target_probs=probs,
-        target_latents=latents,
-    )
+        target_label_reads=target.label_reads - reads_before), target)
 
 
 def extend_run(result: FederationResult, new_source: DomainDataset,
                target: DomainDataset) -> FederationResult:
     """Fold a newly arrived source domain into an existing run.
 
-    Trains only the new source; existing adapted models and raw counts are
-    reused untouched. The result keeps every model's one target pass, whose
-    row for the new model gives its raw count.
+    Trains only the new source; existing adapted models are reused
+    untouched, and target_pass counts every model anew, so the prior raw
+    counts come out as the run had them. A target whose images differ from
+    the ones the run's weights were counted on raises TargetMismatch before
+    anything is trained or sent.
     """
     if new_source.domain_id in result.adapted.source_ids():
         raise ValueError(f"source '{new_source.domain_id}' already in the run")
     _validate_domains([new_source], target, result.config.num_classes)
+    if hash_images(target.images) != result.weights.target_hash:
+        raise TargetMismatch(f"target domain '{target.domain_id}': images differ from "
+                             f"the ones the run's weights were counted on")
     reads_before = target.label_reads
 
     bus = MessageBus()
     bus.log = result.audit_log  # one audit trail across the extension
     [(pre, adapted)] = _federate(bus, target, [new_source], result.plan,
                                  result.config, workers=1)
-
-    models = list(result.adapted.models) + [adapted]
-    images = target.image_stack()
-    latents = []
-    probs = stack_probs(models, images, latents)
-    return dataclasses.replace(
-        result, adapted=AdaptedModelSet(models),
-        weights=_with_new_count(result.weights, probs[-1], hash_images(images)),
+    return target_pass(dataclasses.replace(
+        result, adapted=AdaptedModelSet(list(result.adapted.models) + [adapted]),
         audit_log=bus.log, pretrained={**result.pretrained, new_source.domain_id: pre},
-        target_label_reads=result.target_label_reads + (target.label_reads - reads_before),
-        target_probs=probs, target_latents=latents)
+        target_label_reads=result.target_label_reads + (target.label_reads - reads_before)),
+        target)

@@ -297,7 +297,7 @@ def test_criterion_10_run_determinism(tmp_path):
 
     for rel in ("checkpoints/site_a_pretrained.fpar", "checkpoints/site_a_adapted.fpar",
                 "checkpoints/site_b_pretrained.fpar", "checkpoints/site_b_adapted.fpar",
-                "ensemble.txt", "masks/fmuda/pred_000.ndr"):
+                "masks/fmuda/pred_000.ndr"):
         assert digest(tmp_path / "r1" / rel) == digest(tmp_path / "r2" / rel), rel
 
     def report_lines(path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fedseg import data as fedseg_data
+from fedseg import federation
 from fedseg.autodiff import load_params
 from fedseg.cli import main
 from fedseg.data import load_domain, read_manifest, read_raster, write_raster
@@ -90,7 +91,7 @@ def test_run_then_rerun_hash_identical(dataset, tmp_path):
     assert main(args(tmp_path / "r1")) == 0
     assert main(args(tmp_path / "r2")) == 0
     for rel in ("checkpoints/site_a_adapted.fpar", "checkpoints/site_b_pretrained.fpar",
-                "ensemble.txt", "curves/site_a.csv", "masks/fmuda/pred_000.ndr"):
+                "curves/site_a.csv", "masks/fmuda/pred_000.ndr"):
         assert file_hash(tmp_path / "r1" / rel) == file_hash(tmp_path / "r2" / rel)
     assert report_hash(tmp_path / "r1" / "report.txt") == \
         report_hash(tmp_path / "r2" / "report.txt")
@@ -116,6 +117,11 @@ def test_run_bad_manifest_is_usage_error(tmp_path):
     code = main(["run", "--data", str(tmp_path / "absent.txt"),
                  "--out", str(tmp_path / "x"), *FAST])
     assert code == 1
+
+
+def weight_rows(report_path):
+    """The rows of a report's [weights] table, below its column names."""
+    return read_report(report_path)["tables"]["weights"][1:]
 
 
 def two_source_run(tmp_path):
@@ -150,12 +156,14 @@ def test_add_source_keeps_prior_checkpoints(tmp_path, capsys):
     (tmp_path / "audit.log").rename(audit)
 
     prior = AuditLog.read(audit).records
+    prior_rows = weight_rows(out / "report.txt")
     assert main(add) == 0
     for rel, digest in before.items():
         assert file_hash(out / "checkpoints" / rel) == digest
     assert (out / "checkpoints" / "site_c_adapted.fpar").exists()
-    ensemble = (out / "ensemble.txt").read_text()
-    assert "site_c" in ensemble
+    rows = weight_rows(out / "report.txt")
+    assert [row[:2] for row in rows[:-1]] == [row[:2] for row in prior_rows]
+    assert [row[0] for row in rows] == ["site_a", "site_b", "site_c"]
 
     records = AuditLog.read(audit).records
     assert records[:len(prior)] == prior
@@ -164,6 +172,52 @@ def test_add_source_keeps_prior_checkpoints(tmp_path, capsys):
     assert added == [("site_t", "target", "site_c", "source", "unlabeled_images"),
                      ("site_c", "source", "site_t", "target", "model_params")]
     assert main(["audit", "--log", str(audit)]) == 0
+
+
+def test_add_source_on_a_changed_target_refuses_before_training(tmp_path, capsys,
+                                                                monkeypatch):
+    manifest, out = two_source_run(tmp_path)
+    path = manifest.parent / "site_t" / "img_000.ndr"
+    image = read_raster(path)
+    image[0, 0, 0] += 1.0
+    write_raster(path, image)
+    ckpts = {rel: file_hash(out / "checkpoints" / rel)
+             for rel in os.listdir(out / "checkpoints")}
+    audit = file_hash(out / "audit.log")
+    pretrains = count_calls(monkeypatch, federation, "pretrain")
+    capsys.readouterr()
+    assert main(["run", "--data", str(manifest), "--out", str(out), "--seed", "2",
+                 "--add-source", "site_c", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'report.txt'}: target domain 'site_t': images differ" in err, err
+    assert pretrains == []
+    assert {rel: file_hash(out / "checkpoints" / rel)
+            for rel in os.listdir(out / "checkpoints")} == ckpts
+    assert file_hash(out / "audit.log") == audit
+    assert list(out.rglob("site_c_*")) == []
+
+
+def test_a_report_without_a_target_hash_refuses_add_source_but_evaluates(tmp_path,
+                                                                          capsys):
+    manifest, out = two_source_run(tmp_path)
+    report = out / "report.txt"
+    report.write_text("".join(line for line in report.read_text().splitlines(True)
+                              if not line.startswith("target_hash:")))
+    capsys.readouterr()
+    assert main(["run", "--data", str(manifest), "--out", str(out), "--seed", "2",
+                 "--add-source", "site_c", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert f"{report}: missing field 'target_hash'" in err, err
+    assert list(out.rglob("site_c_*")) == []
+    assert main(["eval", "--data", str(manifest), "--run", str(out), "--sites", "16"]) == 0
+
+
+def test_add_source_under_another_aggregation_leaves_only_its_masks(tmp_path):
+    manifest, out = two_source_run(tmp_path)
+    assert os.listdir(out / "masks") == ["fmuda"]
+    assert main(["run", "--data", str(manifest), "--out", str(out), "--seed", "2",
+                 "--add-source", "site_c", "--aggregation", "av", *FAST]) == 0
+    assert os.listdir(out / "masks") == ["av"]
 
 
 def test_add_source_with_a_drifted_plan_names_the_field_and_writes_nothing(tmp_path,
@@ -322,6 +376,25 @@ def test_eval_on_a_manifest_without_a_run_source_names_it_and_writes_nothing(
     assert not out.exists()
 
 
+def test_eval_at_the_run_lambda_reports_the_weights_and_target_hash_of_the_run(
+        dataset, trained_run, tmp_path):
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", str(dataset), "--run", str(trained_run),
+                 "--out", str(out), "--sites", "16"]) == 0
+    run, ev = (read_report(d / "report.txt") for d in (trained_run, out))
+    assert ev["tables"]["weights"] == run["tables"]["weights"]
+    assert ev["header"]["target_hash"] == run["header"]["target_hash"] != ""
+
+
+def test_a_second_eval_into_one_directory_leaves_only_its_masks(dataset, trained_run,
+                                                               tmp_path):
+    out = tmp_path / "ev"
+    for mode in ("fmuda", "pv"):
+        assert main(["eval", "--data", str(dataset), "--run", str(trained_run),
+                     "--out", str(out), "--aggregation", mode, "--sites", "16"]) == 0
+        assert os.listdir(out / "masks") == [mode]
+
+
 def test_eval_new_lambda_reweights_the_one_probability_stack(dataset, trained_run,
                                                             tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, SegModel, "predict_probs")
@@ -391,19 +464,25 @@ def test_eval_on_a_nan_target_raster_names_it_and_writes_nothing(dataset, traine
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, complaint", [
-    ("", "no 'source_id,raw_count' rows"),
-    ("target_hash: x\nsource_id,raw_count\nsite_a,3\nsite_b,1\n", "'lambda_conf'"),
-    ("lambda_conf: 0.5\nsource_id,raw_count\nsite_a,three\n", ":3: expected"),
-])
-def test_malformed_ensemble_names_file(dataset, tmp_path, capsys, text, complaint):
+@pytest.mark.parametrize("edit, complaint", [
+    (lambda rows: [], "no rows in table 'weights'"),
+    (lambda rows: [rows[0].replace(",", ",x", 1)] + rows[1:], "in table 'weights'"),
+    (lambda rows: [rows[0].rsplit(",", 1)[0]] + rows[1:], "in table 'weights'"),
+], ids=["no-rows", "non-integer-count", "short-row"])
+def test_malformed_ensemble_names_file(dataset, trained_run, tmp_path, capsys, edit,
+                                       complaint):
     run = tmp_path / "run"
-    run.mkdir()
-    (run / "ensemble.txt").write_text(text)
+    shutil.copytree(trained_run, run)
+    report = run / "report.txt"
+    head, table = report.read_text().split("[weights]\nsource_id,raw_count,weight\n")
+    rows, rest = table.split("\n\n", 1)
+    report.write_text(head + "[weights]\nsource_id,raw_count,weight\n"
+                      + "".join(row + "\n" for row in edit(rows.splitlines()))
+                      + "\n" + rest)
     capsys.readouterr()
     assert main(["eval", "--data", str(dataset), "--run", str(run)]) == 2
     err = capsys.readouterr().err
-    assert str(run / "ensemble.txt") in err
+    assert str(report) in err
     assert complaint in err
 
 

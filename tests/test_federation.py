@@ -8,14 +8,16 @@ import pickle
 import numpy as np
 import pytest
 
+from fedseg import federation
 from fedseg.autodiff import serialize_params
 from fedseg.benchmark import default_net_config
-from fedseg.data import DomainShift, generate_domains
+from fedseg.data import DomainDataset, DomainShift, generate_domains
 from fedseg.federation import (_BLAS_THREAD_VARS, AuditLog, Message, MessageBus, NodeId,
-                               _one_blas_thread_per_node, _train_on_node, audit_check,
-                               extend_run, run_msuda)
+                               TargetMismatch, _one_blas_thread_per_node, _train_on_node,
+                               audit_check, extend_run, run_msuda)
 from fedseg.network import NetConfig
 from fedseg.training import TrainPlan
+from helpers import count_calls
 
 CFG = NetConfig(depth=2, base_width=4, latent_dim=8)
 
@@ -237,6 +239,19 @@ def test_extend_run_rejects_duplicate_source():
     result = run_msuda(sources, target, quick_plan(), CFG)
     with pytest.raises(ValueError, match="already"):
         extend_run(result, sources[0], target)
+
+
+def test_extend_run_on_a_changed_target_refuses_before_training(monkeypatch):
+    sources, target = quick_setup(n_sources=3)
+    result = run_msuda(sources[:2], target, quick_plan(epochs_pretrain=1, epochs_adapt=1),
+                       CFG)
+    records = result.audit_log.records
+    pretrains = count_calls(monkeypatch, federation, "pretrain")
+    changed = DomainDataset([im * 1.5 for im in target.images], None, target.domain_id)
+    with pytest.raises(TargetMismatch, match=f"target domain '{target.domain_id}'"):
+        extend_run(result, sources[2], changed)
+    assert pretrains == []
+    assert result.audit_log.records == records
 
 
 def test_extend_run_matches_monolithic_weights():

@@ -1,15 +1,19 @@
 """The package surface: every exported name resolves, no module imports a
-name it never uses, and the README's commands parse."""
+name it never uses, the README's commands parse, and every name the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 import pathlib
 import shlex
 
 import fedseg
+import fedseg.benchmark
 from fedseg.cli import build_parser
 
 SRC = pathlib.Path(fedseg.__file__).parent
-README = pathlib.Path(__file__).parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_export_resolves():
@@ -61,3 +65,19 @@ def test_readme_command_line_block_parses():
         program, *argv = shlex.split(command)
         assert program == "fedseg"
         assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_perfbench_tracer_finds_every_name_it_wraps(monkeypatch):
+    """perfbench/tracing.py looks names up on fedseg's modules (for example
+    network.max_pool, federation.ThreadPoolExecutor, the `# noqa` bindings);
+    install fails when one is gone, which only a traced benchmark run would
+    show otherwise."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    original = fedseg.network.max_pool
+    patches = tracing.install(tracing.Tracer(), fedseg)
+    try:
+        assert fedseg.network.max_pool is not original
+    finally:
+        patches.undo()
+    assert fedseg.network.max_pool is original
