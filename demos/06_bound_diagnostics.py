@@ -17,19 +17,8 @@ bench = run_benchmark(seed=0, corrupted=False, with_bound=True)
 result = bench.result
 
 print("per-source bound terms (cross-entropy as the error functional):")
-from fedseg.benchmark import default_plan, default_net_config, make_benchmark_domains
-from fedseg.evaluation import bound_terms, measure_joint_error
-
-sources, target = make_benchmark_domains(seed=0)
-plan = default_plan(seed=0)
-joint = {s.domain_id: measure_joint_error(s, target, plan, default_net_config())
-         for s in sources}
-# the bound's target embeddings are sampled from each model's latent field
-# of the one target pass that run_benchmark's run kept
-terms = bound_terms(result.adapted.models, sources, target, result.target_latents,
-                    plan.swd_L, plan.embed_sites, seed=123, joint_errors=joint)
 print(f"{'source':8s} {'src CE':>8s} {'swd':>8s} {'complexity':>10s} {'joint CE':>9s} {'weight':>7s}")
-for term, w in zip(terms, result.weights.weights):
+for term, w in zip(bench.bound, result.weights.weights):
     print(f"{term.source_id:8s} {term.source_ce:8.4f} {term.swd_term:8.4f} "
           f"{term.complexity:10.4f} {term.joint_ce:9.4f} {w:7.3f}")
 

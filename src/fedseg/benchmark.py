@@ -35,7 +35,7 @@ from .evaluation import (bound_right_hand_side, bound_terms, dice,  # noqa: F401
 
 IMAGE_SIZE = 32
 IMAGES_PER_DOMAIN = 12
-CORRUPTED_SOURCE_IMAGES = 48
+CORRUPTED_SOURCE_FACTOR = 4  # the dead source's images per image of the others
 SOURCE_IDS = ("site_a", "site_b")
 TARGET_ID = "site_t"
 BENCHMARK_LAMBDA = 0.97
@@ -68,10 +68,11 @@ def default_plan(seed: int = 0) -> TrainPlan:
                      seed=seed, embed_sites=64, learning_rate=2e-3)
 
 
-def make_benchmark_domains(seed: int = 0, corrupted: bool = False):
-    """Returns ([source datasets], target dataset) for one benchmark seed.
-
-    The corrupted variant's dead source carries extra phantoms: more masks
+def make_benchmark_domains(seed: int = 0, corrupted: bool = False,
+                           images: int = IMAGES_PER_DOMAIN, size: int = IMAGE_SIZE):
+    """([source datasets], target dataset) of one benchmark seed: `images`
+    phantoms of size x size pixels per domain, and CORRUPTED_SOURCE_FACTOR
+    times as many in the corrupted variant's dead source, whose extra masks
     flatten its per-pixel label-frequency optimum further below the
     confidence threshold.
     """
@@ -79,12 +80,10 @@ def make_benchmark_domains(seed: int = 0, corrupted: bool = False):
     names = list(SOURCE_IDS) + [TARGET_ID]
     base_seed = derive_seed(seed, "benchmark-phantoms")
     shift_list = [shifts[n] for n in names]
-    domains = generate_domains(base_seed, len(names), IMAGES_PER_DOMAIN,
-                               (IMAGE_SIZE, IMAGE_SIZE), shift_list)
-    if corrupted:
-        extra = generate_domains(base_seed, len(names), CORRUPTED_SOURCE_IMAGES,
-                                 (IMAGE_SIZE, IMAGE_SIZE), shift_list)
-        domains[1] = extra[1]
+    domains = generate_domains(base_seed, len(names), images, (size, size), shift_list)
+    if corrupted:  # phantom i and its shift noise depend on i alone
+        [domains[1]] = generate_domains(base_seed, 1, CORRUPTED_SOURCE_FACTOR * images,
+                                        (size, size), shift_list[1:2])
     for ds, name in zip(domains, names):
         ds.domain_id = name
     return domains[:-1], domains[-1]
@@ -100,6 +99,7 @@ class BenchmarkResult:
     swd_first: dict = field(default_factory=dict)   # source_id -> first-epoch mean
     swd_last: dict = field(default_factory=dict)    # source_id -> final-epoch mean
     mode_dice: dict = field(default_factory=dict)   # fmuda/av/pv/suda -> dice
+    bound: list = field(default_factory=list)       # evaluation.BoundTerm per source
     bound_lhs: float = float("nan")
     bound_rhs: float = float("nan")
 
@@ -111,9 +111,9 @@ def run_benchmark(seed: int = 0, corrupted: bool = False, workers: int = 1,
     result = run_msuda(sources, target, plan or default_plan(seed), default_net_config(),
                        oracle_mode=True, workers=workers)
 
-    report, _ = evaluate_run(result, sources, target, seed, with_bound=with_bound)
+    report, _ = evaluate_run(result, sources, target, with_bound=with_bound)
     bench = BenchmarkResult(seed=seed, corrupted=corrupted, result=result,
-                            mode_dice=report.ensemble_dice)
+                            mode_dice=report.ensemble_dice, bound=report.bound)
     for am in result.adapted.models:
         bench.pre_dice[am.source_id], bench.post_dice[am.source_id] = \
             report.per_model_dice[am.source_id]

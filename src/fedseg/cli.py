@@ -11,10 +11,13 @@ read target labels; plain runs never do, which the audit counter verifies.
 A run directory is its report.txt and its checkpoints: eval and run
 --add-source take the net, the plan, the source ids and the target's hash
 from the report's net.* and plan.* lines, [weights] table and target_hash
-line. eval's --seed, --lambda and --sites default to the run's, and
---add-source exits 1 naming the field where a net or plan flag differs from
-the run's. run, --add-source and eval report weights that
-federation.target_pass counts in the one pass of each model over the target.
+line. Each TrainPlan/NetConfig field the CLI sets has one flag (_SETTINGS);
+a flag not given keeps the base value, TrainPlan()'s and NetConfig()'s for
+run and sweep, the run's for eval and --add-source, which exits 1 naming
+the field where a given flag differs from the run's. A value the plan or
+net rejects exits 1 naming its flag. run, --add-source and eval report
+weights that federation.target_pass counts in the one pass of each model
+over the target.
 """
 
 import argparse
@@ -27,7 +30,7 @@ import sys
 import numpy as np
 
 from .autodiff import load_params, save_params
-from .benchmark import benchmark_shifts
+from .benchmark import benchmark_shifts, make_benchmark_domains
 from .data import (DomainShift, ManifestEntry, generate_domains, load_domain,
                    read_manifest, write_manifest, write_raster)
 from .ensembling import AdaptedModelSet, EnsembleWeights, aggregate, confidence_weights
@@ -58,59 +61,47 @@ class _Parser(argparse.ArgumentParser):
 # -- argument plumbing -----------------------------------------------------------
 
 
-def _add_net_flags(p):
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--base-width", type=int, default=8)
-    p.add_argument("--latent-dim", type=int, default=16)
-    p.add_argument("--no-skips", action="store_true",
-                   help="disable latent reinjection in the decoder")
+# The flag and help of each TrainPlan/NetConfig field the CLI sets. A flag
+# takes its type from the field and defaults to None, so _settings can tell
+# the flags given from the rest.
+_SETTINGS = {
+    "seed": ("--seed", "seed of training, tie breaks and the export"),
+    "epochs_pretrain": ("--epochs-pretrain", "supervised epochs per source"),
+    "epochs_adapt": ("--epochs-adapt", "adaptation epochs per source"),
+    "batch_size": ("--batch-size", None),
+    "gamma": ("--gamma", "weight of the distribution-alignment term"),
+    "swd_L": ("--swd-l", "number of random projections"),
+    "lambda_conf": ("--lambda", "confidence threshold for ensemble weights"),
+    "embed_sites": ("--sites", "embedding sites sampled per image"),
+    "learning_rate": ("--lr", None),
+    "depth": ("--depth", None),
+    "base_width": ("--base-width", None),
+    "latent_dim": ("--latent-dim", None),
+    "skip_connections": ("--no-skips", "disable latent reinjection in the decoder"),
+}
+_FIELDS = {f.name: f for cls in (TrainPlan, NetConfig) for f in dataclasses.fields(cls)}
 
 
-def _add_plan_flags(p):
-    p.add_argument("--epochs-pretrain", type=int, default=30)
-    p.add_argument("--epochs-adapt", type=int, default=40)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="weight of the distribution-alignment term")
-    p.add_argument("--swd-l", type=int, default=50,
-                   help="number of random projections")
-    p.add_argument("--lambda", dest="lambda_conf", type=float, default=0.3,
-                   help="confidence threshold for ensemble weights")
-    p.add_argument("--sites", type=int, default=64,
-                   help="embedding sites sampled per image")
-    p.add_argument("--lr", type=float, default=1e-3)
+def _add_settings(p, names=tuple(_SETTINGS)):
+    for name in names:
+        flag, text = _SETTINGS[name]
+        if _FIELDS[name].type is bool:
+            p.add_argument(flag, dest=name, action="store_false", default=None, help=text)
+        else:
+            p.add_argument(flag, dest=name, type=_FIELDS[name].type, help=text)
 
 
-def _net_config(args) -> NetConfig:
-    return NetConfig(spatial_rank=2, in_channels=1, num_classes=2,
-                     depth=args.depth, base_width=args.base_width,
-                     latent_dim=args.latent_dim,
-                     skip_connections=not args.no_skips)
-
-
-# the flag that sets each field TrainPlan can reject
-_PLAN_FLAGS = {"epochs_pretrain": "--epochs-pretrain", "epochs_adapt": "--epochs-adapt",
-               "batch_size": "--batch-size", "swd_L": "--swd-l", "embed_sites": "--sites",
-               "gamma": "--gamma", "lambda_conf": "--lambda", "learning_rate": "--lr"}
-
-
-def _checked_plan(plan, **fields) -> TrainPlan:
-    """plan with fields replaced; a rejected field is a usage error naming
-    its flag."""
+def _settings(args, plan, config):
+    """plan and config with the fields of the flags args was given replaced;
+    a value they reject is a usage error naming its flag."""
+    def given(base):
+        return {f.name: getattr(args, f.name) for f in dataclasses.fields(base)
+                if getattr(args, f.name, None) is not None}
     try:
-        return dataclasses.replace(plan, **fields)
+        return (dataclasses.replace(plan, **given(plan)),
+                dataclasses.replace(config, **given(config)))
     except ValueError as exc:
-        field = str(exc).split()[0]
-        raise UsageError(f"{_PLAN_FLAGS[field]}: {exc}") from None
-
-
-def _plan(args) -> TrainPlan:
-    return _checked_plan(
-        TrainPlan(), epochs_pretrain=args.epochs_pretrain, epochs_adapt=args.epochs_adapt,
-        batch_size=args.batch_size, gamma=args.gamma, swd_L=args.swd_l,
-        lambda_conf=args.lambda_conf, seed=args.seed, embed_sites=args.sites,
-        learning_rate=args.lr,
-    )
+        raise UsageError(f"{_SETTINGS[str(exc).split()[0]][0]}: {exc}") from None
 
 
 def _workers(args, sources) -> int:
@@ -178,26 +169,32 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--images must be >= 1, got {args.images}")
     if args.size < 4:
         raise UsageError(f"--size must be >= 4, got {args.size}")
+    benchmark = args.domains == 3 and not args.palette
+    if args.corrupted and not benchmark:
+        raise UsageError("--corrupted needs the benchmark's 3 domains (--domains 3, "
+                         "no --palette)")
     _prepare_out(args.out, args.force)
-    names = [f"site_{chr(ord('a') + i)}" for i in range(args.domains - 1)]
-    names.append("site_t" if args.domains > 1 else "site_a")
-    if args.domains == 3 and not args.palette:
-        shifts = benchmark_shifts(corrupted=args.corrupted)
-        names = ["site_a", "site_b", "site_t"]
-        shift_list = [shifts[n] for n in names]
+    if benchmark:
+        sources, target = make_benchmark_domains(args.seed, args.corrupted,
+                                                 images=args.images, size=args.size)
+        domains = sources + [target]
+        shift_list = [benchmark_shifts(args.corrupted)[ds.domain_id] for ds in domains]
     else:
         rng = np.random.default_rng(derive_seed(args.seed, "gen-palette"))
         shift_list = [_palette_shift(rng, i) for i in range(args.domains - 1)]
         shift_list.append(DomainShift(0.25, 0.55, 0.02, 0.05, seed=173))
         if args.domains == 1:
             shift_list = shift_list[-1:]
-    domains = generate_domains(derive_seed(args.seed, "benchmark-phantoms"),
-                               args.domains, args.images,
-                               (args.size, args.size), shift_list)
+        domains = generate_domains(derive_seed(args.seed, "benchmark-phantoms"),
+                                   args.domains, args.images,
+                                   (args.size, args.size), shift_list)
+        names = [f"site_{chr(ord('a') + i)}" for i in range(args.domains - 1)]
+        for ds, name in zip(domains, names + ["site_t" if names else "site_a"]):
+            ds.domain_id = name
     entries = []
-    for ds, name, shift in zip(domains, names, shift_list):
-        ds.domain_id = name
-        role = "target" if name == names[-1] and args.domains > 1 else "source"
+    for ds, shift in zip(domains, shift_list):
+        name = ds.domain_id
+        role = "target" if ds is domains[-1] and args.domains > 1 else "source"
         ddir = os.path.join(args.out, name)
         os.makedirs(ddir, exist_ok=True)
         entry = ManifestEntry(name, role, shift)
@@ -249,7 +246,7 @@ def _write_run(args, result, trained, sources, target):
                     f"{ckpt}_pretrained.fpar")
         save_params(am.model.state_dict(), f"{ckpt}_adapted.fpar")
         write_step_log(am, os.path.join(args.out, "curves", f"{am.source_id}.csv"))
-    report, masks = evaluate_run(result, sources, target, args.seed)
+    report, masks = evaluate_run(result, sources, target)
     report.settings["audit.target_label_reads"] = target.label_reads
     if not result.oracle_mode and target.label_reads != 0:
         raise RuntimeError("target labels were read outside oracle mode")
@@ -260,13 +257,10 @@ def cmd_run(args) -> int:
     if args.aggregation == "suda" and not args.oracle:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
     sources, target = _load_datasets(args.data, args.oracle)
-    plan = _plan(args)
-    config = _net_config(args)
     workers = _workers(args, sources)
-
     if args.add_source:
-        return _run_add_source(args, sources, target, plan, config)
-
+        return _run_add_source(args, sources, target)
+    plan, config = _settings(args, TrainPlan(), NetConfig())
     _prepare_out(args.out, args.force)
     result = run_msuda(sources, target, plan, config, oracle_mode=args.oracle,
                        workers=workers)
@@ -340,9 +334,9 @@ def _run_sources(sources, ids):
     return [by_id[sid] for sid in ids]
 
 
-def _run_add_source(args, sources, target, plan, config) -> int:
+def _run_add_source(args, sources, target) -> int:
     """Extend the run in args.out by one source over the bus, under the run's
-    net and plan, which the flags must match."""
+    net and plan, which a given flag must not change."""
     if args.add_source not in {ds.domain_id for ds in sources}:
         raise UsageError(f"--add-source {args.add_source!r} not in the manifest")
     run = _load_run(args.out)
@@ -355,6 +349,7 @@ def _run_add_source(args, sources, target, plan, config) -> int:
         raise UsageError(f"audit log not found: {audit_path} "
                          f"(--add-source extends the run's audit trail)")
     report_path = os.path.join(args.out, "report.txt")
+    plan, config = _settings(args, run.plan, run.config)
     for prefix, given, recorded in (("net.", config, run.config), ("plan.", plan, run.plan)):
         for name, value in dataclasses.asdict(recorded).items():
             if getattr(given, name) != value:
@@ -385,13 +380,12 @@ def cmd_eval(args) -> int:
     _check_target_finite(args.data, target_entry, target)
     run = _load_run(args.run)
     _run_sources(source_entries, run.adapted.source_ids())
-    given = {"seed": args.seed, "lambda_conf": args.lambda_conf, "embed_sites": args.sites}
-    plan = _checked_plan(run.plan, **{k: v for k, v in given.items() if v is not None})
+    plan, _ = _settings(args, run.plan, run.config)
     out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
     result = target_pass(dataclasses.replace(run, plan=plan, oracle_mode=args.oracle),
                          target)
-    report, masks = evaluate_run(result, None, target, plan.seed, with_bound=False)
+    report, masks = evaluate_run(result, None, target, with_bound=False)
     _write_outputs(out_dir, report, masks, args.aggregation, result)
     print(f"eval complete: {out_dir}")
     return 0
@@ -403,7 +397,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--values is empty")
     kind = int if args.parameter == "L" else float
     field = {"lambda": "lambda_conf", "L": "swd_L", "gamma": "gamma"}[args.parameter]
-    plan = _plan(args)
+    plan, config = _settings(args, TrainPlan(), NetConfig())
     try:
         parsed = [kind(v) for v in values]
         variants = [dataclasses.replace(plan, **{field: v}) for v in parsed]
@@ -411,7 +405,6 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--values: {exc}") from None
 
     sources, target = _load_datasets(args.data, oracle_mode=True)
-    config = _net_config(args)
     workers = _workers(args, sources)
     _prepare_out(args.out, args.force)
     truth = target.mask_stack()
@@ -462,7 +455,8 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupted", action="store_true",
-                   help="replace the second source with the signal-dead scanner")
+                   help="the benchmark's corrupted variant: a signal-dead second "
+                        "source with 4x --images")
     p.add_argument("--palette", action="store_true",
                    help="use generated shifts even for 3 domains")
     p.add_argument("--force", action="store_true")
@@ -471,7 +465,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="train, adapt, ensemble, and report")
     p.add_argument("--data", required=True, help="dataset manifest path")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--aggregation", choices=("fmuda", "pv", "av", "suda"),
                    default="fmuda")
     p.add_argument("--oracle", action="store_true",
@@ -482,23 +475,18 @@ def build_parser() -> _Parser:
     p.add_argument("--add-source", default=None,
                    help="train only this manifest domain and update the ensemble")
     p.add_argument("--force", action="store_true")
-    _add_plan_flags(p)
-    _add_net_flags(p)
+    _add_settings(p)
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("eval", help="re-evaluate checkpoints from a prior run")
+    p = sub.add_parser("eval", help="re-evaluate checkpoints from a prior run",
+                       description="--seed, --lambda and --sites default to the run's.")
     p.add_argument("--data", required=True)
     p.add_argument("--run", required=True, help="directory of a prior run")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of tie breaks and the export (default: the run's)")
     p.add_argument("--aggregation", choices=("fmuda", "pv", "av", "suda"),
                    default="fmuda")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--lambda", dest="lambda_conf", type=float, default=None,
-                   help="recompute weights at this threshold (default: the run's)")
-    p.add_argument("--sites", type=int, default=None,
-                   help="embedding sites sampled per image (default: the run's)")
+    _add_settings(p, ("seed", "lambda_conf", "embed_sites"))
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep", help="hyperparameter sensitivity sweep")
@@ -506,11 +494,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--parameter", choices=("lambda", "L", "gamma"), required=True)
     p.add_argument("--values", required=True, help="comma-separated list")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0)
     p.add_argument("--force", action="store_true")
-    _add_plan_flags(p)
-    _add_net_flags(p)
+    _add_settings(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("audit", help="check an exported audit log")

@@ -174,7 +174,7 @@ class MetricsReport:
     timestamp: str = ""
 
 
-def evaluate_run(result, sources, target, seed, with_bound=True):
+def evaluate_run(result, sources, target, with_bound=True):
     """The report and the masks of every aggregation mode of a
     federation.FederationResult, from its models, weights, plan, config,
     oracle mode and target pass. Per-model Dice, the masks and the bound's
@@ -182,10 +182,10 @@ def evaluate_run(result, sources, target, seed, with_bound=True):
     target_latents. In oracle mode each pretrained snapshot (by source id,
     where present) runs once for the pre-adaptation Dice. Returns
     (MetricsReport, {mode: mask}); the suda mask needs oracle mode. Tie
-    breaks and bound projections draw from seeds derived from `seed`.
+    breaks and bound projections draw from seeds derived from plan.seed.
     """
     models, weights, plan = result.adapted.models, result.weights, result.plan
-    probs, oracle_mode = result.target_probs, result.oracle_mode
+    probs, oracle_mode, seed = result.target_probs, result.oracle_mode, plan.seed
     report = MetricsReport(seed=seed, oracle_mode=oracle_mode)
     report.settings = {f"plan.{k}": v for k, v in asdict(plan).items()}
     report.settings.update({f"net.{k}": v for k, v in asdict(result.config).items()})

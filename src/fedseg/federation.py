@@ -67,8 +67,8 @@ class Message:
 class AuditLog:
     """Append-only record of every bus transfer in a run."""
 
-    def __init__(self):
-        self._records = []
+    def __init__(self, records=()):
+        self._records = list(records)
 
     def append(self, message: Message):
         self._records.append(message)
@@ -320,7 +320,8 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
     untouched, and target_pass counts every model anew, so the prior raw
     counts come out as the run had them. A target whose images differ from
     the ones the run's weights were counted on raises TargetMismatch before
-    anything is trained or sent.
+    anything is trained or sent. The result's audit log is a copy of the
+    run's, extended; the run's own is left as it was, also on failure.
     """
     if new_source.domain_id in result.adapted.source_ids():
         raise ValueError(f"source '{new_source.domain_id}' already in the run")
@@ -331,7 +332,7 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
     reads_before = target.label_reads
 
     bus = MessageBus()
-    bus.log = result.audit_log  # one audit trail across the extension
+    bus.log = AuditLog(result.audit_log.records)  # the run's trail, extended
     [(pre, adapted)] = _federate(bus, target, [new_source], result.plan,
                                  result.config, workers=1)
     return target_pass(dataclasses.replace(

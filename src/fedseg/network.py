@@ -61,10 +61,9 @@ class NetConfig:
     def __post_init__(self):
         if self.spatial_rank not in (2, 3):
             raise ValueError(f"spatial_rank must be 2 or 3, got {self.spatial_rank}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if min(self.in_channels, self.num_classes, self.base_width, self.latent_dim) < 1:
-            raise ValueError("channel counts must be positive")
+        for name in ("depth", "in_channels", "num_classes", "base_width", "latent_dim"):
+            if getattr(self, name) < 1:  # the message starts with the field it rejects
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _he_uniform(rng, shape, fan_in):

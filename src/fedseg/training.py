@@ -39,7 +39,7 @@ class TrainPlan:
     """Hyperparameters for one pretrain + adapt cycle."""
 
     epochs_pretrain: int = 30
-    epochs_adapt: int = 30
+    epochs_adapt: int = 40
     batch_size: int = 4
     gamma: float = 1.0
     swd_L: int = 50

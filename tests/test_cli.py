@@ -1,6 +1,8 @@
 """Command-line surface: subcommand contracts, exit codes, reproducibility,
 and the add-source flow."""
 
+import argparse
+import dataclasses
 import hashlib
 import os
 import re
@@ -10,15 +12,18 @@ import warnings
 import numpy as np
 import pytest
 
+from fedseg import cli
 from fedseg import data as fedseg_data
 from fedseg import federation
 from fedseg.autodiff import load_params
-from fedseg.cli import main
+from fedseg.benchmark import make_benchmark_domains
+from fedseg.cli import build_parser, main
 from fedseg.data import load_domain, read_manifest, read_raster, write_raster
 from fedseg.ensembling import compute_weights
 from fedseg.evaluation import read_report
 from fedseg.federation import AuditLog
 from fedseg.network import NetConfig, SegModel
+from fedseg.training import TrainPlan
 from helpers import count_calls, count_target_passes
 
 FAST = ["--epochs-pretrain", "4", "--epochs-adapt", "3", "--batch-size", "3",
@@ -75,6 +80,34 @@ def test_gen_same_seed_identical_hashes(tmp_path):
     assert main(gen_args(tmp_path / "b", seed=7)) == 0
     for rel in ("site_a/img_000.ndr", "site_t/msk_003.ndr", "manifest.txt"):
         assert file_hash(tmp_path / "a" / rel) == file_hash(tmp_path / "b" / rel)
+
+
+@pytest.mark.parametrize("corrupted", [False, True], ids=["clean", "corrupted"])
+def test_gen_at_the_defaults_writes_the_benchmark_domains(tmp_path, corrupted):
+    out = tmp_path / "g"
+    assert main(["gen", "--out", str(out), "--seed", "3",
+                 *(["--corrupted"] if corrupted else [])]) == 0
+    sources, target = make_benchmark_domains(3, corrupted)
+    _, entries = read_manifest(out / "manifest.txt")
+    assert [e.domain_id for e in entries] == [ds.domain_id for ds in sources + [target]]
+    for entry, ds in zip(entries, sources + [target]):
+        for paths, rasters in ((entry.image_paths, ds.images), (entry.mask_paths, ds.masks)):
+            assert len(paths) == len(rasters)
+            for path, expected in zip(paths, rasters):
+                written = read_raster(out / path)
+                assert written.dtype == expected.dtype
+                assert np.array_equal(written, expected)
+
+
+@pytest.mark.parametrize("extra", [["--palette"], ["--domains", "4"]],
+                         ids=["palette", "four-domains"])
+def test_gen_corrupted_outside_the_benchmark_layout_is_usage_error(tmp_path, capsys,
+                                                                   extra):
+    out = tmp_path / "g"
+    capsys.readouterr()
+    assert main(["gen", "--out", str(out), "--corrupted", *extra]) == 1
+    assert "usage error: --corrupted" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_refuses_nonempty_without_force(tmp_path):
@@ -229,6 +262,29 @@ def test_add_source_with_a_drifted_plan_names_the_field_and_writes_nothing(tmp_p
                  "--add-source", "site_c", *FAST, "--epochs-adapt", "5"]) == 1
     err = capsys.readouterr().err
     assert "plan.epochs_adapt is 5 by the flags but 3 in" in err, err
+    assert not (out / "checkpoints" / "site_c_adapted.fpar").exists()
+    assert file_hash(out / "audit.log") == audit
+
+
+def test_add_source_without_the_run_flags_trains_under_the_run_settings(tmp_path):
+    manifest, out = two_source_run(tmp_path)
+    before = settings_lines(out / "report.txt")
+    assert "net.base_width: 4" in before and "plan.seed: 2" in before
+    assert main(["run", "--data", str(manifest), "--out", str(out),
+                 "--add-source", "site_c"]) == 0
+    assert [row[0] for row in weight_rows(out / "report.txt")] == [
+        "site_a", "site_b", "site_c"]
+    assert settings_lines(out / "report.txt") == before
+
+
+def test_add_source_with_a_rejected_value_names_its_flag_and_writes_nothing(tmp_path,
+                                                                            capsys):
+    manifest, out = two_source_run(tmp_path)
+    audit = file_hash(out / "audit.log")
+    capsys.readouterr()
+    assert main(["run", "--data", str(manifest), "--out", str(out),
+                 "--add-source", "site_c", "--lr", "-1"]) == 1
+    assert "usage error: --lr: learning_rate must be" in capsys.readouterr().err
     assert not (out / "checkpoints" / "site_c_adapted.fpar").exists()
     assert file_hash(out / "audit.log") == audit
 
@@ -549,6 +605,49 @@ def test_bad_flag_value_is_usage_error(dataset, trained_run, tmp_path, capsys, a
     capsys.readouterr()
     assert main([argv[0], "--out", str(out), *argv[1:], *extra.get(argv[0], [])]) == 1
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+SETTINGS = {f.name for cls in (TrainPlan, NetConfig) for f in dataclasses.fields(cls)}
+
+
+def test_no_settings_flag_has_a_default_of_its_own():
+    """A flag not given must keep the base value, so none may carry one."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("run", "sweep", "eval"):
+        actions = [a for a in sub.choices[command]._actions if a.dest in SETTINGS]
+        assert actions, command
+        assert [(command, a.dest) for a in actions if a.default is not None] == []
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--parameter", "gamma",
+                                            "--values", "1.0"]], ids=["run", "sweep"])
+def test_a_flag_less_command_trains_the_default_plan_and_net(dataset, tmp_path,
+                                                            monkeypatch, argv):
+    seen = []
+
+    def stop(sources, target, plan, config, **kwargs):
+        seen.append((plan, config))
+        raise RuntimeError("stop before training")
+
+    monkeypatch.setattr(cli, "run_msuda", stop)
+    assert main([*argv, "--data", str(dataset), "--out", str(tmp_path / "o")]) == 2
+    assert seen == [(TrainPlan(), NetConfig())]
+    assert TrainPlan() == TrainPlan(epochs_pretrain=30, epochs_adapt=40, batch_size=4,
+                                    gamma=1.0, swd_L=50, lambda_conf=0.3, seed=0,
+                                    embed_sites=64, learning_rate=1e-3)
+    assert NetConfig() == NetConfig(spatial_rank=2, in_channels=1, num_classes=2,
+                                    depth=2, base_width=8, latent_dim=16,
+                                    skip_connections=True)
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--base-width", "--latent-dim"])
+def test_a_value_the_net_rejects_is_usage_error_naming_its_flag(dataset, tmp_path,
+                                                               capsys, flag):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--data", str(dataset), "--out", str(out), flag, "0"]) == 1
+    assert f"usage error: {flag}: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -209,6 +209,9 @@ def test_benchmark_predicts_twice_per_source(monkeypatch):
     assert passes[:n] == [am.model for am in models]
     assert passes[-n:] == [bench.result.pretrained[am.source_id] for am in models]
     assert len({id(m) for m in passes}) == len(passes) == 3 * n
+    # the bound's rows are the terms of its right-hand side
+    assert evaluation.bound_right_hand_side(bench.bound, bench.result.weights.weights) == \
+        bench.bound_rhs
 
 
 def bound_inputs(n_images):

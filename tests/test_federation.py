@@ -234,6 +234,34 @@ def test_extend_run_trains_only_new_source():
     assert kinds.count("model_params") == 3
 
 
+def test_extend_run_returns_a_new_audit_log():
+    sources, target = quick_setup(n_sources=3)
+    result = run_msuda(sources[:2], target, quick_plan(epochs_pretrain=1, epochs_adapt=1),
+                       CFG)
+    records = result.audit_log.records
+    extended = extend_run(result, sources[2], target)
+    assert extended.audit_log is not result.audit_log
+    assert result.audit_log.records == records
+    t, c = target.domain_id, sources[2].domain_id
+    assert extended.audit_log.records[:len(records)] == records
+    assert [(m.sender.name, m.receiver.name, m.payload_kind)
+            for m in extended.audit_log.records[len(records):]] == [
+        (t, c, "unlabeled_images"), (c, t, "model_params")]
+
+
+def test_a_failed_extension_leaves_the_run_audit_log_as_it_was():
+    sources, target = quick_setup(n_sources=3)
+    result = run_msuda(sources[:2], target, quick_plan(epochs_pretrain=1, epochs_adapt=1),
+                       CFG)
+    length = len(result.audit_log)
+    images = [im.copy() for im in sources[2].images]
+    images[1][0, 4, 4] = np.nan
+    broken = DomainDataset(images, sources[2].masks, sources[2].domain_id)
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        extend_run(result, broken, target)
+    assert len(result.audit_log) == length
+
+
 def test_extend_run_rejects_duplicate_source():
     sources, target = quick_setup(n_sources=2)
     result = run_msuda(sources, target, quick_plan(), CFG)
