@@ -225,7 +225,7 @@ def _write_outputs(out_dir, report, masks, mode, result):
     if os.path.isdir(os.path.dirname(mask_dir)):  # an earlier mode's or ensemble's
         shutil.rmtree(os.path.dirname(mask_dir))
     os.makedirs(mask_dir)
-    for i, mask in enumerate(masks[mode].astype(np.uint8)):
+    for i, mask in enumerate(masks[mode]):
         write_raster(os.path.join(mask_dir, f"pred_{i:03d}.ndr"), mask)
     if result.audit_log is not None:
         result.audit_log.write(os.path.join(out_dir, "audit.log"))
@@ -375,13 +375,16 @@ def _run_add_source(args, sources, target) -> int:
 def cmd_eval(args) -> int:
     if args.aggregation == "suda" and not args.oracle:
         raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
+    out_dir = args.out or os.path.join(args.run, "eval")
+    if os.path.isdir(os.path.join(out_dir, "checkpoints")):
+        raise UsageError(f"--out {out_dir} holds a run (checkpoints/); eval would "
+                         f"overwrite its report and masks")
     source_entries, target_entry = _manifest_roles(args.data)  # no source is read
     target = load_domain(args.data, target_entry, read_masks=args.oracle)
     _check_target_finite(args.data, target_entry, target)
     run = _load_run(args.run)
     _run_sources(source_entries, run.adapted.source_ids())
     plan, _ = _settings(args, run.plan, run.config)
-    out_dir = args.out or os.path.join(args.run, "eval")
     os.makedirs(out_dir, exist_ok=True)
     result = target_pass(dataclasses.replace(run, plan=plan, oracle_mode=args.oracle),
                          target)

@@ -10,9 +10,11 @@ count and renormalizing.
 
 Every ensemble quantity is a function of one array: the probability stack
 (n_models, batch, classes, *spatial) that stack_probs builds by running each
-model once on the target images. federation.target_pass builds it once for
-a run, an extended run or an eval, and weights it with confidence_weights;
-aggregate, average_vote and popular_vote take it too, never the models.
+model once on the target images; it is allocated once, and each model's
+result is copied into its slot, so the stack is never held twice.
+federation.target_pass builds it once for a run, an extended run or an
+eval, and weights it with confidence_weights; aggregate, average_vote and
+popular_vote take it too, never the models.
 compute_weights and add_source take models (anything with
 predict_probs(images) -> (batch, classes, *spatial)) for a caller that holds
 no stack. All image arguments are batches; pass a single image as a batch
@@ -83,18 +85,25 @@ def _as_image_batch(images) -> np.ndarray:
 
 
 def stack_probs(models, images, latents=None) -> np.ndarray:
-    """(n_models, batch, classes, *spatial): one predict_probs call per model,
+    """(n_models, batch, classes, *spatial), allocated once: one
+    predict_probs call per model, its result copied into the model's slot,
     with shape agreement enforced; a list given as latents receives each
     model's latent field of that pass."""
-    probs = [np.asarray(m.predict_probs(images) if latents is None
-                        else m.predict_probs(images, latents)) for m in models]
-    if not probs:
+    models = list(models)
+    if not models:
         raise ValueError("need at least one model")
-    base = probs[0].shape
-    for k, p in enumerate(probs[1:], start=1):
-        if p.shape != base:
-            raise ValueError(f"model 0 predicts shape {base}, model {k} shape {p.shape}")
-    return np.stack(probs)
+    stack = None
+    for k, m in enumerate(models):
+        p = np.asarray(m.predict_probs(images) if latents is None
+                       else m.predict_probs(images, latents))
+        if stack is None:
+            stack = np.empty((len(models),) + p.shape, dtype=p.dtype)
+        elif p.shape != stack.shape[1:]:
+            raise ValueError(f"model 0 predicts shape {stack.shape[1:]}, "
+                             f"model {k} shape {p.shape}")
+        stack[k] = p
+        del p  # the next model's pass runs without this one's result
+    return stack
 
 
 def _confident_pixels(probs: np.ndarray, lambda_conf: float) -> int:

@@ -16,7 +16,14 @@ evaluate_run is the one evaluation path: the CLI's run, eval and
 add-source reports and the benchmark's acceptance quantities all come
 from it. It takes a federation.FederationResult and runs no adapted model:
 it reads the result's one pass of each model over the target images (kept
-by federation.target_pass), its probabilities and its latent fields.
+by federation.target_pass), its probabilities and its latent fields. Its
+masks are uint8, the dtype they are written in, and it keeps the fmuda
+mixture only in oracle mode, where the bound's left-hand side reads it.
+
+The passes over a labeled dataset stream its image list: mean_ce puts each
+slice's CE terms into one buffer and sums it once, bit for bit the sum
+ce_loss takes over the whole stack, and hands back the latent field of the
+same pass, so bound_terms reads a source's CE and its codes from one pass.
 """
 
 import dataclasses
@@ -28,13 +35,13 @@ import numpy as np
 
 from .data import DomainDataset
 from .ensembling import aggregate, average_vote, popular_vote
-from .network import ce_loss, sample_sites
+from .network import _filled, ce_terms, sample_sites
 from .sliced import sample_projections, swd2
 from .training import pretrain
 from .util import derive_seed
-# Bound here only because perfbench/tracing.py wraps this name on this
-# module and fails when it is missing.
-from .network import embed  # noqa: F401
+# Bound here only because perfbench/tracing.py wraps these names on this
+# module and fails when one is missing.
+from .network import ce_loss, embed  # noqa: F401
 
 
 def dice(pred, truth, foreground: int = 1) -> float:
@@ -64,10 +71,16 @@ def model_target_dice(model, dataset, foreground: int = 1) -> float:
     return dice(pred, dataset.mask_stack(), foreground=foreground)
 
 
-def mean_ce(model, dataset) -> float:
-    """Mean per-pixel cross-entropy of a model over a labeled dataset."""
-    logits = model.predict_logits(dataset.image_stack())
-    return ce_loss(logits, dataset.mask_stack()).item()
+def mean_ce(model, dataset, latents=None) -> float:
+    """Mean per-pixel cross-entropy of a model over a labeled dataset, that
+    of ce_loss on the whole stack bit for bit: each slice of the model's one
+    streamed pass puts its CE terms into one buffer, summed once. latents as
+    in SegModel.logit_slices."""
+    labels = dataset.mask_stack()
+    terms = None
+    for part, logits in model.logit_slices(dataset.images, latents):
+        terms = _filled(terms, len(labels), part, ce_terms(logits, labels[part]))
+    return float(terms.sum() * (-1.0 / labels.size))
 
 
 def mixture_target_ce(mixture, labels) -> float:
@@ -109,8 +122,8 @@ def bound_terms(adapted_models, sources, target, target_latents, swd_L: int,
         model = am.model
         proj = sample_projections(swd_L, model.config.latent_dim, seed=proj_seed)
         z_src = []  # one pass over the source feeds both the CE and the codes
-        logits = model.predict_logits(source.image_stack(), z_src)
-        src_emb = sample_sites(z_src[0], embed_sites,
+        source_ce = mean_ce(model, source, z_src)
+        src_emb = sample_sites(z_src.pop(), embed_sites,
                                seed=derive_seed(seed, "bound-src", source.domain_id),
                                domain_tag=source.domain_id)
         tgt_emb = sample_sites(z_tgt, embed_sites,
@@ -119,7 +132,7 @@ def bound_terms(adapted_models, sources, target, target_latents, swd_L: int,
         joint = None if joint_errors is None else joint_errors.get(am.source_id)
         out.append(BoundTerm(
             source_id=am.source_id,
-            source_ce=ce_loss(logits, source.mask_stack()).item(),
+            source_ce=source_ce,
             swd_term=swd2(tgt_emb, src_emb, proj).item(),
             complexity=complexity_term(len(source), len(target), xi, zeta),
             joint_ce=joint,
@@ -181,7 +194,7 @@ def evaluate_run(result, sources, target, with_bound=True):
     left-hand side read target_probs, the bound's target codes
     target_latents. In oracle mode each pretrained snapshot (by source id,
     where present) runs once for the pre-adaptation Dice. Returns
-    (MetricsReport, {mode: mask}); the suda mask needs oracle mode. Tie
+    (MetricsReport, {mode: uint8 mask}); the suda mask needs oracle mode. Tie
     breaks and bound projections draw from seeds derived from plan.seed.
     """
     models, weights, plan = result.adapted.models, result.weights, result.plan
@@ -200,9 +213,12 @@ def evaluate_run(result, sources, target, with_bound=True):
     fmuda = aggregate(probs, weights)
     # the benchmark's seed labels: its acceptance figures depend on them
     tie_seed = derive_seed(seed, "benchmark-ties")
-    masks = {"fmuda": fmuda.mask,
-             "av": average_vote(probs, seed=tie_seed).mask,
-             "pv": popular_vote(probs, seed=tie_seed)}
+    masks = {"fmuda": fmuda.mask.astype(np.uint8),
+             "av": average_vote(probs, seed=tie_seed).mask.astype(np.uint8),
+             "pv": popular_vote(probs, seed=tie_seed).astype(np.uint8)}
+    # only the oracle bound's left-hand side reads the mixture
+    mixture = fmuda.probs if oracle_mode and with_bound else None
+    del fmuda
 
     if with_bound:
         joint = None
@@ -216,18 +232,18 @@ def evaluate_run(result, sources, target, with_bound=True):
     if not oracle_mode:
         return report, masks
 
-    images, truth = target.image_stack(), target.mask_stack()
+    truth = target.mask_stack()
     for am, p in zip(models, probs):
         pre = float("nan")
         if am.source_id in result.pretrained:
-            pre_probs = result.pretrained[am.source_id].predict_probs(images)
+            pre_probs = result.pretrained[am.source_id].predict_probs(target.images)
             pre = dice(np.asarray(pre_probs).argmax(axis=1), truth)
         report.per_model_dice[am.source_id] = (pre, dice(p.argmax(axis=1), truth))
     post = [d for _, d in report.per_model_dice.values()]
-    masks["suda"] = probs[int(np.argmax(post))].argmax(axis=1)
+    masks["suda"] = probs[int(np.argmax(post))].argmax(axis=1).astype(np.uint8)
     report.ensemble_dice = {mode: dice(mask, truth) for mode, mask in masks.items()}
     if with_bound:
-        report.bound_lhs = mixture_target_ce(fmuda.probs, truth)
+        report.bound_lhs = mixture_target_ce(mixture, truth)
         report.bound_rhs = bound_right_hand_side(report.bound, weights.weights)
     return report, masks
 

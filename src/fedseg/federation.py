@@ -281,12 +281,12 @@ def target_pass(result: FederationResult, target: DomainDataset) -> FederationRe
     """The result with its models' one pass over the target images: the
     probability stack, each model's latent field, and the weights at
     plan.lambda_conf, hashed to those images."""
-    images = target.image_stack()
     latents = []
-    probs = stack_probs(result.adapted.models, images, latents)
+    probs = stack_probs(result.adapted.models, target.images, latents)
     return dataclasses.replace(
         result, target_probs=probs, target_latents=latents,
-        weights=confidence_weights(probs, result.plan.lambda_conf, hash_images(images)))
+        weights=confidence_weights(probs, result.plan.lambda_conf,
+                                   hash_images(target.images)))
 
 
 def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,

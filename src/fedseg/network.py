@@ -15,21 +15,29 @@ field at the features' size and leaves the last 2x upsample to its conv
 (upsample=2): each decoder conv runs at half its output resolution, and
 neither the upsampled features nor their concat is built.
 
-Inference (predict_logits) builds no autodiff graph and runs forward on
-INFERENCE_CHUNK images at a time; each image is computed on its own, so the
-result equals one pass over the whole stack bit for bit. It can hand back
-that pass's latent field, and sample_sites draws embedding rows from a
-latent field the caller already has, so neither training nor evaluation
-encodes an image twice for its logits and its codes. embed encodes in the
-same slices.
+Inference builds no autodiff graph and streams the images: logit_slices
+runs forward on INFERENCE_CHUNK images at a time, of a stack or of a
+dataset's image list (then only a slice is ever stacked), and each image is
+computed on its own, so every slice equals that part of one pass over the
+whole stack bit for bit. predict_probs allocates its result, and the latent
+field it can hand back, once and fills them slice by slice; neither the
+whole stack's logits nor a list of per-slice arrays is ever held. ce_terms
+gives the graph-free cross-entropy terms of a slice, which
+evaluation.mean_ce streams into one buffer.
+
+sample_sites draws embedding rows from a latent field the caller already
+has, so neither training nor evaluation encodes an image twice for its
+logits and its codes. It is one autodiff node: it gathers the sampled sites
+straight from the field and scatters the gradient back to them, with no
+flattened copy of the field. embed encodes in the same slices as inference.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, concat, conv, log_softmax, mul, no_grad, reshape, softmax,
-                       take_rows, transpose, tsum, upsample_nearest)
+from .autodiff import (Tensor, _accumulate, _make, as_tensor, concat, conv, log_softmax, mul,
+                       no_grad, softmax, tsum, upsample_nearest)
 from .sliced import EmbeddingBatch
 from .util import derive_seed
 # Bound here only because perfbench/tracing.py wraps this name on this
@@ -39,6 +47,15 @@ from .autodiff import max_pool  # noqa: F401
 # Images per graph-free forward pass: the fastest of the sizes tried on 192
 # 32x32 images with the default net.
 INFERENCE_CHUNK = 16
+
+
+def _filled(buffer, n, part, values):
+    """buffer, an (n, *values.shape[1:]) array allocated on the first slice,
+    with values copied into rows part."""
+    if buffer is None:
+        buffer = np.empty((n,) + values.shape[1:], dtype=values.dtype)
+    buffer[part] = values
+    return buffer
 
 
 def _chunks(images):
@@ -154,20 +171,32 @@ class SegModel:
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
 
-    def predict_logits(self, images, latents=None) -> np.ndarray:
-        """Class logits of an image stack, graph-free, INFERENCE_CHUNK images
-        per forward pass. A list given as latents receives the stack's latent
-        field (batch, latent_dim, *spatial/2^depth) from the same pass."""
-        with no_grad():
-            z = [self.encode(Tensor(c)) for c in _chunks(np.asarray(images))]
+    def logit_slices(self, images, latents=None):
+        """(slice, logits) of each graph-free forward pass over INFERENCE_CHUNK
+        images, in order, of an image stack or a sequence of images (only a
+        slice of which is then stacked at a time). A list given as latents
+        receives the latent field (batch, latent_dim, *spatial/2^depth),
+        allocated once and filled as the slices pass."""
+        field = None
+        for lo in range(0, max(len(images), 1), INFERENCE_CHUNK):
+            part = slice(lo, lo + INFERENCE_CHUNK)
+            with no_grad():
+                z = self.encode(Tensor(images[part]))
+                logits = self.classify(z).data
             if latents is not None:
-                latents.append(np.concatenate([c.data for c in z]))
-            return np.concatenate([self.classify(c).data for c in z])
+                field = _filled(field, len(images), part, z.data)
+                if lo == 0:
+                    latents.append(field)
+            yield part, logits
 
     def predict_probs(self, images, latents=None) -> np.ndarray:
-        """Per-pixel class probabilities for a stacked image batch (no grad);
-        latents as in predict_logits."""
-        return softmax(self.predict_logits(images, latents), axis=1).data
+        """Per-pixel class probabilities (batch, classes, *spatial) of an image
+        batch (no grad), filled slice by slice; images and latents as in
+        logit_slices."""
+        probs = None
+        for part, logits in self.logit_slices(images, latents):
+            probs = _filled(probs, len(images), part, softmax(logits, axis=1).data)
+        return probs
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -195,23 +224,34 @@ class SegModel:
         return other
 
 
-def sample_sites(z: Tensor, n_sites: int = 64, seed: int = 0,
+def sample_sites(z, n_sites: int = 64, seed: int = 0,
                  domain_tag: str = "") -> EmbeddingBatch:
     """Codes of a latent field (batch, latent_dim, *spatial) at a seeded
     uniform subsample of its spatial sites.
 
     Each image contributes min(n_sites, sites available) rows of dimension
-    latent_dim. Differentiable with respect to z.
+    latent_dim, image by image. One autodiff node, differentiable with
+    respect to z: the rows are gathered from the field, and the gradient is
+    scattered back to the sampled sites.
     """
+    z = as_tensor(z)
     batch, d = z.shape[0], z.shape[1]
-    p = int(np.prod(z.shape[2:]))
-    flat = reshape(transpose(reshape(z, (batch, d, p)), (0, 2, 1)), (batch * p, d))
+    field = z.data.reshape(batch, d, -1)
+    p = field.shape[2]
     rng = np.random.default_rng(derive_seed(seed, "embed-sites"))
     take = min(n_sites, p)
-    rows = np.concatenate(
-        [b * p + rng.choice(p, size=take, replace=False) for b in range(batch)]
-    )
-    return EmbeddingBatch(points=take_rows(flat, rows), domain_tag=domain_tag)
+    sites = np.array([rng.choice(p, size=take, replace=False) for _ in range(batch)],
+                     dtype=np.intp).reshape(batch, take)
+    images = np.arange(batch)[:, None]
+
+    def back(g):
+        g_field = np.zeros(field.shape)
+        # an image's sites are distinct, so no two rows land on one site
+        g_field[images, :, sites] += g.reshape(batch, take, d)
+        _accumulate(z, g_field.reshape(z.shape))
+
+    points = field[images, :, sites].reshape(batch * take, d)
+    return EmbeddingBatch(points=_make(points, (z,), back), domain_tag=domain_tag)
 
 
 def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
@@ -228,15 +268,15 @@ def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
                         n_sites, seed, domain_tag)
 
 
-def ce_loss(logits: Tensor, mask) -> Tensor:
-    """Mean per-pixel cross-entropy between logits and integer labels."""
-    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
+def _onehot(logits_shape, mask) -> np.ndarray:
+    """float64 one-hot (batch, classes, *spatial) of integer labels, checked
+    against logits of logits_shape."""
     labels = np.asarray(mask)
-    n_classes = logits.shape[1]
-    expected = logits.shape[:1] + logits.shape[2:]
+    n_classes = logits_shape[1]
+    expected = logits_shape[:1] + logits_shape[2:]
     if labels.shape != expected:
         raise ValueError(
-            f"labels shape {labels.shape} does not match logits {logits.shape} "
+            f"labels shape {labels.shape} does not match logits {logits_shape} "
             f"(expected {expected})"
         )
     bad = (labels < 0) | (labels >= n_classes)
@@ -245,8 +285,18 @@ def ce_loss(logits: Tensor, mask) -> Tensor:
         raise ValueError(
             f"label {labels[where]} at pixel {where} outside [0, {n_classes})"
         )
-    onehot = (labels[:, None, ...] == np.arange(n_classes).reshape(
+    return (labels[:, None, ...] == np.arange(n_classes).reshape(
         (1, n_classes) + (1,) * (labels.ndim - 1))).astype(np.float64)
-    picked = tsum(mul(log_softmax(logits, axis=1), onehot))
+
+
+def ce_loss(logits: Tensor, mask) -> Tensor:
+    """Mean per-pixel cross-entropy between logits and integer labels."""
+    logits, labels = as_tensor(logits), np.asarray(mask)
+    picked = tsum(mul(log_softmax(logits, axis=1), _onehot(logits.shape, labels)))
     return mul(picked, -1.0 / labels.size)
 
+
+def ce_terms(logits: np.ndarray, mask) -> np.ndarray:
+    """Graph-free log_softmax(logits) times the one-hot labels, per pixel and
+    class: ce_loss is the sum of these terms over a batch times -1/pixels."""
+    return log_softmax(logits, axis=1).data * _onehot(np.shape(logits), mask)

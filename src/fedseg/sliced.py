@@ -15,7 +15,10 @@ stable sort, so tied projections pair in index order; an unstable argsort
 and an int64 sort of (run of equal values, index) keys give them in half
 the time. Only a call that records a graph needs them: otherwise the
 projections are sorted in place, the same values, so the same sum of
-squared gaps bit for bit.
+squared gaps bit for bit. Without a graph swd2 also projects and sorts one
+block of directions at a time (_SWD_BLOCK elements a side), writing the
+squared gaps into one (n, L) buffer that it sums once, so a bound's
+12288-code clouds never hold their whole (n, L) projections.
 """
 
 from dataclasses import dataclass
@@ -131,15 +134,21 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _rank_matched(projected: np.ndarray, n_out: int, order=None) -> np.ndarray:
-    """(n_out, L) rank-matched values of (M, L) projections: gathered by
-    their stable argsort `order` or, without one, sorted in place."""
+def _rank_matched(projected: np.ndarray, quantiles, order=None) -> np.ndarray:
+    """(n, L) rank-matched values of (M, L) projections: gathered by their
+    stable argsort `order` or, without one, sorted in place; then mapped to
+    n ranks by the (n, M) quantile weights, unless those are None (M == n)."""
     if order is None:
         projected.sort(axis=0)
     else:
         projected = np.take_along_axis(projected, order, axis=0)
-    m = projected.shape[0]
-    return projected if m == n_out else _quantile_weights(m, n_out) @ projected
+    return projected if quantiles is None else quantiles @ projected
+
+
+# Elements per direction block of a graph-free swd2: a block's projections
+# take 512 KiB a side, however many codes there are. The bound over 192
+# images of 64 sites (12288 codes a side, L = 50) takes ten blocks.
+_SWD_BLOCK = 1 << 16
 
 
 def swd2(a: EmbeddingBatch, b: EmbeddingBatch, proj: ProjectionSet) -> Tensor:
@@ -151,21 +160,31 @@ def swd2(a: EmbeddingBatch, b: EmbeddingBatch, proj: ProjectionSet) -> Tensor:
     n = max(a.count, b.count)
     scale = 1.0 / (proj.count * n)
     parents = (a.points, b.points)
-    projected = [p.data @ proj.directions.T for p in parents]  # (M, L) each
-    recording = _recording(parents)
-    orders = [_stable_argsort(x) if recording else None for x in projected]
-    gaps, other = (_rank_matched(x, n, order) for x, order in zip(projected, orders))
-    gaps -= other
-    if not recording:
+    quantiles = [None if p.shape[0] == n else _quantile_weights(p.shape[0], n)
+                 for p in parents]
+    if not _recording(parents):
+        gaps = np.empty((n, proj.count))
+        width = max(1, _SWD_BLOCK // n)
+        for lo in range(0, proj.count, width):
+            block = proj.directions[lo:lo + width].T
+            mine, other = (_rank_matched(p.data @ block, q)
+                           for p, q in zip(parents, quantiles))
+            np.subtract(mine, other, out=gaps[:, lo:lo + width])
         gaps *= gaps
         return Tensor(gaps.sum() * scale)
+
+    projected = [p.data @ proj.directions.T for p in parents]  # (M, L) each
+    orders = [_stable_argsort(x) for x in projected]
+    gaps, other = (_rank_matched(x, q, order)
+                   for x, q, order in zip(projected, quantiles, orders))
+    gaps -= other
 
     def back(g):
         g_a = (g * scale) * gaps
         g_a += g_a  # the two factors of gaps * gaps contribute one term each
-        for points, order, g_sorted in zip(parents, orders, (g_a, -g_a)):
-            if len(order) != n:
-                g_sorted = _quantile_weights(len(order), n).T @ g_sorted
+        for points, order, q, g_sorted in zip(parents, orders, quantiles, (g_a, -g_a)):
+            if q is not None:
+                g_sorted = q.T @ g_sorted
             g_points = np.empty(order.shape)
             np.put_along_axis(g_points, order, g_sorted, axis=0)
             _accumulate(points, g_points @ proj.directions)

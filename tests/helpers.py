@@ -1,11 +1,19 @@
 """Shared test utilities: finite-difference gradients, error measures, call
-counters, and the graph reference of swd2."""
+counters, the graph references of swd2 and sample_sites, and the pool that
+runs the acceptance suite's benchmark seeds."""
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from fedseg.autodiff import Tensor, matmul, mul, reshape, sub, take_rows, tsum
+from fedseg.autodiff import Tensor, matmul, mul, reshape, sub, take_rows, transpose, tsum
+from fedseg.benchmark import run_benchmark
+from fedseg.federation import _one_blas_thread_per_node
 from fedseg.network import INFERENCE_CHUNK, SegModel
 from fedseg.sliced import _quantile_weights
+from fedseg.util import derive_seed
 
 
 def numerical_grad(f, params, h=1e-5):
@@ -101,3 +109,35 @@ def swd2_graph(a, b, proj):
 
     gaps = sub(rank_matched(a.points), rank_matched(b.points))
     return mul(tsum(mul(gaps, gaps)), 1.0 / (proj.count * n))
+
+
+def sample_sites_graph(z, n_sites, seed):
+    """sample_sites' points built from autodiff ops, as it was before it
+    became one node: the field flattened to (batch * sites, latent_dim) by a
+    reshape, a transpose and a reshape, then the sampled rows gathered. The
+    reference for the node's points and gradient."""
+    batch, d = z.shape[0], z.shape[1]
+    p = int(np.prod(z.shape[2:]))
+    flat = reshape(transpose(reshape(z, (batch, d, p)), (0, 2, 1)), (batch * p, d))
+    rng = np.random.default_rng(derive_seed(seed, "embed-sites"))
+    take = min(n_sites, p)
+    rows = np.concatenate(
+        [b * p + rng.choice(p, size=take, replace=False) for b in range(batch)])
+    return take_rows(flat, rows)
+
+
+def run_benchmarks(calls):
+    """[run_benchmark(**kwargs) for kwargs in calls], computed on a spawn pool
+    of min(2, cores) processes with one BLAS thread each (unless the
+    environment sets a count), as federation runs its nodes. Every process
+    has exited on return, also when a call fails: the calls not yet started
+    are cancelled."""
+    processes = min(2, os.cpu_count() or 1)
+    with _one_blas_thread_per_node(), ProcessPoolExecutor(
+            processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(run_benchmark, **kwargs) for kwargs in calls]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

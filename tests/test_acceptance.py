@@ -2,16 +2,18 @@
 
 Each criterion prints one PASS line when it holds (run with -s to watch).
 The synthetic benchmark runs (5 seeds, base and corrupted-source variants)
-are computed once and shared across criteria. Budget on a laptop CPU:
-roughly ten minutes for the benchmark block, a few minutes for the sweeps.
+are computed once, on a pool of two processes, and shared across criteria.
+Budget on a laptop CPU: roughly ten minutes for the benchmark block, a few
+minutes for the sweeps.
 """
 
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from fedseg.autodiff import Tensor
+from fedseg.autodiff import Tensor, serialize_params
 from fedseg.benchmark import default_net_config, default_plan, run_benchmark
 from fedseg.cli import main as cli_main
 from fedseg.data import DomainShift, generate_domains
@@ -22,7 +24,7 @@ from fedseg.network import NetConfig, SegModel, ce_loss, embed
 from fedseg.sliced import (EmbeddingBatch, ProjectionSet, exact_w2_1d,
                            sample_projections, swd2)
 from fedseg.training import TrainPlan
-from helpers import gradient_check
+from helpers import gradient_check, run_benchmarks
 
 
 def ok(line):
@@ -33,15 +35,40 @@ def ok(line):
 
 
 @pytest.fixture(scope="module")
-def base_runs():
-    return [run_benchmark(seed, corrupted=False, with_bound=True)
-            for seed in range(5)]
+def benchmark_runs():
+    """The ten seeds, computed once on two processes: seeds 0-4 of the base
+    variant with the bound, then seeds 0-4 of the corrupted one without."""
+    runs = run_benchmarks([dict(seed=seed, corrupted=corrupted, with_bound=not corrupted)
+                           for corrupted in (False, True) for seed in range(5)])
+    return runs[:5], runs[5:]
 
 
 @pytest.fixture(scope="module")
-def corrupted_runs():
-    return [run_benchmark(seed, corrupted=True, with_bound=False)
-            for seed in range(5)]
+def base_runs(benchmark_runs):
+    return benchmark_runs[0]
+
+
+@pytest.fixture(scope="module")
+def corrupted_runs(benchmark_runs):
+    return benchmark_runs[1]
+
+
+def test_a_pooled_seed_equals_a_serial_run(base_runs):
+    """The pool changes where a seed runs, not what it computes: adapted
+    parameters, Dice and bound terms equal those of an in-process run."""
+    def facts(bench):
+        digests = [serialize_params(am.model.state_dict())
+                   for am in bench.result.adapted.models]
+        return repr((digests, bench.pre_dice, bench.post_dice, bench.mode_dice,
+                     bench.bound, bench.bound_lhs, bench.bound_rhs))
+
+    assert facts(base_runs[0]) == facts(run_benchmark(0, corrupted=False, with_bound=True))
+
+
+def test_a_failing_seed_leaves_no_pool_process():
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_benchmarks([dict(seed=seed, workers=0) for seed in range(3)])
+    assert multiprocessing.active_children() == []
 
 
 # -- criterion 1: SWD oracle equivalence ---------------------------------------------

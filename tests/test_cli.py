@@ -367,6 +367,33 @@ def test_checkpoint_that_does_not_fit_the_net_names_the_file(dataset, trained_ru
     assert f"{run / 'checkpoints' / 'site_a_adapted.fpar'}: parameter names" in err, err
 
 
+def tree_hashes(root):
+    return {os.path.relpath(os.path.join(d, f), root): file_hash(os.path.join(d, f))
+            for d, _, files in os.walk(root) for f in files}
+
+
+def test_eval_into_a_run_directory_refuses_and_writes_nothing(dataset, trained_run,
+                                                              tmp_path, capsys):
+    """A run directory is its report.txt: eval exits 1 naming --out when
+    --out holds a run, the evaluated one or another, and leaves it as it
+    was."""
+    run = tmp_path / "r"
+    assert main(["run", "--data", str(dataset), "--out", str(run), "--oracle",
+                 *FAST]) == 0
+    other = tmp_path / "other"
+    shutil.copytree(trained_run, other)
+    assert {"bound_terms", "per_model_dice"} <= set(
+        read_report(run / "report.txt")["tables"])
+    for out in (run, other):
+        before = tree_hashes(out)
+        capsys.readouterr()
+        assert main(["eval", "--data", str(dataset), "--run", str(run), "--oracle",
+                     "--out", str(out)]) == 1
+        assert f"--out {out} holds a run" in capsys.readouterr().err
+        assert tree_hashes(out) == before
+    assert not (run / "eval").exists()
+
+
 def test_eval_reuses_checkpoints(dataset, tmp_path):
     out = tmp_path / "r"
     assert main(["run", "--data", str(dataset), "--out", str(out), "--seed", "3",

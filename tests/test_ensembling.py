@@ -7,6 +7,7 @@ import pytest
 from fedseg.ensembling import (EnsembleWeights, add_source, aggregate,
                                average_vote, compute_weights, popular_vote,
                                stack_probs)
+from fedseg.network import NetConfig, SegModel
 
 
 class StubModel:
@@ -180,3 +181,18 @@ def test_jensen_inequality_on_random_stubs():
         rhs = float((w * (-np.log(probs[:, y]))).sum())
         assert lhs <= rhs + 1e-12
 
+
+
+def test_stack_probs_equals_the_stack_of_each_models_probabilities():
+    """The stack allocated once holds each model's predict_probs, and each
+    model's latent field of that pass, over several inference slices."""
+    models = [SegModel(NetConfig(), seed=s) for s in (1, 2)]
+    images = np.random.default_rng(3).normal(size=(37, 1, 16, 16))
+    latents = []
+    stacked = stack_probs(models, images, latents)
+    singles = [[] for _ in models]
+    expected = np.stack([m.predict_probs(images, z) for m, z in zip(models, singles)])
+    assert np.array_equal(stacked, expected)
+    assert len(latents) == len(models)
+    for z, [ref] in zip(latents, singles):
+        assert np.array_equal(z, ref)

@@ -238,7 +238,7 @@ def test_bound_terms_encodes_each_source_stack_once(monkeypatch):
 
 
 def test_bound_terms_equal_the_two_pass_terms():
-    """The shared passes give the CE of predict_logits and the SWD of embed,
+    """The shared passes give the CE of mean_ce and the SWD of embed,
     bit for bit, also over a stack of more than one inference slice."""
     models, sources, target = bound_inputs(20)
     latents = []

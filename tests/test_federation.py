@@ -4,6 +4,7 @@ equivalence, and incremental source addition."""
 import multiprocessing
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from fedseg.data import DomainDataset, DomainShift, generate_domains
 from fedseg.federation import (_BLAS_THREAD_VARS, AuditLog, Message, MessageBus, NodeId,
                                TargetMismatch, _one_blas_thread_per_node, _train_on_node,
                                audit_check, extend_run, run_msuda)
-from fedseg.network import NetConfig
-from fedseg.training import TrainPlan
+from fedseg.ensembling import AdaptedModelSet
+from fedseg.network import NetConfig, SegModel
+from fedseg.training import AdaptedModel, TrainPlan
 from helpers import count_calls
 
 CFG = NetConfig(depth=2, base_width=4, latent_dim=8)
@@ -305,3 +307,29 @@ def test_round_trip_audit_order():
         (t, a, "unlabeled_images"), (t, b, "unlabeled_images"),
         (a, t, "model_params"), (b, t, "model_params"),
         (t, c, "unlabeled_images"), (c, t, "model_params")]
+
+
+def test_target_pass_memory_does_not_grow_with_the_stack_beyond_its_result():
+    """Beyond its result (the probability stack and the latent fields) and
+    the one model's probabilities that wait to be copied into their slot,
+    target_pass holds one slice's pass: no second copy of the probability
+    stack and no stack of the target images."""
+    models = [AdaptedModel(SegModel(CFG, seed=s), f"s{s}") for s in range(3)]
+    run = federation.FederationResult(
+        adapted=AdaptedModelSet(models), weights=None, audit_log=AuditLog(),
+        pretrained={}, config=CFG, plan=TrainPlan(), oracle_mode=False,
+        target_label_reads=0)
+
+    def beyond_result(n):
+        target = DomainDataset(np.random.default_rng(n).normal(size=(n, 1, 16, 16)),
+                               domain_id="t")
+        tracemalloc.start()
+        try:
+            out = federation.target_pass(run, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = out.target_probs.nbytes + sum(z.nbytes for z in out.target_latents)
+        return peak - result - out.target_probs[0].nbytes
+
+    assert beyond_result(128) < 1.5 * beyond_result(32)

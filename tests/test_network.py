@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedseg.autodiff import Tensor, no_grad, softmax
+from fedseg.autodiff import Tensor, mul, no_grad, softmax, tsum
 from fedseg.data import DomainDataset
 from fedseg.evaluation import mean_ce
 from fedseg.network import NetConfig, SegModel, ce_loss, embed, sample_sites
-from helpers import gradient_check
+from helpers import gradient_check, sample_sites_graph
 
 SMALL = NetConfig(spatial_rank=2, in_channels=1, num_classes=2, depth=1,
                   base_width=3, latent_dim=4)
@@ -207,14 +207,20 @@ def test_predict_hands_back_the_latent_field_of_its_pass():
     assert np.array_equal(z, model.encode(Tensor(x)).data)
 
 
+def labeled(n, seed=12):
+    rng = np.random.default_rng(seed)
+    return DomainDataset(list(rng.normal(size=(n, 1, 16, 16))),
+                         list(rng.integers(0, 2, size=(n, 16, 16))), domain_id="d")
+
+
 def test_mean_ce_equals_ce_of_one_forward_pass():
+    """The streamed CE terms, summed once, give ce_loss's sum over the whole
+    stack bit for bit: one image, one full slice, and a partial last slice."""
     model = SegModel(DEFAULT, seed=13)
-    rng = np.random.default_rng(12)
-    images = list(rng.normal(size=(37, 1, 16, 16)))
-    masks = list(rng.integers(0, 2, size=(37, 16, 16)))
-    ds = DomainDataset(images, masks, domain_id="d")
-    expected = ce_loss(model.forward(Tensor(np.stack(images))), np.stack(masks)).item()
-    assert mean_ce(model, ds) == expected
+    for n in (1, 16, 37):
+        ds = labeled(n)
+        expected = ce_loss(model.forward(Tensor(ds.image_stack())), ds.mask_stack()).item()
+        assert mean_ce(model, ds) == expected, n
 
 
 def _peak(run, n):
@@ -231,6 +237,44 @@ def _peak(run, n):
 def test_predict_memory_does_not_grow_with_the_stack():
     model = SegModel(DEFAULT, seed=14)
     assert _peak(model.predict_probs, 128) < 1.5 * _peak(model.predict_probs, 32)
+
+
+def test_mean_ce_memory_does_not_grow_with_the_stack_beyond_its_terms():
+    """What mean_ce holds beyond its (batch, classes, *spatial) buffer of CE
+    terms is one slice's pass, whatever the stack. The small net keeps that
+    pass below the whole-stack arrays a non-streaming CE would hold."""
+    model = SegModel(SMALL, seed=17)
+
+    def beyond_terms(n):
+        ds = labeled(n, seed=n)
+        tracemalloc.start()
+        try:
+            mean_ce(model, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - n * SMALL.num_classes * 16 * 16 * 8
+
+    assert beyond_terms(128) < 1.5 * beyond_terms(32)
+
+
+@pytest.mark.parametrize("n_sites", [5, 64], ids=["take<sites", "take==sites"])
+def test_sample_sites_node_equals_the_graph_it_replaced(n_sites):
+    """The one node gives the points of the reshape/transpose/take_rows
+    graph, and the same gradient back to the latent field, bit for bit."""
+    rng = np.random.default_rng(18)
+    field = rng.normal(size=(3, 4, 4, 4))  # 16 sites per image
+    upstream = rng.normal(size=(3 * min(n_sites, 16), 4))
+    got = []
+    for fn in (lambda z: sample_sites(z, n_sites, seed=7).points,
+               lambda z: sample_sites_graph(z, n_sites, seed=7)):
+        z = Tensor(field, requires_grad=True)
+        points = fn(z)
+        tsum(mul(points, Tensor(upstream))).backward()
+        got.append((points.data, z.grad))
+    (points, grad), (ref_points, ref_grad) = got
+    assert np.array_equal(points, ref_points)
+    assert np.array_equal(grad, ref_grad)
 
 
 def test_chunked_embed_equals_one_encoder_pass():

@@ -205,9 +205,11 @@ def test_monte_carlo_variance_shrinks_with_more_projections():
 def clouds(case):
     """Two point clouds of 16-dim codes: random, rectified (many exact
     zeros, so many tied projections), or of unequal sizes (the quantile
-    path)."""
+    path); a bound's 12288 codes per side (192 images of 64 sites), or 3072
+    against 768."""
     rng = np.random.default_rng(len(case))
-    sizes = (48, 80) if case == "unequal" else (64, 64)
+    sizes = {"unequal": (48, 80), "large": (12288, 12288),
+             "large-unequal": (3072, 768)}.get(case, (64, 64))
     a, b = (rng.normal(size=(m, 16)) for m in sizes)
     if case == "relu-ties":
         a, b = np.maximum(a - 0.8, 0.0), np.maximum(b - 0.5, 0.0)
@@ -215,10 +217,13 @@ def clouds(case):
     return a, b
 
 
-@pytest.mark.parametrize("case", ["random", "relu-ties", "unequal"])
+@pytest.mark.parametrize("case", ["random", "relu-ties", "unequal", "large",
+                                  "large-unequal"])
 def test_swd2_value_without_a_graph_equals_the_value_with_one(case):
     """The value path sorts in place, the graph path gathers by the stable
-    argsort: the same sorted values, so the same bits."""
+    argsort: the same sorted values, so the same bits. The large clouds
+    take the value path through several blocks of directions, the last one
+    short in the unequal case."""
     a, b = clouds(case)
     proj = sample_projections(50, 16, seed=4)
     with_graph = swd2(batch(a, requires_grad=True), batch(b, requires_grad=True), proj)
