@@ -200,9 +200,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -307,26 +304,6 @@ def matmul(a, b):
 
 # -- shape manipulation ------------------------------------------------------
 
-def reshape(t, shape):
-    t = as_tensor(t)
-    old = t.shape
-
-    def back(g):
-        _accumulate(t, g.reshape(old))
-
-    return _make(t.data.reshape(shape), (t,), back)
-
-
-def transpose(t, axes):
-    t = as_tensor(t)
-    inverse = np.argsort(axes)
-
-    def back(g):
-        _accumulate(t, np.transpose(g, inverse))
-
-    return _make(np.transpose(t.data, axes), (t,), back)
-
-
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
@@ -339,20 +316,6 @@ def concat(tensors, axis=0):
             _accumulate(t, g[tuple(idx)])
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
-
-
-def take_rows(t, indices):
-    """Gather rows along axis 0; duplicate indices accumulate on backward."""
-    t = as_tensor(t)
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def back(g):
-        if t.requires_grad:
-            full = np.zeros_like(t.data)
-            np.add.at(full, idx, g)
-            _accumulate(t, full)
-
-    return _make(np.take(t.data, idx, axis=0), (t,), back)
 
 
 # -- reductions ---------------------------------------------------------------

@@ -14,7 +14,11 @@ model once on the target images; it is allocated once, and each model's
 result is copied into its slot, so the stack is never held twice.
 federation.target_pass builds it once for a run, an extended run or an
 eval, and weights it with confidence_weights; aggregate, average_vote and
-popular_vote take it too, never the models.
+popular_vote take it too, never the models. Each mode streams over the
+models: it adds one model's weighted probabilities or votes at a time into
+one (batch, classes, *spatial) buffer, so it holds no temporary that grows
+with the number of models. The models are added in the order in which
+numpy sums over the model axis, so the results are those sums, bit for bit.
 compute_weights and add_source take models (anything with
 predict_probs(images) -> (batch, classes, *spatial)) for a caller that holds
 no stack. All image arguments are batches; pass a single image as a batch
@@ -148,12 +152,12 @@ def add_source(models, weights: EnsembleWeights, new_model,
 
 def _tie_break_argmax(scores: np.ndarray, rng) -> np.ndarray:
     """Argmax over axis 1 with exact ties resolved uniformly at random."""
-    top = scores.max(axis=1, keepdims=True)
-    tied = scores == top
-    if rng is None or int(tied.sum(axis=1).max()) <= 1:
+    tied = scores == scores.max(axis=1, keepdims=True)
+    if rng is None or not (np.count_nonzero(tied, axis=1) > 1).any():
         return scores.argmax(axis=1)
     jitter = rng.random(scores.shape)
-    return np.where(tied, jitter, -1.0).argmax(axis=1)
+    jitter[~tied] = -1.0
+    return jitter.argmax(axis=1)
 
 
 def aggregate(probs, weights: EnsembleWeights) -> AggregatedPrediction:
@@ -161,8 +165,12 @@ def aggregate(probs, weights: EnsembleWeights) -> AggregatedPrediction:
     probs = np.asarray(probs)
     if len(probs) != len(weights.weights):
         raise ValueError(f"{len(probs)} models but {len(weights.weights)} weights")
-    w = np.asarray(weights.weights).reshape((-1,) + (1,) * (probs.ndim - 1))
-    mixed = (probs * w).sum(axis=0)
+    w = np.asarray(weights.weights)
+    mixed = probs[0] * w[0]
+    term = np.empty_like(mixed)
+    for p, wk in zip(probs[1:], w[1:]):
+        mixed += np.multiply(p, wk, out=term)
+    del term  # before argmax, which takes a copy of its own
     return AggregatedPrediction(probs=mixed, mask=mixed.argmax(axis=1))
 
 
@@ -176,8 +184,9 @@ def average_vote(probs, seed: int = 0) -> AggregatedPrediction:
 def popular_vote(probs, seed: int = 0) -> np.ndarray:
     """Per-pixel majority label across models; ties resolved by seed."""
     probs = np.asarray(probs)
-    n_classes = probs.shape[2]
-    labels = probs.argmax(axis=2)  # (models, batch, *spatial)
-    votes = np.stack([(labels == c).sum(axis=0) for c in range(n_classes)], axis=1)
+    classes = np.arange(probs.shape[2]).reshape((-1,) + (1,) * (probs.ndim - 3))
+    votes = np.zeros(probs.shape[1:])  # counts, exact in float64
+    for p in probs:
+        votes += p.argmax(axis=1)[:, None] == classes
     rng = np.random.default_rng(derive_seed(seed, "popular-vote"))
-    return _tie_break_argmax(votes.astype(np.float64), rng)
+    return _tie_break_argmax(votes, rng)

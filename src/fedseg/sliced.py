@@ -5,7 +5,9 @@ Wasserstein distance between the projected point sets: project both batches
 onto each direction, sort both projected lists, pair by rank, and average
 the squared gaps. For equal batch sizes the rank pairing is exact; unequal
 sizes are matched by interpolating the smaller sorted list at the larger
-list's quantile positions.
+list's quantile positions: each position mixes the two ranks around it, a
+gather of two rows (and a scatter of the gradient back to them), never a
+dense interpolation matrix.
 
 swd2 is one autodiff node with the closed-form gradient, the sorting
 permutation held locally constant: 2/(L n) times the gaps, mapped back
@@ -80,22 +82,25 @@ def sample_projections(L: int, d: int, seed: int) -> ProjectionSet:
     return ProjectionSet(count=L, directions=vecs / norms, seed=seed)
 
 
-def _quantile_weights(m: int, n: int) -> np.ndarray:
-    """(n, m) interpolation matrix mapping m sorted values to n rank positions.
+def _quantile_weights(m: int, n: int):
+    """Linear interpolation of m sorted values at n > m rank positions.
 
-    Row i linearly interpolates the sorted list at fractional index
-    i * (m-1) / (n-1); identity when m == n.
+    Row i reads the sorted list at fractional index i * (m-1) / (n-1):
+    (1 - frac[i]) times row lo[i] plus frac[i] times row hi[i]. Returns
+    (lo, hi, frac), frac as an (n, 1) column.
     """
-    if m == n:
-        return np.eye(m)
-    w = np.zeros((n, m))
-    pos = np.linspace(0.0, m - 1.0, n) if n > 1 else np.array([(m - 1) / 2.0])
-    lo = np.floor(pos).astype(int)
+    pos = np.linspace(0.0, m - 1.0, n)
+    lo = np.floor(pos).astype(np.intp)
     hi = np.minimum(lo + 1, m - 1)
-    frac = pos - lo
-    w[np.arange(n), lo] += 1.0 - frac
-    w[np.arange(n), hi] += frac
-    return w
+    return lo, hi, (pos - lo)[:, None]
+
+
+def _scatter_rows(rows, g, m: int) -> np.ndarray:
+    """(m, L) sums of g's rows by their target row: the backward of g's
+    gather from an m-row array."""
+    out = np.zeros((m,) + g.shape[1:])
+    np.add.at(out, rows, g)
+    return out
 
 
 # Elements per column block of _stable_argsort: a block's temporaries stay
@@ -136,13 +141,17 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
 
 def _rank_matched(projected: np.ndarray, quantiles, order=None) -> np.ndarray:
     """(n, L) rank-matched values of (M, L) projections: gathered by their
-    stable argsort `order` or, without one, sorted in place; then mapped to
-    n ranks by the (n, M) quantile weights, unless those are None (M == n)."""
+    stable argsort `order` or, without one, sorted in place; then
+    interpolated at n ranks by the quantile weights, unless those are None
+    (M == n)."""
     if order is None:
         projected.sort(axis=0)
     else:
         projected = np.take_along_axis(projected, order, axis=0)
-    return projected if quantiles is None else quantiles @ projected
+    if quantiles is None:
+        return projected
+    lo, hi, frac = quantiles
+    return projected[lo] * (1.0 - frac) + projected[hi] * frac
 
 
 # Elements per direction block of a graph-free swd2: a block's projections
@@ -184,7 +193,10 @@ def swd2(a: EmbeddingBatch, b: EmbeddingBatch, proj: ProjectionSet) -> Tensor:
         g_a += g_a  # the two factors of gaps * gaps contribute one term each
         for points, order, q, g_sorted in zip(parents, orders, quantiles, (g_a, -g_a)):
             if q is not None:
-                g_sorted = q.T @ g_sorted
+                lo, hi, frac = q
+                m = len(order)
+                g_sorted = (_scatter_rows(lo, g_sorted * (1.0 - frac), m)
+                            + _scatter_rows(hi, g_sorted * frac, m))
             g_points = np.empty(order.shape)
             np.put_along_axis(g_points, order, g_sorted, axis=0)
             _accumulate(points, g_points @ proj.directions)

@@ -8,11 +8,10 @@ import pytest
 
 from fedseg.autodiff import (Adam, Tensor, add, concat, conv, deserialize_params,
                              log_softmax, matmul, max_pool, mul, no_grad, relu,
-                             reshape, serialize_params, softmax, sub,
-                             take_rows, tmean, transpose, tsum,
+                             serialize_params, softmax, sub, tmean, tsum,
                              upsample_nearest)
 from fedseg.network import NetConfig, SegModel, ce_loss
-from helpers import gradient_check, max_rel_error
+from helpers import gradient_check, max_rel_error, reshape, take_rows, transpose
 
 
 def test_add_elementwise():
@@ -103,7 +102,7 @@ def test_random_graph_gradients_match_finite_differences(seed):
         h = upsample_nearest(h, 2)
         flat = reshape(h, (2, 2 * 2 * 2))
         prod = matmul(transpose(flat, (1, 0)), Tensor(rng2_const))
-        mixed = concat([prod, matmul(Tensor(np.ones((5, 3))), m.transpose((1, 0)))], axis=0)
+        mixed = concat([prod, matmul(Tensor(np.ones((5, 3))), transpose(m, (1, 0)))], axis=0)
         lp = log_softmax(mixed, axis=1)
         picked = take_rows(lp, np.array([0, 1, 2, 5, 7, 9, 12]))
         return tmean(mul(sub(picked, 0.1), sub(picked, 0.1)))

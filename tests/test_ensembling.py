@@ -1,6 +1,8 @@
 """Confidence weights, aggregation, the vote baselines, and incremental
 source addition, exercised with fixed probability stacks and stub models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fedseg.ensembling import (EnsembleWeights, add_source, aggregate,
                                average_vote, compute_weights, popular_vote,
                                stack_probs)
 from fedseg.network import NetConfig, SegModel
+from helpers import aggregate_reference, average_vote_reference, popular_vote_reference
 
 
 class StubModel:
@@ -196,3 +199,68 @@ def test_stack_probs_equals_the_stack_of_each_models_probabilities():
     assert len(latents) == len(models)
     for z, [ref] in zip(latents, singles):
         assert np.array_equal(z, ref)
+
+
+def random_stacks(case, count=60):
+    """(probs, weights) of 1-5 models, 2-3 classes and 0-2 spatial axes:
+    distinct probabilities, probabilities on a grid of halves (exact ties
+    in the mean and in the votes), or distinct ones with a NaN."""
+    rng = np.random.default_rng(len(case))
+    for _ in range(count):
+        k, n_classes = int(rng.integers(1, 6)), int(rng.integers(2, 4))
+        spatial = tuple(int(s) for s in rng.integers(1, 6, size=int(rng.integers(0, 3))))
+        if case == "ties":
+            probs = rng.integers(0, 3, size=(k, 3, n_classes) + spatial) / 2.0
+        else:
+            probs = np.moveaxis(rng.dirichlet(np.ones(n_classes), size=(k, 3) + spatial), -1, 2)
+        probs = np.ascontiguousarray(probs)
+        if case == "nan":
+            probs.flat[int(rng.integers(probs.size))] = np.nan
+        yield probs, EnsembleWeights([1] * k, list(rng.dirichlet(np.ones(k))), 0.5)
+
+
+@pytest.mark.parametrize("case", ["distinct", "ties", "nan"])
+def test_ensemble_modes_equal_the_whole_stack_formulas(case):
+    """Streaming over the models gives the bits of the formulas over the
+    whole stack: every mode at two seeds, on both branches of the tie-break.
+    The votes of an even number of models tie in every case; the mean ties
+    only in the tie case, where the two seeds then draw different masks."""
+    seeds_differ = False
+    for probs, weights in random_stacks(case):
+        out, ref = aggregate(probs, weights), aggregate_reference(probs, weights)
+        assert np.array_equal(out.probs, ref.probs, equal_nan=True)
+        assert np.array_equal(out.mask, ref.mask)
+        masks = []
+        for seed in (0, 3):
+            out, ref = average_vote(probs, seed), average_vote_reference(probs, seed)
+            assert np.array_equal(out.probs, ref.probs, equal_nan=True)
+            assert np.array_equal(out.mask, ref.mask)
+            votes = popular_vote(probs, seed)
+            assert votes.dtype == np.intp
+            assert np.array_equal(votes, popular_vote_reference(probs, seed))
+            masks.append(out.mask)
+        seeds_differ |= not np.array_equal(*masks)
+    assert seeds_differ == (case == "ties")
+
+
+@pytest.mark.parametrize("mode", ["aggregate", "average_vote", "popular_vote"])
+def test_ensemble_mode_memory_does_not_grow_with_the_model_count(mode):
+    """Each mode adds one model at a time into a buffer of one model's size:
+    its tracemalloc peak, net of the stack it is given, is the same for 6
+    models as for 2 (both even, so the votes tie and take the jitter)."""
+    peaks = []
+    for k in (2, 6):
+        rng = np.random.default_rng(k)
+        probs = np.ascontiguousarray(
+            np.moveaxis(rng.dirichlet(np.ones(2), size=(k, 16, 32, 32)), -1, 2))
+        run = {"aggregate": lambda: aggregate(probs, EnsembleWeights.from_counts([1] * k, 0.5)),
+               "average_vote": lambda: average_vote(probs),
+               "popular_vote": lambda: popular_vote(probs)}[mode]
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+

@@ -263,3 +263,22 @@ def test_swd2_gradient_reaches_only_the_side_that_needs_it():
     ref = Tensor(a.data.copy(), requires_grad=True)
     swd2_graph(EmbeddingBatch(ref), batch(b), proj).backward()
     np.testing.assert_array_equal(a.grad, ref.grad)
+
+
+@pytest.mark.parametrize("case", ["unequal", "large-unequal"])
+def test_swd2_quantile_gather_equals_the_dense_matrix(case):
+    """The interpolation of the smaller side, a gather of two rows per rank
+    with the gradient scattered back, gives the value and the gradients of
+    the dense (n, m) quantile matrix it replaced, to rounding."""
+    a, b = clouds(case)
+    proj = sample_projections(50, 16, seed=5)
+    results = []
+    for fn in (swd2, lambda *args: swd2_graph(*args, dense=True)):
+        pa, pb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = fn(EmbeddingBatch(pa), EmbeddingBatch(pb), proj)
+        out.backward()
+        results.append((out.item(), pa.grad, pb.grad))
+    (value, ga, gb), (ref_value, ref_a, ref_b) = results
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    for g, ref in ((ga, ref_a), (gb, ref_b)):
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
