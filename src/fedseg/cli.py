@@ -163,18 +163,16 @@ def _palette_shift(rng, index) -> DomainShift:
 
 
 def cmd_gen(args) -> int:
-    if args.domains < 1:
-        raise UsageError(f"--domains must be >= 1, got {args.domains}")
+    if args.domains < 2:
+        raise UsageError(f"--domains must be >= 2, got {args.domains}")
     if args.images < 1:
         raise UsageError(f"--images must be >= 1, got {args.images}")
     if args.size < 4:
         raise UsageError(f"--size must be >= 4, got {args.size}")
-    benchmark = args.domains == 3 and not args.palette
-    if args.corrupted and not benchmark:
-        raise UsageError("--corrupted needs the benchmark's 3 domains (--domains 3, "
-                         "no --palette)")
+    if args.corrupted and args.domains != 3:
+        raise UsageError("--corrupted needs the benchmark's 3 domains (--domains 3)")
     _prepare_out(args.out, args.force)
-    if benchmark:
+    if args.domains == 3:
         sources, target = make_benchmark_domains(args.seed, args.corrupted,
                                                  images=args.images, size=args.size)
         domains = sources + [target]
@@ -183,18 +181,16 @@ def cmd_gen(args) -> int:
         rng = np.random.default_rng(derive_seed(args.seed, "gen-palette"))
         shift_list = [_palette_shift(rng, i) for i in range(args.domains - 1)]
         shift_list.append(DomainShift(0.25, 0.55, 0.02, 0.05, seed=173))
-        if args.domains == 1:
-            shift_list = shift_list[-1:]
         domains = generate_domains(derive_seed(args.seed, "benchmark-phantoms"),
                                    args.domains, args.images,
                                    (args.size, args.size), shift_list)
         names = [f"site_{chr(ord('a') + i)}" for i in range(args.domains - 1)]
-        for ds, name in zip(domains, names + ["site_t" if names else "site_a"]):
+        for ds, name in zip(domains, names + ["site_t"]):
             ds.domain_id = name
     entries = []
     for ds, shift in zip(domains, shift_list):
         name = ds.domain_id
-        role = "target" if ds is domains[-1] and args.domains > 1 else "source"
+        role = "target" if ds is domains[-1] else "source"
         ddir = os.path.join(args.out, name)
         os.makedirs(ddir, exist_ok=True)
         entry = ManifestEntry(name, role, shift)
@@ -460,8 +456,6 @@ def build_parser() -> _Parser:
     p.add_argument("--corrupted", action="store_true",
                    help="the benchmark's corrupted variant: a signal-dead second "
                         "source with 4x --images")
-    p.add_argument("--palette", action="store_true",
-                   help="use generated shifts even for 3 domains")
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_gen)
 

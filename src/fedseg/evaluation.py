@@ -153,13 +153,11 @@ def bound_right_hand_side(terms, weights) -> float:
 def measure_joint_error(source, target_labeled, plan, config) -> float:
     """Joint-training error term: train one model on source plus labeled
     target, return its source CE plus target CE. Oracle-mode only."""
-    union = DomainDataset(
-        [im.copy() for im in source.images] + [im.copy() for im in target_labeled.images],
-        [m.copy() for m in source.masks] + [m.copy() for m in target_labeled.masks],
-        domain_id=f"{source.domain_id}+{target_labeled.domain_id}",
-    )
+    union = DomainDataset(source.images + target_labeled.images,
+                          source.masks + target_labeled.masks,
+                          domain_id=f"{source.domain_id}+{target_labeled.domain_id}")
     joint_plan = dataclasses.replace(
-        plan, epochs_adapt=0, seed=derive_seed(plan.seed, "joint", source.domain_id))
+        plan, seed=derive_seed(plan.seed, "joint", source.domain_id))
     star = pretrain(union, joint_plan, config)
     return mean_ce(star, source) + mean_ce(star, target_labeled)
 

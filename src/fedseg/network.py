@@ -29,7 +29,7 @@ sample_sites draws embedding rows from a latent field the caller already
 has, so neither training nor evaluation encodes an image twice for its
 logits and its codes. It is one autodiff node: it gathers the sampled sites
 straight from the field and scatters the gradient back to them, with no
-flattened copy of the field. embed encodes in the same slices as inference.
+flattened copy of the field.
 """
 
 from dataclasses import dataclass
@@ -56,13 +56,6 @@ def _filled(buffer, n, part, values):
         buffer = np.empty((n,) + values.shape[1:], dtype=values.dtype)
     buffer[part] = values
     return buffer
-
-
-def _chunks(images):
-    """INFERENCE_CHUNK-image slices of a stack; an empty stack gives one
-    empty slice, so a pass still runs for its shape."""
-    return [images[i:i + INFERENCE_CHUNK]
-            for i in range(0, max(len(images), 1), INFERENCE_CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -256,16 +249,9 @@ def sample_sites(z, n_sites: int = 64, seed: int = 0,
 
 def embed(model: SegModel, x, n_sites: int = 64, seed: int = 0,
           domain_tag: str = "") -> EmbeddingBatch:
-    """sample_sites of the model's latent field of an image batch.
-
-    The encoder runs on INFERENCE_CHUNK images at a time, so under no_grad
-    the peak memory does not grow with the stack; the latent field, and so
-    every sampled row, equals that of one pass. Differentiable with respect
-    to the model parameters.
-    """
-    x = x.data if isinstance(x, Tensor) else np.asarray(x)
-    return sample_sites(concat([model.encode(c) for c in _chunks(x)], axis=0),
-                        n_sites, seed, domain_tag)
+    """sample_sites of the model's latent field of an image batch,
+    differentiable with respect to the model parameters."""
+    return sample_sites(model.encode(x), n_sites, seed, domain_tag)
 
 
 def _onehot(logits_shape, mask) -> np.ndarray:

@@ -9,18 +9,21 @@ list's quantile positions: each position mixes the two ranks around it, a
 gather of two rows (and a scatter of the gradient back to them), never a
 dense interpolation matrix.
 
-swd2 is one autodiff node with the closed-form gradient, the sorting
-permutation held locally constant: 2/(L n) times the gaps, mapped back
+swd2 runs one loop over blocks of directions (_SWD_BLOCK elements a
+side), whether or not the call records a graph. Per block and side it
+projects the points, sorts the projections, interpolates the smaller side at
+the quantile ranks, and writes the gaps into one (n, L) buffer, so a
+bound's 12288-code clouds never hold their whole (n, L) projections. A call
+without a graph sorts the projections in place and squares the gaps in
+place before it sums them once. A call that records one keeps each side's
+(M, L) sorting order and the gaps: the node's closed-form gradient holds
+the permutation locally constant, 2/(L n) times the gaps, mapped back
 through the interpolation where there is one, unsorted, and taken to each
-side's points by one GEMM with the directions. The ranks are those of a
+side's points by one GEMM with the directions. Its ranks are those of a
 stable sort, so tied projections pair in index order; an unstable argsort
 and an int64 sort of (run of equal values, index) keys give them in half
-the time. Only a call that records a graph needs them: otherwise the
-projections are sorted in place, the same values, so the same sum of
-squared gaps bit for bit. Without a graph swd2 also projects and sorts one
-block of directions at a time (_SWD_BLOCK elements a side), writing the
-squared gaps into one (n, L) buffer that it sums once, so a bound's
-12288-code clouds never hold their whole (n, L) projections.
+the time. Sorting in place gives the same values, so both calls give the
+same sum of squared gaps bit for bit.
 """
 
 from dataclasses import dataclass
@@ -103,12 +106,6 @@ def _scatter_rows(rows, g, m: int) -> np.ndarray:
     return out
 
 
-# Elements per column block of _stable_argsort: a block's temporaries stay
-# near 1 MiB, so a large embedding batch sorts in no more memory than a
-# stable argsort takes; a training step's (256, 50) is one block.
-_SORT_BLOCK = 1 << 16
-
-
 def _stable_argsort(x: np.ndarray) -> np.ndarray:
     """np.argsort(x, axis=0, kind="stable") of a 2-D array, from one
     unstable argsort and two sorts, which take half its time.
@@ -119,44 +116,26 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
     keys (run number << bits) | index puts each run in index order, as a
     stable sort keeps it.
     """
-    n, cols = x.shape
-    bits = max(n - 1, 1).bit_length()
+    bits = max(len(x) - 1, 1).bit_length()
+    ordered = np.sort(x, axis=0)
     keys = np.empty(x.shape, dtype=np.int64)
-    width = max(1, _SORT_BLOCK // n)
-    for lo in range(0, cols, width):
-        block, k = x[:, lo:lo + width], keys[:, lo:lo + width]
-        ordered = np.sort(block, axis=0)
-        k[0] = 0
-        k[1:] = ordered[1:] != ordered[:-1]  # 1 where a run begins
-        if np.isnan(ordered[-1]).any():  # NaN != NaN, but the NaNs form one run
-            k[1:] &= ordered[:-1] == ordered[:-1]
-        del ordered
-        np.cumsum(k, axis=0, out=k)
-        k <<= bits
-        k |= np.argsort(block, axis=0)
-        k.sort(axis=0)
+    keys[0] = 0
+    keys[1:] = ordered[1:] != ordered[:-1]  # 1 where a run begins
+    if np.isnan(ordered[-1]).any():  # NaN != NaN, but the NaNs form one run
+        keys[1:] &= ordered[:-1] == ordered[:-1]
+    del ordered
+    np.cumsum(keys, axis=0, out=keys)
+    keys <<= bits
+    keys |= np.argsort(x, axis=0)
+    keys.sort(axis=0)
     keys &= (1 << bits) - 1
     return keys
 
 
-def _rank_matched(projected: np.ndarray, quantiles, order=None) -> np.ndarray:
-    """(n, L) rank-matched values of (M, L) projections: gathered by their
-    stable argsort `order` or, without one, sorted in place; then
-    interpolated at n ranks by the quantile weights, unless those are None
-    (M == n)."""
-    if order is None:
-        projected.sort(axis=0)
-    else:
-        projected = np.take_along_axis(projected, order, axis=0)
-    if quantiles is None:
-        return projected
-    lo, hi, frac = quantiles
-    return projected[lo] * (1.0 - frac) + projected[hi] * frac
-
-
-# Elements per direction block of a graph-free swd2: a block's projections
-# take 512 KiB a side, however many codes there are. The bound over 192
-# images of 64 sites (12288 codes a side, L = 50) takes ten blocks.
+# Elements per direction block of swd2: a block's projections take 512 KiB
+# a side, however many codes there are. A training step's (256, 50) is one
+# block; the bound over 192 images of 64 sites (12288 codes a side, L = 50)
+# takes ten.
 _SWD_BLOCK = 1 << 16
 
 
@@ -171,22 +150,30 @@ def swd2(a: EmbeddingBatch, b: EmbeddingBatch, proj: ProjectionSet) -> Tensor:
     parents = (a.points, b.points)
     quantiles = [None if p.shape[0] == n else _quantile_weights(p.shape[0], n)
                  for p in parents]
-    if not _recording(parents):
-        gaps = np.empty((n, proj.count))
-        width = max(1, _SWD_BLOCK // n)
-        for lo in range(0, proj.count, width):
-            block = proj.directions[lo:lo + width].T
-            mine, other = (_rank_matched(p.data @ block, q)
-                           for p, q in zip(parents, quantiles))
-            np.subtract(mine, other, out=gaps[:, lo:lo + width])
+    recording = _recording(parents)
+    orders = [np.empty((p.shape[0], proj.count), dtype=np.intp) if recording else None
+              for p in parents]
+    gaps = np.empty((n, proj.count))
+    width = max(1, _SWD_BLOCK // n)
+    for start in range(0, proj.count, width):
+        cols = slice(start, start + width)
+        block = proj.directions[cols].T
+        matched = []
+        for points, order, q in zip(parents, orders, quantiles):
+            x = points.data @ block  # (M, width) projections
+            if order is None:
+                x.sort(axis=0)
+            else:
+                order[:, cols] = _stable_argsort(x)
+                x = np.take_along_axis(x, order[:, cols], axis=0)
+            if q is not None:
+                lo, hi, frac = q
+                x = x[lo] * (1.0 - frac) + x[hi] * frac
+            matched.append(x)
+        np.subtract(*matched, out=gaps[:, cols])
+    if not recording:
         gaps *= gaps
         return Tensor(gaps.sum() * scale)
-
-    projected = [p.data @ proj.directions.T for p in parents]  # (M, L) each
-    orders = [_stable_argsort(x) for x in projected]
-    gaps, other = (_rank_matched(x, q, order)
-                   for x, q, order in zip(projected, quantiles, orders))
-    gaps -= other
 
     def back(g):
         g_a = (g * scale) * gaps

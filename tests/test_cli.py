@@ -69,10 +69,12 @@ def test_gen_default_manifest_counts(dataset):
     assert [e.role for e in entries] == ["source", "source", "target"]
 
 
-def test_gen_single_domain(tmp_path):
-    assert main(gen_args(tmp_path / "one", domains=1)) == 0
-    _, entries = read_manifest(tmp_path / "one" / "manifest.txt")
-    assert len(entries) == 1
+def test_gen_single_domain(tmp_path, capsys):
+    """One domain has no target, which run, eval and sweep all need."""
+    capsys.readouterr()
+    assert main(gen_args(tmp_path / "one", domains=1)) == 1
+    assert "usage error: --domains" in capsys.readouterr().err
+    assert not (tmp_path / "one").exists()
 
 
 def test_gen_same_seed_identical_hashes(tmp_path):
@@ -99,8 +101,7 @@ def test_gen_at_the_defaults_writes_the_benchmark_domains(tmp_path, corrupted):
                 assert np.array_equal(written, expected)
 
 
-@pytest.mark.parametrize("extra", [["--palette"], ["--domains", "4"]],
-                         ids=["palette", "four-domains"])
+@pytest.mark.parametrize("extra", [["--domains", "4"]], ids=["four-domains"])
 def test_gen_corrupted_outside_the_benchmark_layout_is_usage_error(tmp_path, capsys,
                                                                    extra):
     out = tmp_path / "g"

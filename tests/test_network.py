@@ -284,13 +284,3 @@ def test_chunked_embed_equals_one_encoder_pass():
     with no_grad():
         got = embed(model, x, n_sites=5, seed=2).points.data
     assert np.array_equal(got, expected)
-
-
-def test_embed_memory_does_not_grow_with_the_stack():
-    model = SegModel(DEFAULT, seed=16)
-
-    def run(x):
-        with no_grad():
-            embed(model, x, n_sites=8)
-
-    assert _peak(run, 128) < 1.5 * _peak(run, 32)

@@ -1,6 +1,6 @@
 """The package surface: every exported name resolves, no module imports a
-name it never uses, the README's commands parse, and every name the
-benchmark's tracer wraps exists."""
+name it never uses, every private definition is read, the README's commands
+parse, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -52,6 +52,43 @@ def test_no_unused_module_imports():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [u for path in modules for u in _unused_imports(path)] == []
+
+
+def _private_definitions(tree):
+    """Module-level private (one leading underscore) functions, classes and
+    constants of a parsed module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from (name for name in targets
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(tree):
+    """Names a parsed module reads: loads, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_definition_is_read_in_the_package():
+    """A private helper that a deletion leaves without a reader in src/
+    fails here, even when tests still call it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    orphans = [f"{module}: {name}" for module, tree in trees.items()
+               for name in _private_definitions(tree) if name not in read]
+    assert orphans == []
 
 
 def test_readme_command_line_block_parses():
