@@ -381,9 +381,9 @@ def cmd_eval(args) -> int:
     run = _load_run(args.run)
     _run_sources(source_entries, run.adapted.source_ids())
     plan, _ = _settings(args, run.plan, run.config)
-    os.makedirs(out_dir, exist_ok=True)
     result = target_pass(dataclasses.replace(run, plan=plan, oracle_mode=args.oracle),
                          target)
+    os.makedirs(out_dir, exist_ok=True)
     report, masks = evaluate_run(result, None, target, with_bound=False)
     _write_outputs(out_dir, report, masks, args.aggregation, result)
     print(f"eval complete: {out_dir}")

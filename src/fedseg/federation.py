@@ -280,9 +280,13 @@ def _federate(bus: MessageBus, target: DomainDataset, sources, plan: TrainPlan,
 def target_pass(result: FederationResult, target: DomainDataset) -> FederationResult:
     """The result with its models' one pass over the target images: the
     probability stack, each model's latent field, and the weights at
-    plan.lambda_conf, hashed to those images."""
+    plan.lambda_conf, hashed to those images. A model whose probabilities
+    are not finite raises FloatingPointError naming its source."""
     latents = []
     probs = stack_probs(result.adapted.models, target.images, latents)
+    for am, model_probs in zip(result.adapted.models, probs):  # a mask per slice, not stack
+        if not np.isfinite(model_probs).all():
+            raise FloatingPointError(f"source '{am.source_id}': non-finite target probabilities")
     return dataclasses.replace(
         result, target_probs=probs, target_latents=latents,
         weights=confidence_weights(probs, result.plan.lambda_conf,

@@ -209,6 +209,8 @@ class SegModel:
                     f"shape mismatch for '{name}': model {self.params[name].shape} "
                     f"vs checkpoint {np.shape(arr)}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite values in parameter '{name}'")
             self.params[name].data = np.asarray(arr, dtype=np.float64).copy()
 
     def clone(self) -> "SegModel":

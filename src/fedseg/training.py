@@ -8,11 +8,12 @@ step runs the encoder twice, once per domain. Target labels are never read;
 the caller can verify via the dataset's label_reads counter, and the
 returned record keeps a snapshot of it.
 
-Both loops stop at the first step whose loss is not finite, and adapt also
+pretrain and adapt run one loop, _train, and differ only in the loss of a
+step. It stops at the first step whose loss is not finite, and adapt also
 at the first target batch whose embedding is not finite (before its sites
 are sampled), raising FloatingPointError that names the phase, the source
 domain, the epoch and the step. A finite loss whose backward pass leaves a
-non-finite parameter gradient stops them too, before the update, and the
+non-finite parameter gradient stops it too, before the update, and the
 error names the parameter as well. Each step's forward and backward passes
 run with numpy's overflow and invalid-value warnings off, so that error is
 all a diverging run prints. The Adam update runs outside them, so an
@@ -85,33 +86,39 @@ class AdaptedModel:
         return self.model.predict_probs(images, latents)
 
 
-def _check_finite(loss, phase, domain_id, epoch, step):
-    if not np.isfinite(loss.item()):
-        _fail(f"loss {loss.item()}", phase, domain_id, epoch, step)
+def _train(model, plan, phase, domain_id, epochs, n, rng, step_loss):
+    """Adam on model's parameters over `epochs` passes of rng's permutations
+    of n examples in plan.batch_size slices. Per batch, step_loss(idx, step,
+    check) returns (loss, record); check(value, what, *args) raises
+    FloatingPointError naming phase, domain, epoch, step and `what % args`
+    where value is not finite. The loss and every parameter gradient are
+    checked before the update. Returns each epoch's list of records."""
+    opt = Adam(model.parameters(), learning_rate=plan.learning_rate)
+    step = 0
 
+    def check(value, what, *args):
+        if not np.isfinite(value).all():  # the message is built only here
+            raise FloatingPointError(f"{phase} of domain '{domain_id}': non-finite "
+                                     f"{what % args} at epoch {epoch}, step {step}")
 
-def _check_gradients(params, phase, domain_id, epoch, step):
-    for name, p in params.items():
-        if not np.isfinite(p.grad).all():
-            _fail(f"gradient of '{name}'", phase, domain_id, epoch, step)
-
-
-def _fail(what, phase, domain_id, epoch, step):
-    raise FloatingPointError(
-        f"{phase} of domain '{domain_id}': non-finite {what} at epoch {epoch}, step {step}")
-
-
-def _quiet_overflow():
-    """numpy's overflow and invalid-value warnings off for one step's forward
-    and backward: a diverging step overflows inside the ops before its loss
-    or a gradient is checked, and the checks then stop the run naming the
-    step. numpy's error state is per thread, so other threads keep theirs."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def _batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+    records = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        records.append([])
+        for start in range(0, n, plan.batch_size):
+            # a diverging step overflows in the ops before the checks name it
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, record = step_loss(order[start:start + plan.batch_size], step, check)
+                check(loss.data, "loss %s", loss.item())
+                opt.zero_grad()
+                loss.backward()
+                for name, p in opt.params.items():
+                    check(p.grad, "gradient of '%s'", name)
+            opt.step()
+            records[-1].append(record)
+            step += 1
+    opt.zero_grad()  # the trained model carries no gradient arrays
+    return records
 
 
 def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegModel:
@@ -119,24 +126,11 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
     if not source.has_masks:
         raise ValueError(f"pretrain requires labels, domain '{source.domain_id}' has none")
     model = SegModel(config, seed=derive_seed(plan.seed, "init"))
-    if plan.epochs_pretrain == 0:
-        return model
-    images = source.image_stack()
-    masks = source.mask_stack()
-    opt = Adam(model.parameters(), learning_rate=plan.learning_rate)
-    rng = np.random.default_rng(derive_seed(plan.seed, "pretrain"))
-    step = 0
-    for epoch in range(plan.epochs_pretrain):
-        for idx in _batches(len(source), plan.batch_size, rng):
-            with _quiet_overflow():
-                loss = ce_loss(model.forward(Tensor(images[idx])), masks[idx])
-                _check_finite(loss, "pretrain", source.domain_id, epoch, step)
-                opt.zero_grad()
-                loss.backward()
-                _check_gradients(opt.params, "pretrain", source.domain_id, epoch, step)
-            opt.step()
-            step += 1
-    opt.zero_grad()  # the returned model carries no gradient arrays
+    images, masks = source.image_stack(), source.mask_stack()
+    _train(model, plan, "pretrain", source.domain_id, plan.epochs_pretrain, len(source),
+           np.random.default_rng(derive_seed(plan.seed, "pretrain")),
+           lambda idx, step, check: (ce_loss(model.forward(Tensor(images[idx])),
+                                             masks[idx]), None))
     return model
 
 
@@ -162,53 +156,40 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
     src_images = source.image_stack()
     src_masks = source.mask_stack()
     tgt_images = target_unlabeled.image_stack()
-    opt = Adam(adapted.parameters(), learning_rate=plan.learning_rate)
     rng = np.random.default_rng(derive_seed(plan.seed, "adapt", source.domain_id))
     d_latent = adapted.config.latent_dim
 
-    history, step_records = [], []
-    step = 0
-    for epoch in range(plan.epochs_adapt):
-        ce_vals, swd_vals = [], []
-        for idx in _batches(len(source), plan.batch_size, rng):
-            tgt_idx = rng.choice(len(target_unlabeled), size=len(idx),
-                                 replace=len(target_unlabeled) < len(idx))
-            proj = sample_projections(
-                plan.swd_L, d_latent, seed=derive_seed(plan.seed, "proj", step)
-            )
-            with _quiet_overflow():
-                z_src = adapted.encode(Tensor(src_images[idx]))
-                sup = ce_loss(adapted.classify(z_src), src_masks[idx])
-                # checked here too: a NaN in z_src fails sample_sites unnamed
-                _check_finite(sup, "adapt", source.domain_id, epoch, step)
-                src_emb = sample_sites(z_src, plan.embed_sites,
-                                       seed=derive_seed(plan.seed, "sites-src", step),
-                                       domain_tag=source.domain_id)
-                z_tgt = adapted.encode(Tensor(tgt_images[tgt_idx]))
-                if not np.isfinite(z_tgt.data).all():
-                    _fail("target embedding", "adapt", source.domain_id, epoch, step)
-                tgt_emb = sample_sites(z_tgt, plan.embed_sites,
-                                       seed=derive_seed(plan.seed, "sites-tgt", step),
-                                       domain_tag=target_unlabeled.domain_id)
-                alignment = swd2(src_emb, tgt_emb, proj)
-                total = add(sup, mul(alignment, plan.gamma))
-                _check_finite(total, "adapt", source.domain_id, epoch, step)
-                opt.zero_grad()
-                total.backward()
-                _check_gradients(opt.params, "adapt", source.domain_id, epoch, step)
-            opt.step()
-            ce_vals.append(sup.item())
-            swd_vals.append(alignment.item())
-            step_records.append((step, sup.item(), alignment.item(), total.item()))
-            step += 1
-        history.append(EpochRecord(float(np.mean(ce_vals)), float(np.mean(swd_vals))))
+    def step_loss(idx, step, check):
+        tgt_idx = rng.choice(len(target_unlabeled), size=len(idx),
+                             replace=len(target_unlabeled) < len(idx))
+        proj = sample_projections(
+            plan.swd_L, d_latent, seed=derive_seed(plan.seed, "proj", step)
+        )
+        z_src = adapted.encode(Tensor(src_images[idx]))
+        sup = ce_loss(adapted.classify(z_src), src_masks[idx])
+        # checked here too: a NaN in z_src fails sample_sites unnamed
+        check(sup.data, "loss %s", sup.item())
+        src_emb = sample_sites(z_src, plan.embed_sites,
+                               seed=derive_seed(plan.seed, "sites-src", step),
+                               domain_tag=source.domain_id)
+        z_tgt = adapted.encode(Tensor(tgt_images[tgt_idx]))
+        check(z_tgt.data, "target embedding")
+        tgt_emb = sample_sites(z_tgt, plan.embed_sites,
+                               seed=derive_seed(plan.seed, "sites-tgt", step),
+                               domain_tag=target_unlabeled.domain_id)
+        alignment = swd2(src_emb, tgt_emb, proj)
+        total = add(sup, mul(alignment, plan.gamma))
+        return total, (step, sup.item(), alignment.item(), total.item())
 
-    opt.zero_grad()
+    epochs = _train(adapted, plan, "adapt", source.domain_id, plan.epochs_adapt,
+                    len(source), rng, step_loss)
     return AdaptedModel(
         model=adapted,
         source_id=source.domain_id,
-        history=history,
-        step_records=step_records,
+        history=[EpochRecord(float(np.mean([ce for _, ce, _, _ in records])),
+                             float(np.mean([swd for _, _, swd, _ in records])))
+                 for records in epochs],
+        step_records=[record for records in epochs for record in records],
         target_label_reads=target_unlabeled.label_reads - label_reads_before,
     )
 

@@ -15,7 +15,7 @@ import pytest
 from fedseg import cli
 from fedseg import data as fedseg_data
 from fedseg import federation
-from fedseg.autodiff import load_params
+from fedseg.autodiff import load_params, save_params
 from fedseg.benchmark import make_benchmark_domains
 from fedseg.cli import build_parser, main
 from fedseg.data import load_domain, read_manifest, read_raster, write_raster
@@ -693,6 +693,40 @@ def test_divergent_learning_rate_fails_naming_domain_epoch_and_step(dataset, tmp
         "[run] error: pretrain of domain 'site_a': non-finite loss nan at epoch 0, step 1"]
 
 
+def test_a_model_with_non_finite_target_probabilities_fails_the_run_naming_its_source(
+        dataset, tmp_path, capsys):
+    """One pretrain step at this learning rate leaves finite parameters whose
+    target pass overflows: the run stops before any checkpoint is written."""
+    out = tmp_path / "r"
+    capsys.readouterr()
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--data", str(dataset), "--out", str(out), "--workers", "1",
+                     *FAST, "--lr", "1e308", "--epochs-pretrain", "1",
+                     "--epochs-adapt", "0", "--batch-size", "6"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "[run] error: source 'site_a': non-finite target probabilities"]
+    assert not (out / "checkpoints").exists()
+
+
+def test_eval_of_a_model_with_non_finite_target_probabilities_names_it_and_writes_nothing(
+        dataset, trained_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    ckpt = run / "checkpoints" / "site_b_adapted.fpar"
+    save_params({name: np.full_like(arr, 1e300) for name, arr in load_params(ckpt).items()},
+                ckpt)
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["eval", "--data", str(dataset), "--run", str(run),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "[eval] error: source 'site_b': non-finite target probabilities"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old, new, complaint", [
     ("gain=", "gian=", "shift field 'gain' is missing"),
     ("noise=", "noise=abc", "shift field 'noise' is 'abc"),
@@ -723,3 +757,31 @@ def test_truncated_checkpoint_names_file(dataset, trained_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(ckpt) in err
     assert "truncated" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "add-source"])
+@pytest.mark.parametrize("checkpoint, parameter, value", [
+    ("site_a_adapted.fpar", "bottleneck.b", np.nan),
+    ("site_b_adapted.fpar", "head.w", np.inf),
+], ids=["nan", "inf"])
+def test_a_non_finite_checkpoint_value_names_file_and_parameter(
+        dataset, trained_run, tmp_path, capsys, command, checkpoint, parameter, value):
+    """Refused where the checkpoint is loaded, before anything is written."""
+    if command == "eval":
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        argv = ["eval", "--data", str(dataset), "--run", str(run), "--oracle"]
+    else:
+        manifest, run = two_source_run(tmp_path)
+        argv = ["run", "--data", str(manifest), "--out", str(run), "--seed", "2",
+                "--add-source", "site_c", *FAST]
+    ckpt = run / "checkpoints" / checkpoint
+    state = {name: arr.copy() for name, arr in load_params(ckpt).items()}
+    state[parameter][(0,) * state[parameter].ndim] = value
+    save_params(state, ckpt)
+    before = tree_hashes(run)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: non-finite values in parameter '{parameter}'" in err, err
+    assert tree_hashes(run) == before  # no report.txt, masks or checkpoint written

@@ -11,7 +11,7 @@ import pytest
 
 from fedseg import federation
 from fedseg.autodiff import serialize_params
-from fedseg.benchmark import default_net_config
+from fedseg.benchmark import default_net_config, make_benchmark_domains
 from fedseg.data import DomainDataset, DomainShift, generate_domains
 from fedseg.federation import (_BLAS_THREAD_VARS, AuditLog, Message, MessageBus, NodeId,
                                TargetMismatch, _one_blas_thread_per_node, _train_on_node,
@@ -165,6 +165,17 @@ def test_diverging_node_fails_alike_in_a_worker_process():
     assert errors[0] == errors[1] == (
         f"pretrain of domain '{sources[0].domain_id}': non-finite loss nan "
         "at epoch 0, step 1")
+
+
+def test_a_model_with_non_finite_target_probabilities_is_refused_naming_its_source():
+    """At this learning rate one pretrain step leaves finite parameters whose
+    forward pass on the target overflows; no weight is counted on it."""
+    sources, target = make_benchmark_domains(0, images=4)
+    plan = TrainPlan(epochs_pretrain=1, epochs_adapt=0, batch_size=4,
+                     learning_rate=1e308)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^source 'site_a': non-finite target probabilities$"):
+        run_msuda(sources, target, plan, default_net_config())
 
 
 def test_node_processes_get_one_blas_thread_unless_the_caller_sets_a_count(monkeypatch):

@@ -24,3 +24,21 @@ def test_ab_steps_runs_a_tree_against_itself():
     assert [line.split()[0] for line in lines] == ["pretrain", "adapt", "parameters"]
     assert all("ms/step" in line and line.endswith("/2 pairs") for line in lines[:2])
     assert lines[2] == "parameters bit-identical after the run: yes"
+
+
+def test_ab_digest_finds_a_tree_bit_identical_to_itself():
+    """One quick seed: both benchmark variants are reported, every quantity
+    matches, and the exit code says so."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_digest.py"), str(SRC), str(SRC),
+         "--quick", "--seeds", "0"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[:3] for line in lines[:2]] == [["seed", "0", "clean"],
+                                                       ["seed", "0", "corrupted"]]
+    for line in lines[:2]:
+        assert line.split()[3:] == ["models", "yes", "step_records", "yes", "history",
+                                    "yes", "dice", "yes", "bound", "yes"], line
+    assert lines[2:] == ["all runs bit-identical: yes"]

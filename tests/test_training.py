@@ -102,6 +102,19 @@ def test_adapt_history_and_step_records():
     assert all(rec.swd >= 0 for rec in adapted.history)
 
 
+def test_adapt_history_is_each_epochs_mean_of_its_step_records():
+    """7 images in batches of 3: each epoch ends in a one-image batch, which
+    weighs as much as a full one in the epoch's mean."""
+    src, tgt = quick_domains(n_images=7)
+    plan = quick_plan(epochs_adapt=3)
+    adapted = adapt(pretrain(src, plan, CFG), src, tgt.unlabeled_copy(), plan)
+    assert [step for step, *_ in adapted.step_records] == list(range(9))
+    for epoch, rec in enumerate(adapted.history):
+        steps = adapted.step_records[3 * epoch:3 * epoch + 3]
+        assert rec.supervised_loss == float(np.mean([ce for _, ce, _, _ in steps]))
+        assert rec.swd == float(np.mean([swd for _, _, swd, _ in steps]))
+
+
 def test_adapt_loss_decomposition_per_step():
     src, tgt = quick_domains()
     plan = quick_plan(gamma=1.7)
@@ -292,7 +305,7 @@ def test_an_overflow_in_the_adam_update_still_warns(monkeypatch, phase):
     model = pretrain(src, plan, CFG) if phase == "adapt" else None
     step = Adam.step
 
-    def huge_step(opt):  # finite, so it passes _check_gradients
+    def huge_step(opt):  # finite, so it passes the gradient check
         for p in opt.params.values():
             p.grad[...] = 1e200
         step(opt)
