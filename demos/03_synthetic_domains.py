@@ -23,13 +23,10 @@ site_a, site_b, site_t = generate_domains(
     base_seed=0, n_domains=3, images_per_domain=4, shape=(32, 32), shifts=shifts)
 
 print("intensity ranges per site (same anatomy, different scanner):")
-for ds in (site_a, site_b, site_t):
-    lo = min(im.min() for im in ds.images)
-    hi = max(im.max() for im in ds.images)
-    print(f"  {ds.domain_id}: [{lo:+.2f}, {hi:+.2f}]")
+for ds in (site_a, site_b, site_t):  # each site's images are one (N, 1, 32, 32) stack
+    print(f"  {ds.domain_id}: [{ds.images.min():+.2f}, {ds.images.max():+.2f}]")
 
-same = all(np.array_equal(a, b) for a, b in zip(site_a.masks, site_t.masks))
-print("masks identical across sites:", same)
+print("masks identical across sites:", np.array_equal(site_a.masks, site_t.masks))
 
 # Rasters round-trip bit-exactly through the NDR format.
 with tempfile.TemporaryDirectory() as tmp:

@@ -35,7 +35,7 @@ def main():
         # each adapted model ran once on the target, in run_msuda; every
         # score reads that probability stack
         models = result.adapted.models
-        truth = target.mask_stack()
+        truth = target.masks
         probs = result.target_probs
         for am, weight, p in zip(models, result.weights.weights, probs):
             print(f"  {am.source_id}: weight {weight:.3f} "

@@ -406,7 +406,7 @@ def cmd_sweep(args) -> int:
     sources, target = _load_datasets(args.data, oracle_mode=True)
     workers = _workers(args, sources)
     _prepare_out(args.out, args.force)
-    truth = target.mask_stack()
+    truth = target.masks
 
     rows, probs = [], None
     for value, variant in zip(parsed, variants):

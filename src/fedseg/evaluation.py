@@ -20,7 +20,7 @@ by federation.target_pass), its probabilities and its latent fields. Its
 masks are uint8, the dtype they are written in, and it keeps the fmuda
 mixture only in oracle mode, where the bound's left-hand side reads it.
 
-The passes over a labeled dataset stream its image list: mean_ce puts each
+The passes over a labeled dataset stream its image stack: mean_ce puts each
 slice's CE terms into one buffer and sums it once, bit for bit the sum
 ce_loss takes over the whole stack, and hands back the latent field of the
 same pass, so bound_terms reads a source's CE and its codes from one pass.
@@ -67,8 +67,8 @@ def model_target_dice(model, dataset, foreground: int = 1) -> float:
     Reads the dataset's labels (bumps its label_reads counter); use in
     evaluation contexts only.
     """
-    pred = np.asarray(model.predict_probs(dataset.image_stack())).argmax(axis=1)
-    return dice(pred, dataset.mask_stack(), foreground=foreground)
+    pred = np.asarray(model.predict_probs(dataset.images)).argmax(axis=1)
+    return dice(pred, dataset.masks, foreground=foreground)
 
 
 def mean_ce(model, dataset, latents=None) -> float:
@@ -76,7 +76,7 @@ def mean_ce(model, dataset, latents=None) -> float:
     of ce_loss on the whole stack bit for bit: each slice of the model's one
     streamed pass puts its CE terms into one buffer, summed once. latents as
     in SegModel.logit_slices."""
-    labels = dataset.mask_stack()
+    labels = dataset.masks
     terms = None
     for part, logits in model.logit_slices(dataset.images, latents):
         terms = _filled(terms, len(labels), part, ce_terms(logits, labels[part]))
@@ -153,8 +153,8 @@ def bound_right_hand_side(terms, weights) -> float:
 def measure_joint_error(source, target_labeled, plan, config) -> float:
     """Joint-training error term: train one model on source plus labeled
     target, return its source CE plus target CE. Oracle-mode only."""
-    union = DomainDataset(source.images + target_labeled.images,
-                          source.masks + target_labeled.masks,
+    union = DomainDataset(np.concatenate([source.images, target_labeled.images]),
+                          np.concatenate([source.masks, target_labeled.masks]),
                           domain_id=f"{source.domain_id}+{target_labeled.domain_id}")
     joint_plan = dataclasses.replace(
         plan, seed=derive_seed(plan.seed, "joint", source.domain_id))
@@ -230,7 +230,7 @@ def evaluate_run(result, sources, target, with_bound=True):
     if not oracle_mode:
         return report, masks
 
-    truth = target.mask_stack()
+    truth = target.masks
     for am, p in zip(models, probs):
         pre = float("nan")
         if am.source_id in result.pretrained:

@@ -157,8 +157,8 @@ class MessageBus:
                 raise ValueError(
                     f"bus refuses image data from {sender.kind} node '{sender.name}'"
                 )
-            copied = [img.copy() for img in payload]
-            size = sum(img.nbytes for img in copied)
+            copied = np.array(payload)  # one copy of the stack
+            size = copied.nbytes
         else:  # model_params
             copied = bytes(payload)
             size = len(copied)
@@ -188,7 +188,7 @@ class TargetMismatch(ValueError):
 def _validate_domains(sources, target, num_classes):
     if not sources:
         raise ValueError("need at least one source domain")
-    shape = target.images[0].shape
+    shape = target.images.shape[1:]
     names = set()
     label_sets = []
     for ds in sources:
@@ -197,19 +197,15 @@ def _validate_domains(sources, target, num_classes):
         names.add(ds.domain_id)
         if not ds.has_masks:
             raise ValueError(f"source '{ds.domain_id}' has no labels")
-        if ds.images[0].shape != shape:
-            raise ValueError(
-                f"domain '{ds.domain_id}' images {ds.images[0].shape} != target {shape}"
-            )
-        observed = set()
-        for m in ds.masks:
-            observed.update(int(v) for v in set(m.ravel().tolist()))
+        if ds.images.shape[1:] != shape:
+            raise ValueError(f"domain '{ds.domain_id}' images {ds.images.shape[1:]} "
+                             f"!= target {shape}")
+        masks = ds.masks  # np.unique would import numpy.ma, 1.4 MiB, on its first call
+        observed = {v for v in range(int(masks.max()) + 1) if (masks == v).any()}
         label_sets.append(observed)
         if max(observed) >= num_classes:
-            raise ValueError(
-                f"domain '{ds.domain_id}' uses label {max(observed)} outside "
-                f"[0, {num_classes})"
-            )
+            raise ValueError(f"domain '{ds.domain_id}' uses label {max(observed)} "
+                             f"outside [0, {num_classes})")
     if any(s != label_sets[0] for s in label_sets[1:]):
         raise ValueError(f"class sets differ across sources: {label_sets}")
 
@@ -283,7 +279,8 @@ def target_pass(result: FederationResult, target: DomainDataset) -> FederationRe
     plan.lambda_conf, hashed to those images. A model whose probabilities
     are not finite raises FloatingPointError naming its source."""
     latents = []
-    probs = stack_probs(result.adapted.models, target.images, latents)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the model
+        probs = stack_probs(result.adapted.models, target.images, latents)
     for am, model_probs in zip(result.adapted.models, probs):  # a mask per slice, not stack
         if not np.isfinite(model_probs).all():
             raise FloatingPointError(f"source '{am.source_id}': non-finite target probabilities")

@@ -15,15 +15,14 @@ field at the features' size and leaves the last 2x upsample to its conv
 (upsample=2): each decoder conv runs at half its output resolution, and
 neither the upsampled features nor their concat is built.
 
-Inference builds no autodiff graph and streams the images: logit_slices
-runs forward on INFERENCE_CHUNK images at a time, of a stack or of a
-dataset's image list (then only a slice is ever stacked), and each image is
-computed on its own, so every slice equals that part of one pass over the
-whole stack bit for bit. predict_probs allocates its result, and the latent
-field it can hand back, once and fills them slice by slice; neither the
-whole stack's logits nor a list of per-slice arrays is ever held. ce_terms
-gives the graph-free cross-entropy terms of a slice, which
-evaluation.mean_ce streams into one buffer.
+Inference builds no autodiff graph and streams an image stack (a dataset's
+images are one): logit_slices runs forward on INFERENCE_CHUNK images at a
+time, each image computed on its own, so every slice equals that part of
+one pass over the whole stack bit for bit. predict_probs allocates its
+result, and the latent field it can hand back, once and fills them slice by
+slice; neither the whole stack's logits nor a list of per-slice arrays is
+ever held. ce_terms gives the graph-free cross-entropy terms of a slice,
+which evaluation.mean_ce streams into one buffer.
 
 sample_sites draws embedding rows from a latent field the caller already
 has, so neither training nor evaluation encodes an image twice for its
@@ -166,10 +165,9 @@ class SegModel:
 
     def logit_slices(self, images, latents=None):
         """(slice, logits) of each graph-free forward pass over INFERENCE_CHUNK
-        images, in order, of an image stack or a sequence of images (only a
-        slice of which is then stacked at a time). A list given as latents
-        receives the latent field (batch, latent_dim, *spatial/2^depth),
-        allocated once and filled as the slices pass."""
+        images, in order, of an image stack (batch, channels, *spatial). A
+        list given as latents receives the latent field (batch, latent_dim,
+        *spatial/2^depth), allocated once and filled as the slices pass."""
         field = None
         for lo in range(0, max(len(images), 1), INFERENCE_CHUNK):
             part = slice(lo, lo + INFERENCE_CHUNK)

@@ -9,21 +9,21 @@ list's quantile positions: each position mixes the two ranks around it, a
 gather of two rows (and a scatter of the gradient back to them), never a
 dense interpolation matrix.
 
-swd2 runs one loop over blocks of directions (_SWD_BLOCK elements a
-side), whether or not the call records a graph. Per block and side it
-projects the points, sorts the projections, interpolates the smaller side at
-the quantile ranks, and writes the gaps into one (n, L) buffer, so a
-bound's 12288-code clouds never hold their whole (n, L) projections. A call
-without a graph sorts the projections in place and squares the gaps in
-place before it sums them once. A call that records one keeps each side's
-(M, L) sorting order and the gaps: the node's closed-form gradient holds
-the permutation locally constant, 2/(L n) times the gaps, mapped back
-through the interpolation where there is one, unsorted, and taken to each
-side's points by one GEMM with the directions. Its ranks are those of a
-stable sort, so tied projections pair in index order; an unstable argsort
-and an int64 sort of (run of equal values, index) keys give them in half
-the time. Sorting in place gives the same values, so both calls give the
-same sum of squared gaps bit for bit.
+swd2 runs one loop over blocks of directions (_SWD_BLOCK elements a side, at
+least 2 directions, the last block never 1 of several), whether or not the
+call records a graph. Per block and side it projects the points, sorts the
+projections, interpolates the smaller side at the quantile ranks, and writes
+the gaps into one (n, L) buffer, so a bound's 12288-code clouds never hold
+their whole (n, L) projections. A call without a graph sorts the projections
+in place and squares the gaps in place before it sums them once. A call that
+records one keeps each side's (M, L) sorting order and the gaps: the node's
+closed-form gradient holds the permutation locally constant, 2/(L n) times
+the gaps, mapped back through the interpolation where there is one,
+unsorted, and taken to each side's points by one GEMM with the directions.
+Its ranks are those of a stable sort, so tied projections pair in index
+order; an unstable argsort and an int64 sort of (run of equal values, index)
+keys give them in half the time. Sorting in place gives the same values, so
+both calls give the same sum of squared gaps bit for bit.
 """
 
 from dataclasses import dataclass
@@ -133,9 +133,9 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
 
 
 # Elements per direction block of swd2: a block's projections take 512 KiB
-# a side, however many codes there are. A training step's (256, 50) is one
-# block; the bound over 192 images of 64 sites (12288 codes a side, L = 50)
-# takes ten.
+# a side (more above 32768 codes, where a block is 2 directions wide). A
+# training step's (256, 50) is one block; the bound over 192 images of 64
+# sites (12288 codes a side, L = 50) takes ten.
 _SWD_BLOCK = 1 << 16
 
 
@@ -154,9 +154,10 @@ def swd2(a: EmbeddingBatch, b: EmbeddingBatch, proj: ProjectionSet) -> Tensor:
     orders = [np.empty((p.shape[0], proj.count), dtype=np.intp) if recording else None
               for p in parents]
     gaps = np.empty((n, proj.count))
-    width = max(1, _SWD_BLOCK // n)
-    for start in range(0, proj.count, width):
-        cols = slice(start, start + width)
+    # no block is 1 direction of several: OpenBLAS projects one by a GEMV,
+    # which rounds otherwise than the GEMM; a lone last one joins the block before
+    cuts = list(range(0, max(proj.count - 1, 1), max(2, _SWD_BLOCK // n))) + [proj.count]
+    for cols in map(slice, cuts, cuts[1:]):
         block = proj.directions[cols].T
         matched = []
         for points, order, q in zip(parents, orders, quantiles):

@@ -126,7 +126,7 @@ def pretrain(source: DomainDataset, plan: TrainPlan, config: NetConfig) -> SegMo
     if not source.has_masks:
         raise ValueError(f"pretrain requires labels, domain '{source.domain_id}' has none")
     model = SegModel(config, seed=derive_seed(plan.seed, "init"))
-    images, masks = source.image_stack(), source.mask_stack()
+    images, masks = source.images, source.masks
     _train(model, plan, "pretrain", source.domain_id, plan.epochs_pretrain, len(source),
            np.random.default_rng(derive_seed(plan.seed, "pretrain")),
            lambda idx, step, check: (ce_loss(model.forward(Tensor(images[idx])),
@@ -144,18 +144,13 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
     """
     if not source.has_masks:
         raise ValueError(f"adapt requires source labels, '{source.domain_id}' has none")
-    src_shape = source.images[0].shape
-    tgt_shape = target_unlabeled.images[0].shape
-    if src_shape != tgt_shape:
-        raise ValueError(
-            f"source images {src_shape} and target images {tgt_shape} disagree"
-        )
+    if source.images.shape[1:] != target_unlabeled.images.shape[1:]:
+        raise ValueError(f"source images {source.images.shape[1:]} and target images "
+                         f"{target_unlabeled.images.shape[1:]} disagree")
 
     label_reads_before = target_unlabeled.label_reads
     adapted = model.clone()
-    src_images = source.image_stack()
-    src_masks = source.mask_stack()
-    tgt_images = target_unlabeled.image_stack()
+    src_masks = source.masks
     rng = np.random.default_rng(derive_seed(plan.seed, "adapt", source.domain_id))
     d_latent = adapted.config.latent_dim
 
@@ -165,14 +160,14 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
         proj = sample_projections(
             plan.swd_L, d_latent, seed=derive_seed(plan.seed, "proj", step)
         )
-        z_src = adapted.encode(Tensor(src_images[idx]))
+        z_src = adapted.encode(Tensor(source.images[idx]))
         sup = ce_loss(adapted.classify(z_src), src_masks[idx])
         # checked here too: a NaN in z_src fails sample_sites unnamed
         check(sup.data, "loss %s", sup.item())
         src_emb = sample_sites(z_src, plan.embed_sites,
                                seed=derive_seed(plan.seed, "sites-src", step),
                                domain_tag=source.domain_id)
-        z_tgt = adapted.encode(Tensor(tgt_images[tgt_idx]))
+        z_tgt = adapted.encode(Tensor(target_unlabeled.images[tgt_idx]))
         check(z_tgt.data, "target embedding")
         tgt_emb = sample_sites(z_tgt, plan.embed_sites,
                                seed=derive_seed(plan.seed, "sites-tgt", step),

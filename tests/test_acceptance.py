@@ -150,8 +150,8 @@ def test_criterion_3_jensen_random_and_trained(base_runs):
     from fedseg.benchmark import make_benchmark_domains
     bench = base_runs[0]
     _, target = make_benchmark_domains(bench.seed, corrupted=False)
-    images = target.image_stack()
-    labels = target.mask_stack()
+    images = target.images
+    labels = target.masks
     stacked = np.stack([m.predict_probs(images) for m in bench.result.adapted.models])
     w = np.asarray(bench.result.weights.weights)
     picked = np.take_along_axis(stacked, labels[None, :, None, ...], axis=2)[:, :, 0]

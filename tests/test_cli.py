@@ -425,7 +425,7 @@ def test_run_and_eval_encode_the_target_once_per_adapted_model(dataset, tmp_path
     _, entries = read_manifest(dataset)
     [target] = [load_domain(str(dataset), e, read_masks=False)
                 for e in entries if e.role == "target"]
-    passes = count_target_passes(monkeypatch, target.image_stack())
+    passes = count_target_passes(monkeypatch, target.images)
     out = tmp_path / "r"
     assert main(["run", "--data", str(dataset), "--out", str(out), "--seed", "0",
                  "--workers", "1", *FAST]) == 0
@@ -496,7 +496,7 @@ def test_eval_new_lambda_reweights_the_one_probability_stack(dataset, trained_ru
         models.append(model)
     _, entries = read_manifest(str(dataset))
     target = load_domain(str(dataset), entries[-1], read_masks=False)
-    expected = compute_weights(models, target.image_stack(), 0.6)
+    expected = compute_weights(models, target.images, 0.6)
     assert report["header"]["lambda_conf"] == "0.6"
     assert [int(count) for _, count, _ in rows] == expected.raw_counts
 
@@ -545,6 +545,27 @@ def test_eval_on_a_nan_target_raster_names_it_and_writes_nothing(dataset, traine
     err = capsys.readouterr().err
     assert (f"target domain 'site_t': non-finite values in "
             f"{os.path.join(str(data), 'site_t/img_003.ndr')}") in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, raster, other", [
+    ("run", "site_b/img_001.ndr", np.zeros((1, 8, 8))),
+    ("run", "site_a/msk_002.ndr", np.zeros((8, 8), dtype=np.uint8)),
+    ("run", "site_t/img_003.ndr", np.zeros((1, 8, 8))),
+    ("eval", "site_t/img_003.ndr", np.zeros((1, 8, 8))),
+], ids=["run-source-image", "run-source-mask", "run-target-image", "eval-target-image"])
+def test_a_raster_of_another_shape_names_its_domain_and_writes_nothing(
+        dataset, trained_run, tmp_path, capsys, command, raster, other):
+    data = tmp_path / "data"
+    shutil.copytree(dataset.parent, data)
+    write_raster(data / raster, other)
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--workers", "1", *FAST],
+            "eval": ["eval", "--run", str(trained_run), "--oracle"]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--data", str(data / "manifest.txt"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"domain '{raster.split('/')[0]}'" in err and str(other.shape) in err, err
     assert not out.exists()
 
 

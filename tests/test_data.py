@@ -1,6 +1,8 @@
 """Synthetic domain generation, intensity shifts, the NDR raster format and
 dataset manifests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fedseg.data import (DomainDataset, DomainShift, apply_shift, generate_domai
                          load_domain, make_phantom, read_manifest, read_raster,
                          write_manifest, write_raster)
 from fedseg.data import ManifestEntry
+from fedseg.util import hash_images
 
 IDENTITY = DomainShift()
 
@@ -77,7 +80,7 @@ def test_label_read_counter():
     ds = generate_domains(0, 1, 2, (16, 16), [IDENTITY])[0]
     assert ds.label_reads == 0
     _ = ds.masks
-    _ = ds.mask_stack()
+    _ = ds.masks
     assert ds.label_reads == 2
     assert ds.has_masks and ds.label_reads == 2  # presence peek is not a read
     unlabeled = ds.unlabeled_copy()
@@ -167,3 +170,42 @@ def test_dataset_shape_validation():
         DomainDataset([np.zeros((1, 4, 4))], [np.zeros((5, 5), dtype=np.uint8)], "x")
     with pytest.raises(ValueError, match="images"):
         DomainDataset([np.zeros((1, 4, 4))], [], "x")
+    with pytest.raises(ValueError, match=r"domain 'x': images of unequal shapes "
+                                         r"\[\(1, 4, 4\), \(1, 5, 5\)\]"):
+        DomainDataset([np.zeros((1, 4, 4)), np.zeros((1, 5, 5))], None, "x")
+    with pytest.raises(ValueError, match=r"domain 'x': masks of unequal shapes "
+                                         r"\[\(4, 4\), \(4, 5\)\]"):
+        DomainDataset([np.zeros((1, 4, 4))] * 2, [np.zeros((4, 4)), np.zeros((4, 5))], "x")
+
+
+def test_a_domain_holds_its_images_and_masks_as_one_array_each():
+    """A list is stacked; an array of the right dtype is kept as given; each
+    generated domain and each unlabeled copy owns its arrays."""
+    listed = DomainDataset([np.ones((1, 4, 4))] * 3, [np.ones((4, 4))] * 3, "x")
+    assert listed.images.shape == (3, 1, 4, 4) and listed.images.dtype == np.float64
+    assert listed.masks.shape == (3, 4, 4) and listed.masks.dtype == np.uint8
+    images, masks = np.zeros((2, 1, 4, 4)), np.zeros((2, 4, 4), dtype=np.uint8)
+    given = DomainDataset(images, masks, "y")
+    assert given.images is images and given.masks is masks
+    first, second = generate_domains(0, 2, 3, (16, 16), [IDENTITY, IDENTITY])
+    assert np.array_equal(first.masks, second.masks)
+    assert not np.shares_memory(first.masks, second.masks)
+    assert not np.shares_memory(first.images, second.images)
+    assert not np.shares_memory(first.unlabeled_copy().images, first.images)
+
+
+def test_a_pickled_domain_keeps_its_arrays_and_label_reads():
+    """A node pool sends a domain pickled image by image; it arrives whole."""
+    ds = generate_domains(2, 1, 3, (16, 16), [IDENTITY])[0]
+    masks = ds.masks
+    back = pickle.loads(pickle.dumps(ds))
+    assert (back.domain_id, back.label_reads) == (ds.domain_id, 1)
+    assert back.images.dtype == np.float64 and np.array_equal(back.images, ds.images)
+    assert back.masks.dtype == np.uint8 and np.array_equal(back.masks, masks)
+    assert not pickle.loads(pickle.dumps(ds.unlabeled_copy())).has_masks
+
+
+def test_the_hash_of_a_stack_is_that_of_its_image_list():
+    """Runs written when a domain was a list of images keep their target_hash."""
+    ds = generate_domains(3, 1, 5, (16, 16), [DomainShift(noise_sigma=0.1, seed=4)])[0]
+    assert hash_images(ds.images) == hash_images(list(ds.images))

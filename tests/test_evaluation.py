@@ -199,7 +199,7 @@ def test_benchmark_predicts_twice_per_source(monkeypatch):
     plan = TrainPlan(epochs_pretrain=1, epochs_adapt=1, batch_size=6, swd_L=4,
                      lambda_conf=0.97, embed_sites=8)
     target = make_benchmark_domains(seed=0)[1]
-    passes = count_target_passes(monkeypatch, target.image_stack())
+    passes = count_target_passes(monkeypatch, target.images)
     bench = run_benchmark(seed=0, plan=plan)
     assert np.isfinite(bench.bound_lhs) and set(bench.mode_dice) == {
         "fmuda", "av", "pv", "suda"}
@@ -231,7 +231,7 @@ def test_bound_terms_encodes_each_source_stack_once(monkeypatch):
     target pass, with no encoder pass of their own."""
     models, sources, target = bound_inputs(6)
     latents = []
-    stack_probs(models, target.image_stack(), latents)
+    stack_probs(models, target.images, latents)
     calls = count_calls(monkeypatch, SegModel, "encode")
     bound_terms(models, sources, target, latents, swd_L=8, embed_sites=16, seed=3)
     assert len(calls) == len(sources)
@@ -242,15 +242,15 @@ def test_bound_terms_equal_the_two_pass_terms():
     bit for bit, also over a stack of more than one inference slice."""
     models, sources, target = bound_inputs(20)
     latents = []
-    stack_probs(models, target.image_stack(), latents)
+    stack_probs(models, target.images, latents)
     terms = bound_terms(models, sources, target, latents, swd_L=8, embed_sites=16,
                         seed=3)
     proj = sample_projections(8, 8, seed=derive_seed(3, "bound-projections"))
     for term, am, source in zip(terms, models, sources):
         with no_grad():
-            src_emb = embed(am.model, source.image_stack(), 16,
+            src_emb = embed(am.model, source.images, 16,
                             seed=derive_seed(3, "bound-src", source.domain_id))
-            tgt_emb = embed(am.model, target.image_stack(), 16,
+            tgt_emb = embed(am.model, target.images, 16,
                             seed=derive_seed(3, "bound-tgt", source.domain_id))
         assert term.source_ce == mean_ce(am.model, source)
         assert term.swd_term == swd2(tgt_emb, src_emb, proj).item()

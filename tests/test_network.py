@@ -219,7 +219,7 @@ def test_mean_ce_equals_ce_of_one_forward_pass():
     model = SegModel(DEFAULT, seed=13)
     for n in (1, 16, 37):
         ds = labeled(n)
-        expected = ce_loss(model.forward(Tensor(ds.image_stack())), ds.mask_stack()).item()
+        expected = ce_loss(model.forward(Tensor(ds.images)), ds.masks).item()
         assert mean_ce(model, ds) == expected, n
 
 

@@ -272,6 +272,22 @@ def test_swd2_over_several_direction_blocks_equals_the_graph(case, width, monkey
     assert_node_equals_graph(a, b, sample_projections(50, 16, seed=5))
 
 
+@pytest.mark.parametrize("n", [1320, 40000])
+def test_swd2_takes_no_block_of_one_direction(n, monkeypatch):
+    """50 directions in blocks of _SWD_BLOCK // n would end in a lone one at
+    1320 codes (49 + 1) and be all lone ones above 32768 codes. OpenBLAS
+    projects a one-column block by a matrix-vector product, which rounds
+    otherwise than the GEMM, so these clouds then read an ulp off. With and
+    without a graph, the value equals that of one block of all 50."""
+    rng = np.random.default_rng(15)
+    a, b = rng.normal(size=(n, 16)), rng.normal(loc=0.3, size=(n, 16))
+    proj = sample_projections(50, 16, seed=0)
+    blocked = [swd2(batch(a), batch(b), proj).item(),
+               swd2(batch(a, requires_grad=True), batch(b, requires_grad=True), proj).item()]
+    monkeypatch.setattr(sliced, "_SWD_BLOCK", 1 << 40)
+    assert blocked == [swd2(batch(a), batch(b), proj).item()] * 2
+
+
 def test_swd2_gradient_reaches_only_the_side_that_needs_it():
     rng = np.random.default_rng(15)
     a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)

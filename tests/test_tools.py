@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -23,7 +24,8 @@ def test_ab_steps_runs_a_tree_against_itself():
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["pretrain", "adapt", "parameters"]
     assert all("ms/step" in line and line.endswith("/2 pairs") for line in lines[:2])
-    assert lines[2] == "parameters bit-identical after the run: yes"
+    assert lines[2] == ("parameters bit-identical after these network/sliced steps "
+                        "(training.py: see ab_digest.py): yes")
 
 
 def test_ab_digest_finds_a_tree_bit_identical_to_itself():
@@ -42,3 +44,17 @@ def test_ab_digest_finds_a_tree_bit_identical_to_itself():
         assert line.split()[3:] == ["models", "yes", "step_records", "yes", "history",
                                     "yes", "dice", "yes", "bound", "yes"], line
     assert lines[2:] == ["all runs bit-identical: yes"]
+
+
+def test_ab_digest_cli_finds_a_tree_byte_identical_to_itself():
+    """gen, run and eval write the same files with one tree twice, apart
+    from the reports' timestamps: a dataset, a run and an eval directory."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_digest.py"), str(SRC), str(SRC),
+         "--cli", "--seeds", "0"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"cli seed 0: \d+ files, 0 differ", lines[0]), lines
+    assert int(lines[0].split()[3]) >= 3 * 2 * 6 + 1, lines  # gen alone writes 37
+    assert lines[1:] == ["all files identical: yes"]

@@ -45,8 +45,8 @@ def test_plan_validation():
 def test_pretrain_learns_separable_task():
     src, _ = quick_domains(n_images=12)
     model = pretrain(src, quick_plan(epochs_pretrain=30, batch_size=4), CFG)
-    pred = model.forward(Tensor(src.image_stack())).data.argmax(axis=1)
-    assert (pred == src.mask_stack()).mean() > 0.95
+    pred = model.forward(Tensor(src.images)).data.argmax(axis=1)
+    assert (pred == src.masks).mean() > 0.95
 
 
 def test_pretrain_zero_epochs_returns_initialized_model():
@@ -218,11 +218,11 @@ def test_one_adapt_step_equals_the_two_pass_loss():
     rng = np.random.default_rng(derive_seed(plan.seed, "adapt", src.domain_id))
     idx = rng.permutation(len(src))
     tgt_idx = rng.choice(len(tgt), size=len(idx), replace=False)
-    x_src = Tensor(src.image_stack()[idx])
-    sup = ce_loss(old.forward(x_src), src.mask_stack()[idx])
+    x_src = Tensor(src.images[idx])
+    sup = ce_loss(old.forward(x_src), src.masks[idx])
     src_emb = embed(old, x_src, plan.embed_sites,
                     seed=derive_seed(plan.seed, "sites-src", 0), domain_tag=src.domain_id)
-    tgt_emb = embed(old, Tensor(tgt.image_stack()[tgt_idx]), plan.embed_sites,
+    tgt_emb = embed(old, Tensor(tgt.images[tgt_idx]), plan.embed_sites,
                     seed=derive_seed(plan.seed, "sites-tgt", 0), domain_tag=tgt.domain_id)
     proj = sample_projections(plan.swd_L, CFG.latent_dim,
                               seed=derive_seed(plan.seed, "proj", 0))
@@ -236,8 +236,8 @@ def test_one_adapt_step_equals_the_two_pass_loss():
 
 
 def with_nan_pixel(dataset, index=2):
-    images = [im.copy() for im in dataset.images]
-    images[index][0, 5, 7] = np.nan
+    images = dataset.images.copy()
+    images[index, 0, 5, 7] = np.nan
     return DomainDataset(images, dataset.masks, domain_id=dataset.domain_id)
 
 

@@ -1,6 +1,7 @@
 """Check that two source trees give bit-identical benchmark runs.
 
     python3 tools/ab_digest.py OLD_SRC NEW_SRC [--seeds 0,1] [--quick]
+    python3 tools/ab_digest.py OLD_SRC NEW_SRC --cli [--seeds 0,1]
 
 OLD_SRC and NEW_SRC are directories holding a `fedseg` package (a checkout's
 src/). Both trees are imported into this one process (ab_steps.load_tree),
@@ -14,11 +15,22 @@ per-epoch history, the Dice values (per model before and after adaptation,
 and per ensemble mode) and the bound (its terms, lhs and rhs). Floats are
 compared by repr, which round-trips them exactly. It exits 1 on any
 mismatch.
+
+--cli runs the command line instead, per seed and tree: `fedseg gen`, `run
+--oracle --workers 1` and `eval --oracle` at small flags (CLI_STEPS), each
+in a subprocess whose PYTHONPATH is the tree, with one BLAS thread. It
+compares every file they write byte for byte (datasets, checkpoints, step
+curves, masks, reports, embeddings, audit logs), apart from the timestamp:
+line of each report.txt, prints each file that differs or that only one
+tree wrote, and exits 1 on any difference.
 """
 
 import argparse
 import dataclasses
+import os
+import subprocess
 import sys
+import tempfile
 
 from ab_steps import load_tree
 
@@ -42,6 +54,57 @@ def digest(tree, seed, corrupted, quick):
     }
 
 
+# The commands of --cli, formatted with the output directories and the seed.
+CLI_STEPS = (
+    ["gen", "--out", "{data}", "--images", "6", "--size", "16", "--seed", "{seed}"],
+    ["run", "--data", "{data}/manifest.txt", "--out", "{run}", "--oracle", "--workers", "1",
+     "--epochs-pretrain", "2", "--epochs-adapt", "2", "--sites", "16", "--seed", "{seed}"],
+    ["eval", "--data", "{data}/manifest.txt", "--run", "{run}", "--out", "{eval}",
+     "--oracle"],
+)
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def cli_outputs(src, seed, workdir):
+    """{path relative to workdir: bytes} of every file CLI_STEPS write with
+    the tree src, each report.txt without its timestamp: line."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **dict.fromkeys(BLAS_VARS, "1"))
+    dirs = {name: os.path.join(workdir, name) for name in ("data", "run", "eval")}
+    for step in CLI_STEPS:
+        argv = [arg.format(seed=seed, **dirs) for arg in step]
+        done = subprocess.run([sys.executable, "-m", "fedseg.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"{src}: fedseg {step[0]} exited with {done.returncode}: "
+                     f"{done.stderr.strip()}")
+    files = {}
+    for root, _, names in os.walk(workdir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                lines = fh.read().splitlines(keepends=True)
+            if name == "report.txt":
+                lines = [line for line in lines if not line.startswith(b"timestamp:")]
+            files[os.path.relpath(path, workdir)] = b"".join(lines)
+    return files
+
+
+def compare_cli(old_src, new_src, seed):
+    """Prints the files of one seed that differ; True when none does."""
+    with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
+        old, new = cli_outputs(old_src, seed, old_dir), cli_outputs(new_src, seed, new_dir)
+    differ = sorted(path for path in old.keys() & new.keys() if old[path] != new[path])
+    only = [(label, path) for label, ours, theirs in (("old", old, new), ("new", new, old))
+            for path in sorted(ours.keys() - theirs.keys())]
+    print(f"cli seed {seed}: {len(old.keys() | new.keys())} files, "
+          f"{len(differ) + len(only)} differ")
+    for path in differ:
+        print(f"  differs: {path}")
+    for label, path in only:
+        print(f"  only in {label}: {path}")
+    return not differ and not only
+
+
 def seed_list(text):
     try:
         return [int(s) for s in text.split(",") if s.strip()]
@@ -56,8 +119,14 @@ def main(argv=None):
     parser.add_argument("--seeds", type=seed_list, default=[0, 1])
     parser.add_argument("--quick", action="store_true",
                         help="one pretrain and one adapt epoch")
+    parser.add_argument("--cli", action="store_true",
+                        help="compare the files that gen, run and eval write")
     args = parser.parse_args(argv)
 
+    if args.cli:
+        identical = all([compare_cli(args.old_src, args.new_src, seed) for seed in args.seeds])
+        print(f"all files identical: {'yes' if identical else 'no'}")
+        return 0 if identical else 1
     trees = [load_tree(src) for src in (args.old_src, args.new_src)]
     identical = True
     for seed in args.seeds:

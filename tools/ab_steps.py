@@ -16,8 +16,11 @@ same seeded source batch and target batch on both sides.
 
 It prints, per step kind, the median ms per step of each tree, the ratio
 new/old and the number of pairs in which the new tree was faster, then
-whether the two trees' parameters are still bit-identical. Timing both trees
-in one process, block by block, exposes them to the same machine noise.
+whether the two trees' parameters are still bit-identical after these
+steps. The steps are built here from network and sliced and never call
+training.py, so that line says nothing about a change to the training loop;
+tools/ab_digest.py compares whole runs. Timing both trees in one process,
+block by block, exposes them to the same machine noise.
 """
 
 import argparse
@@ -141,7 +144,8 @@ def main(argv=None):
         print(f"{kind:8s} old {old_med:8.3f} ms/step  new {new_med:8.3f} ms/step  "
               f"new/old {new_med / old_med:.3f}  new faster in {wins}/{args.pairs} pairs")
     same = sides["old"].digest() == sides["new"].digest()
-    print(f"parameters bit-identical after the run: {'yes' if same else 'no'}")
+    print("parameters bit-identical after these network/sliced steps "
+          f"(training.py: see ab_digest.py): {'yes' if same else 'no'}")
     return 0
 
 
