@@ -58,8 +58,7 @@ def benchmark_shifts(corrupted: bool = False) -> dict:
 
 
 def default_net_config() -> NetConfig:
-    return NetConfig(spatial_rank=2, in_channels=1, num_classes=2, depth=2,
-                     base_width=8, latent_dim=16, skip_connections=True)
+    return NetConfig()
 
 
 def default_plan(seed: int = 0) -> TrainPlan:

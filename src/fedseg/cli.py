@@ -234,18 +234,21 @@ def _write_outputs(out_dir, report, masks, mode, result):
 
 
 def _write_run(args, result, trained, sources, target):
-    """Checkpoints and step logs of the `trained` models, then the evaluated
-    outputs and the audit log of the whole run."""
+    """Evaluate the run, then write the checkpoints and step logs of the
+    `trained` models and the evaluated outputs and audit log of the whole
+    run: an evaluation that fails leaves the run directory as it was."""
+    report, masks = evaluate_run(result, sources, target)
+    report.settings["audit.target_label_reads"] = target.label_reads
+    if not result.oracle_mode and target.label_reads != 0:
+        raise RuntimeError("target labels were read outside oracle mode")
+    for sub in ("checkpoints", "curves"):
+        os.makedirs(os.path.join(args.out, sub), exist_ok=True)
     for am in trained:
         ckpt = os.path.join(args.out, "checkpoints", am.source_id)
         save_params(result.pretrained[am.source_id].state_dict(),
                     f"{ckpt}_pretrained.fpar")
         save_params(am.model.state_dict(), f"{ckpt}_adapted.fpar")
         write_step_log(am, os.path.join(args.out, "curves", f"{am.source_id}.csv"))
-    report, masks = evaluate_run(result, sources, target)
-    report.settings["audit.target_label_reads"] = target.label_reads
-    if not result.oracle_mode and target.label_reads != 0:
-        raise RuntimeError("target labels were read outside oracle mode")
     _write_outputs(args.out, report, masks, args.aggregation, result)
 
 
@@ -260,8 +263,6 @@ def cmd_run(args) -> int:
     _prepare_out(args.out, args.force)
     result = run_msuda(sources, target, plan, config, oracle_mode=args.oracle,
                        workers=workers)
-    os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
-    os.makedirs(os.path.join(args.out, "curves"), exist_ok=True)
     _write_run(args, result, result.adapted.models, sources, target)
     print(f"run complete: {args.out} "
           f"(weights {[round(w, 4) for w in result.weights.weights]})")

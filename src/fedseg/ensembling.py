@@ -153,7 +153,7 @@ def add_source(models, weights: EnsembleWeights, new_model,
 def _tie_break_argmax(scores: np.ndarray, rng) -> np.ndarray:
     """Argmax over axis 1 with exact ties resolved uniformly at random."""
     tied = scores == scores.max(axis=1, keepdims=True)
-    if rng is None or not (np.count_nonzero(tied, axis=1) > 1).any():
+    if not (np.count_nonzero(tied, axis=1) > 1).any():
         return scores.argmax(axis=1)
     jitter = rng.random(scores.shape)
     jitter[~tied] = -1.0

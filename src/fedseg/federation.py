@@ -9,17 +9,16 @@ so the privacy constraint (no data sharing between sources, no target
 labels leaving the target) holds by construction.
 
 Per-node RNG streams derive from the node name plus the master seed, so the
-result is independent of scheduling order. With workers > 1 each source
-node trains in a spawned process of its own; it receives only its own
-dataset and the bus copy of the target images, and returns its trained
-models.
+result is independent of scheduling order. _map_jobs is the one runner of
+such independent jobs: with workers > 1 the source nodes train in spawned
+processes. A node receives only its own dataset and the bus copy of the
+target images, and returns its trained models.
 
 run_msuda and extend_run (and the CLI's eval) end in target_pass: the
 weights, probabilities and latent fields of a result all come from one pass
 of each adapted model over the target images.
 """
 
-import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -34,7 +33,7 @@ import numpy as np
 from .autodiff import serialize_params
 from .data import DomainDataset
 from .ensembling import AdaptedModelSet, EnsembleWeights, confidence_weights, stack_probs
-from .network import NetConfig
+from .network import NetConfig, _check_finite
 from .training import TrainPlan, adapt, pretrain
 from .util import derive_seed, hash_images
 
@@ -210,38 +209,64 @@ def _validate_domains(sources, target, num_classes):
         raise ValueError(f"class sets differ across sources: {label_sets}")
 
 
+def _finite(model, source_id, kind):
+    """model, unless a parameter holds a NaN or an inf: then FloatingPointError
+    naming the source, the model and the parameter, as a checkpoint load
+    names it."""
+    try:
+        for name, p in model.parameters().items():
+            _check_finite(name, p.data)
+    except ValueError as exc:
+        raise FloatingPointError(f"source '{source_id}': {kind} model: {exc}") from None
+    return model
+
+
 def _train_on_node(dataset, received_images, plan: TrainPlan, config: NetConfig):
     """Pretrain on the node's own data, then adapt toward the received target
     images. Runs entirely within the node, in the caller's process or in a
-    worker process; pretrain and adapt are looked up on this module."""
+    worker process; pretrain and adapt are looked up on this module. A model
+    left with a non-finite parameter stops the node (_finite), so no run
+    writes a checkpoint that a later load refuses."""
     local_plan = dataclasses.replace(
         plan, seed=derive_seed(plan.seed, "node", dataset.domain_id))
-    pre = pretrain(dataset, local_plan, config)
+    pre = _finite(pretrain(dataset, local_plan, config), dataset.domain_id, "pretrained")
     target_view = DomainDataset(received_images, None, domain_id="target-view")
-    return pre, adapt(pre, dataset, target_view, local_plan)
+    adapted = adapt(pre, dataset, target_view, local_plan)
+    _finite(adapted.model, dataset.domain_id, "adapted")
+    return pre, adapted
 
 
 # A BLAS library sizes its thread pool from these when it loads.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@contextlib.contextmanager
-def _one_blas_thread_per_node():
-    """Node processes start with one BLAS thread each, unless the caller's
-    environment sets a BLAS thread count. A BLAS that sizes its pool to all
-    cores in every node process oversubscribes the machine, and a node's
-    GEMMs are too small to gain from a second thread. A spawned process
-    copies the environment when it starts, so the variables hold for the
-    pool's lifetime and are removed after it."""
-    if any(var in os.environ for var in _BLAS_THREAD_VARS):
-        yield
-        return
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+def _map_jobs(fn, workers, *iterables) -> list:
+    """list(map(fn, *iterables)), on min(workers, jobs) processes.
+
+    At one process or fewer the jobs run in the calling process, in order.
+    Otherwise one spawn pool runs them, and each of its processes starts
+    with one BLAS thread, unless the caller's environment sets a BLAS
+    thread count: a BLAS that sizes its pool to all cores in every process
+    oversubscribes the machine, and a node's GEMMs are too small to gain
+    from a second thread. A spawned process copies the environment when it
+    starts, so the variables hold for the pool's lifetime and are removed
+    on return. A job that raises cancels the jobs not yet started and its
+    exception propagates; every process has exited on return."""
+    jobs = list(zip(*iterables))
+    processes = min(workers, len(jobs))
+    if processes <= 1:
+        return [fn(*args) for args in jobs]
+    blas_set_here = not any(var in os.environ for var in _BLAS_THREAD_VARS)
+    if blas_set_here:
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        yield
+        with ProcessPoolExecutor(
+                processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
     finally:
-        for var in _BLAS_THREAD_VARS:
-            os.environ.pop(var, None)
+        if blas_set_here:
+            for var in _BLAS_THREAD_VARS:
+                os.environ.pop(var, None)
 
 
 def _federate(bus: MessageBus, target: DomainDataset, sources, plan: TrainPlan,
@@ -249,24 +274,14 @@ def _federate(bus: MessageBus, target: DomainDataset, sources, plan: TrainPlan,
     """One round trip per source node: the target images go out over the bus,
     the node pretrains and adapts locally, and its adapted parameters come
     back. Every image send precedes training; parameter sends follow in
-    source order. With more than one worker, min(workers, len(sources))
-    spawned processes train the nodes and all of them have exited on return,
-    also when a node fails. Returns (pretrained, adapted) per source."""
+    source order. _map_jobs trains the nodes on up to `workers` processes.
+    Returns (pretrained, adapted) per source."""
     target_id = NodeId(target.domain_id, "target")
     node_ids = [NodeId(ds.domain_id, "source") for ds in sources]
     received = [bus.send(target_id, node_id, "unlabeled_images", target.images)
                 for node_id in node_ids]
-
-    processes = min(workers, len(sources))
-    if processes > 1:
-        with _one_blas_thread_per_node(), ProcessPoolExecutor(
-                processes, mp_context=multiprocessing.get_context("spawn")) as pool:
-            trained = list(pool.map(_train_on_node, sources, received,
-                                    [plan] * len(sources), [config] * len(sources)))
-    else:
-        trained = [_train_on_node(ds, images, plan, config)
-                   for ds, images in zip(sources, received)]
-
+    n = len(sources)
+    trained = _map_jobs(_train_on_node, workers, sources, received, [plan] * n, [config] * n)
     for node_id, (_, adapted) in zip(node_ids, trained):
         bus.send(node_id, target_id, "model_params",
                  serialize_params(adapted.model.state_dict()))

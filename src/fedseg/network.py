@@ -80,6 +80,12 @@ def _he_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _check_finite(name, values):
+    """Raise ValueError naming the parameter when values holds a NaN or an inf."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite values in parameter '{name}'")
+
+
 class SegModel:
     """Segmentation network decomposed into encoder and classifier halves.
 
@@ -207,8 +213,7 @@ class SegModel:
                     f"shape mismatch for '{name}': model {self.params[name].shape} "
                     f"vs checkpoint {np.shape(arr)}"
                 )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite values in parameter '{name}'")
+            _check_finite(name, arr)
             self.params[name].data = np.asarray(arr, dtype=np.float64).copy()
 
     def clone(self) -> "SegModel":

@@ -2,12 +2,10 @@
 counters, the autodiff ops only reference graphs use (reshape, transpose,
 take_rows), the graph references of swd2 and sample_sites, the dense
 quantile matrix, the ensemble modes as they were before they streamed over
-the models, and the pool that runs the acceptance suite's benchmark
-seeds."""
+the models, and the acceptance suite's benchmark seeds on federation's
+job runner."""
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -15,7 +13,7 @@ from fedseg.autodiff import (Tensor, _accumulate, _make, add, as_tensor, matmul,
                              tsum)
 from fedseg.benchmark import run_benchmark
 from fedseg.ensembling import AggregatedPrediction
-from fedseg.federation import _one_blas_thread_per_node
+from fedseg.federation import _map_jobs
 from fedseg.network import INFERENCE_CHUNK, SegModel
 from fedseg.sliced import _quantile_weights
 from fedseg.util import derive_seed
@@ -221,18 +219,11 @@ def popular_vote_reference(probs, seed=0):
     return tie_break_argmax_reference(votes.astype(np.float64), rng)
 
 
+def _run_benchmark(kwargs):
+    return run_benchmark(**kwargs)
+
+
 def run_benchmarks(calls):
-    """[run_benchmark(**kwargs) for kwargs in calls], computed on a spawn pool
-    of min(2, cores) processes with one BLAS thread each (unless the
-    environment sets a count), as federation runs its nodes. Every process
-    has exited on return, also when a call fails: the calls not yet started
-    are cancelled."""
-    processes = min(2, os.cpu_count() or 1)
-    with _one_blas_thread_per_node(), ProcessPoolExecutor(
-            processes, mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = [pool.submit(run_benchmark, **kwargs) for kwargs in calls]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    """[run_benchmark(**kwargs) for kwargs in calls], computed by federation's
+    job runner on min(2, cores) processes, as federation runs its nodes."""
+    return _map_jobs(_run_benchmark, min(2, os.cpu_count() or 1), calls)

@@ -14,7 +14,7 @@ import pytest
 
 from fedseg import cli
 from fedseg import data as fedseg_data
-from fedseg import federation
+from fedseg import evaluation, federation
 from fedseg.autodiff import load_params, save_params
 from fedseg.benchmark import make_benchmark_domains
 from fedseg.cli import build_parser, main
@@ -746,6 +746,55 @@ def test_eval_of_a_model_with_non_finite_target_probabilities_names_it_and_write
     assert capsys.readouterr().err.splitlines() == [
         "[eval] error: source 'site_b': non-finite target probabilities"]
     assert not out.exists()
+
+
+def test_a_node_model_with_a_non_finite_parameter_fails_the_run_naming_it(
+        dataset, tmp_path, capsys, monkeypatch):
+    """A -inf bias of an encoder channel leaves the target probabilities
+    finite, as the channel's ReLU is dead; the node refuses the model, so no
+    checkpoint that a later eval refuses is written."""
+    original = federation.adapt
+
+    def adapt(*args, **kwargs):
+        adapted = original(*args, **kwargs)
+        adapted.model.params["enc0.b"].data[0] = -np.inf
+        return adapted
+
+    monkeypatch.setattr(federation, "adapt", adapt)
+    out = tmp_path / "r"
+    capsys.readouterr()
+    assert main(["run", "--data", str(dataset), "--out", str(out), "--workers", "1",
+                 *FAST]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "[run] error: source 'site_a': adapted model: non-finite values in parameter "
+        "'enc0.b'"]
+    assert not (out / "checkpoints").exists()
+
+
+def no_space(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def test_a_run_whose_evaluation_fails_writes_nothing(dataset, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(evaluation, "measure_joint_error", no_space)
+    out = tmp_path / "r"
+    capsys.readouterr()
+    assert main(["run", "--data", str(dataset), "--out", str(out), "--oracle",
+                 "--workers", "1", *FAST]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "[run] error: [Errno 28] No space left on device"]
+    assert os.listdir(out) == []  # no checkpoints/ or curves/
+
+
+def test_an_add_source_whose_evaluation_fails_leaves_the_run_as_it_was(
+        tmp_path, monkeypatch):
+    manifest, run = two_source_run(tmp_path)
+    before = tree_hashes(run)
+    monkeypatch.setattr(evaluation, "measure_joint_error", no_space)
+    assert main(["run", "--data", str(manifest), "--out", str(run), "--seed", "2",
+                 "--add-source", "site_c", "--oracle", *FAST]) == 2
+    assert tree_hashes(run) == before
 
 
 @pytest.mark.parametrize("old, new, complaint", [

@@ -4,6 +4,7 @@ equivalence, and incremental source addition."""
 import multiprocessing
 import os
 import pickle
+import time
 import tracemalloc
 import warnings
 
@@ -15,8 +16,8 @@ from fedseg.autodiff import serialize_params
 from fedseg.benchmark import default_net_config, make_benchmark_domains
 from fedseg.data import DomainDataset, DomainShift, generate_domains
 from fedseg.federation import (_BLAS_THREAD_VARS, AuditLog, Message, MessageBus, NodeId,
-                               TargetMismatch, _one_blas_thread_per_node, _train_on_node,
-                               audit_check, extend_run, run_msuda)
+                               TargetMismatch, _map_jobs, _train_on_node, audit_check,
+                               extend_run, run_msuda)
 from fedseg.ensembling import AdaptedModelSet
 from fedseg.network import NetConfig, SegModel
 from fedseg.training import AdaptedModel, TrainPlan
@@ -182,16 +183,58 @@ def test_a_model_with_non_finite_target_probabilities_is_refused_naming_its_sour
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("phase, kind", [("adapt", "adapted"), ("pretrain", "pretrained")])
+def test_a_node_model_with_a_non_finite_parameter_is_refused_naming_it(monkeypatch, phase,
+                                                                      kind):
+    """A -inf bias of an encoder channel leaves the target probabilities
+    finite, as the channel's ReLU is dead, so only the node's own check
+    names it: the source, the model and the parameter."""
+    original = getattr(federation, phase)
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        (out.model if phase == "adapt" else out).params["enc0.b"].data[0] = -np.inf
+        return out
+
+    monkeypatch.setattr(federation, phase, poisoned)
+    sources, target = make_benchmark_domains(0, images=4)
+    plan = TrainPlan(epochs_pretrain=1, epochs_adapt=1, batch_size=4)
+    with pytest.raises(FloatingPointError, match=(
+            rf"^source 'site_a': {kind} model: non-finite values in parameter 'enc0.b'$")):
+        run_msuda(sources, target, plan, default_net_config(), workers=1)
+
+
 def test_node_processes_get_one_blas_thread_unless_the_caller_sets_a_count(monkeypatch):
+    """Each job reads the variables in a spawned process of the runner; the
+    caller's environment is as it was on return."""
     for var in _BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    with _one_blas_thread_per_node():
-        assert [os.environ.get(var) for var in _BLAS_THREAD_VARS] == ["1", "1", "1"]
+    assert _map_jobs(os.getenv, 2, _BLAS_THREAD_VARS) == ["1", "1", "1"]
     assert not any(var in os.environ for var in _BLAS_THREAD_VARS)
     monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    with _one_blas_thread_per_node():
-        assert [os.environ.get(var) for var in _BLAS_THREAD_VARS] == [None, "4", None]
+    assert _map_jobs(os.getenv, 2, _BLAS_THREAD_VARS) == [None, "4", None]
     assert os.environ["OMP_NUM_THREADS"] == "4"
+
+
+def _fail_first(index, directory):
+    """A job of the failure test: it leaves a file named after its index when
+    it starts; job 0 then raises, the others sleep."""
+    open(os.path.join(directory, str(index)), "w").close()
+    if index == 0:
+        raise ValueError("job 0 failed")
+    time.sleep(0.2)
+    return index
+
+
+def test_a_failing_job_cancels_the_jobs_not_yet_started(tmp_path):
+    """The job's own exception propagates, the last jobs never start, and no
+    process of the runner outlives it."""
+    jobs = 10
+    with pytest.raises(ValueError, match="^job 0 failed$"):
+        _map_jobs(_fail_first, 2, range(jobs), [str(tmp_path)] * jobs)
+    started = {int(name) for name in os.listdir(tmp_path)}
+    assert 0 in started and not started & {7, 8, 9}, sorted(started)
+    assert multiprocessing.active_children() == []
 
 
 def test_a_node_returns_its_models_without_gradients():

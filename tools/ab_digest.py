@@ -17,8 +17,9 @@ compared by repr, which round-trips them exactly. It exits 1 on any
 mismatch.
 
 --cli runs the command line instead, per seed and tree: `fedseg gen`, `run
---oracle --workers 1` and `eval --oracle` at small flags (CLI_STEPS), each
-in a subprocess whose PYTHONPATH is the tree, with one BLAS thread. It
+--oracle --workers 1`, `eval --oracle` and `run --oracle --workers 2` into a
+directory of its own, at small flags (CLI_STEPS), each in a subprocess
+whose PYTHONPATH is the tree, with one BLAS thread. It
 compares every file they write byte for byte (datasets, checkpoints, step
 curves, masks, reports, embeddings, audit logs), apart from the timestamp:
 line of each report.txt, prints each file that differs or that only one
@@ -55,12 +56,17 @@ def digest(tree, seed, corrupted, quick):
 
 
 # The commands of --cli, formatted with the output directories and the seed.
+# The run at --workers 2 trains its nodes on the spawn pool, which the
+# in-process mode cannot load a tree into.
+RUN_FLAGS = ["--oracle", "--epochs-pretrain", "2", "--epochs-adapt", "2", "--sites", "16",
+             "--seed", "{seed}"]
 CLI_STEPS = (
     ["gen", "--out", "{data}", "--images", "6", "--size", "16", "--seed", "{seed}"],
-    ["run", "--data", "{data}/manifest.txt", "--out", "{run}", "--oracle", "--workers", "1",
-     "--epochs-pretrain", "2", "--epochs-adapt", "2", "--sites", "16", "--seed", "{seed}"],
+    ["run", "--data", "{data}/manifest.txt", "--out", "{run}", "--workers", "1", *RUN_FLAGS],
     ["eval", "--data", "{data}/manifest.txt", "--run", "{run}", "--out", "{eval}",
      "--oracle"],
+    ["run", "--data", "{data}/manifest.txt", "--out", "{pooled}", "--workers", "2",
+     *RUN_FLAGS],
 )
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -69,7 +75,7 @@ def cli_outputs(src, seed, workdir):
     """{path relative to workdir: bytes} of every file CLI_STEPS write with
     the tree src, each report.txt without its timestamp: line."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **dict.fromkeys(BLAS_VARS, "1"))
-    dirs = {name: os.path.join(workdir, name) for name in ("data", "run", "eval")}
+    dirs = {name: os.path.join(workdir, name) for name in ("data", "run", "eval", "pooled")}
     for step in CLI_STEPS:
         argv = [arg.format(seed=seed, **dirs) for arg in step]
         done = subprocess.run([sys.executable, "-m", "fedseg.cli", *argv], cwd=workdir,
