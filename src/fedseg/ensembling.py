@@ -22,7 +22,7 @@ numpy sums over the model axis, so the results are those sums, bit for bit.
 compute_weights and add_source take models (anything with
 predict_probs(images) -> (batch, classes, *spatial)) for a caller that holds
 no stack. All image arguments are batches; pass a single image as a batch
-of one.
+of one. Every class decision is a uint8 label map from _labels.
 """
 
 from dataclasses import dataclass, field
@@ -62,7 +62,7 @@ class EnsembleWeights:
 @dataclass
 class AggregatedPrediction:
     probs: np.ndarray  # (batch, classes, *spatial), pixel rows on the simplex
-    mask: np.ndarray   # (batch, *spatial) argmax labels
+    mask: np.ndarray   # (batch, *spatial) uint8 argmax labels
 
 
 @dataclass
@@ -150,14 +150,20 @@ def add_source(models, weights: EnsembleWeights, new_model,
     return EnsembleWeights.from_counts(counts, weights.lambda_conf, target_hash)
 
 
-def _tie_break_argmax(scores: np.ndarray, rng) -> np.ndarray:
-    """Argmax over axis 1 with exact ties resolved uniformly at random."""
-    tied = scores == scores.max(axis=1, keepdims=True)
-    if not (np.count_nonzero(tied, axis=1) > 1).any():
-        return scores.argmax(axis=1)
+def _labels(scores, rng=None) -> np.ndarray:
+    """The class-axis argmax of scores bit for bit as a uint8 label map, by a running
+    compare; with rng, exact ties break by a jitter draw (class 0 at a NaN pixel)."""
+    best, labels, tied = scores[:, 0].copy(), np.zeros(scores[:, 0].shape, np.uint8), False
+    for c, s in enumerate(scores.swapaxes(0, 1)[1:], start=1):
+        wins = ~(best >= s) & (best == best)  # a larger value, or the first NaN
+        tied = (tied | (s == best)) & ~wins  # a later class equals best
+        labels[wins] = c
+        np.copyto(best, s, where=wins)
+    if rng is None or not np.any(tied):
+        return labels
     jitter = rng.random(scores.shape)
-    jitter[~tied] = -1.0
-    return jitter.argmax(axis=1)
+    jitter[scores != best[:, None]] = -1.0
+    return _labels(jitter)
 
 
 def aggregate(probs, weights: EnsembleWeights) -> AggregatedPrediction:
@@ -170,23 +176,27 @@ def aggregate(probs, weights: EnsembleWeights) -> AggregatedPrediction:
     term = np.empty_like(mixed)
     for p, wk in zip(probs[1:], w[1:]):
         mixed += np.multiply(p, wk, out=term)
-    del term  # before argmax, which takes a copy of its own
-    return AggregatedPrediction(probs=mixed, mask=mixed.argmax(axis=1))
+    del term  # freed before the class decision
+    return AggregatedPrediction(probs=mixed, mask=_labels(mixed))
 
 
 def average_vote(probs, seed: int = 0) -> AggregatedPrediction:
     """Uniform-weight aggregation; exact probability ties break by seed."""
     mean = np.asarray(probs).mean(axis=0)
     rng = np.random.default_rng(derive_seed(seed, "average-vote"))
-    return AggregatedPrediction(probs=mean, mask=_tie_break_argmax(mean, rng))
+    return AggregatedPrediction(probs=mean, mask=_labels(mean, rng))
+
+
+def _majority(label_maps, shape, seed: int) -> np.ndarray:
+    """Per-pixel majority of label maps; shape is (batch, classes, *spatial)."""
+    classes = np.arange(shape[1]).reshape((-1,) + (1,) * (len(shape) - 2))
+    votes = np.zeros(shape)  # counts, exact in float64
+    for labels in label_maps:
+        votes += labels[:, None] == classes
+    return _labels(votes, np.random.default_rng(derive_seed(seed, "popular-vote")))
 
 
 def popular_vote(probs, seed: int = 0) -> np.ndarray:
     """Per-pixel majority label across models; ties resolved by seed."""
     probs = np.asarray(probs)
-    classes = np.arange(probs.shape[2]).reshape((-1,) + (1,) * (probs.ndim - 3))
-    votes = np.zeros(probs.shape[1:])  # counts, exact in float64
-    for p in probs:
-        votes += p.argmax(axis=1)[:, None] == classes
-    rng = np.random.default_rng(derive_seed(seed, "popular-vote"))
-    return _tie_break_argmax(votes, rng)
+    return _majority((_labels(p) for p in probs), probs.shape[1:], seed)

@@ -17,8 +17,8 @@ add-source reports and the benchmark's acceptance quantities all come
 from it. It takes a federation.FederationResult and runs no adapted model:
 it reads the result's one pass of each model over the target images (kept
 by federation.target_pass), its probabilities and its latent fields. Its
-masks are uint8, the dtype they are written in, and it keeps the fmuda
-mixture only in oracle mode, where the bound's left-hand side reads it.
+masks are uint8; the vote, Dice and suda share one label map per model.
+It keeps the fmuda mixture only in oracle mode, where the bound reads it.
 
 The passes over a labeled dataset stream its image stack: mean_ce puts each
 slice's CE terms into one buffer and sums it once, bit for bit the sum
@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import DomainDataset
-from .ensembling import aggregate, average_vote, popular_vote
+from .ensembling import _labels, _majority, aggregate, average_vote
 from .network import _filled, ce_terms, sample_sites
 from .sliced import sample_projections, swd2
 from .training import pretrain
@@ -44,8 +44,8 @@ from .util import derive_seed
 from .network import ce_loss, embed  # noqa: F401
 
 
-def dice(pred, truth, foreground: int = 1) -> float:
-    """Overlap score 2|X∩Y| / (|X|+|Y|) for the given foreground class.
+def dice(pred, truth) -> float:
+    """Overlap score 2|X∩Y| / (|X|+|Y|) of foreground class 1.
 
     Both masks empty counts as perfect agreement (1.0).
     """
@@ -53,22 +53,21 @@ def dice(pred, truth, foreground: int = 1) -> float:
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"mask shapes differ: {pred.shape} vs {truth.shape}")
-    a = pred == foreground
-    b = truth == foreground
+    a = pred == 1
+    b = truth == 1
     denom = int(a.sum()) + int(b.sum())
     if denom == 0:
         return 1.0
     return 2.0 * int((a & b).sum()) / denom
 
 
-def model_target_dice(model, dataset, foreground: int = 1) -> float:
+def model_target_dice(model, dataset) -> float:
     """Pooled Dice of a model's argmax masks over a labeled dataset.
 
     Reads the dataset's labels (bumps its label_reads counter); use in
     evaluation contexts only.
     """
-    pred = np.asarray(model.predict_probs(dataset.images)).argmax(axis=1)
-    return dice(pred, dataset.masks, foreground=foreground)
+    return dice(_labels(np.asarray(model.predict_probs(dataset.images))), dataset.masks)
 
 
 def mean_ce(model, dataset, latents=None) -> float:
@@ -112,10 +111,10 @@ class BoundTerm:
 
 
 def bound_terms(adapted_models, sources, target, target_latents, swd_L: int,
-                embed_sites: int, seed: int, xi: float = 0.05, zeta: float = 1.0,
-                joint_errors: dict = None) -> list:
-    """Per-source diagnostic terms of the target-error upper bound; the
-    target codes are sampled from each model's target latent field."""
+                embed_sites: int, seed: int, joint_errors: dict = None) -> list:
+    """Per-source diagnostic terms of the target-error upper bound, at
+    xi = 0.05 and zeta = 1; the target codes are sampled from each model's
+    target latent field."""
     out = []
     proj_seed = derive_seed(seed, "bound-projections")
     for am, source, z_tgt in zip(adapted_models, sources, target_latents):
@@ -134,7 +133,7 @@ def bound_terms(adapted_models, sources, target, target_latents, swd_L: int,
             source_id=am.source_id,
             source_ce=source_ce,
             swd_term=swd2(tgt_emb, src_emb, proj).item(),
-            complexity=complexity_term(len(source), len(target), xi, zeta),
+            complexity=complexity_term(len(source), len(target), xi=0.05, zeta=1.0),
             joint_ce=joint,
         ))
     return out
@@ -211,9 +210,9 @@ def evaluate_run(result, sources, target, with_bound=True):
     fmuda = aggregate(probs, weights)
     # the benchmark's seed labels: its acceptance figures depend on them
     tie_seed = derive_seed(seed, "benchmark-ties")
-    masks = {"fmuda": fmuda.mask.astype(np.uint8),
-             "av": average_vote(probs, seed=tie_seed).mask.astype(np.uint8),
-             "pv": popular_vote(probs, seed=tie_seed).astype(np.uint8)}
+    labels = [_labels(p) for p in probs]  # one per model: pv, Dice and suda read it
+    masks = {"fmuda": fmuda.mask, "av": average_vote(probs, seed=tie_seed).mask,
+             "pv": _majority(labels, probs.shape[1:], tie_seed)}
     # only the oracle bound's left-hand side reads the mixture
     mixture = fmuda.probs if oracle_mode and with_bound else None
     del fmuda
@@ -231,25 +230,19 @@ def evaluate_run(result, sources, target, with_bound=True):
         return report, masks
 
     truth = target.masks
-    for am, p in zip(models, probs):
+    for am, own in zip(models, labels):
         pre = float("nan")
         if am.source_id in result.pretrained:
             pre_probs = result.pretrained[am.source_id].predict_probs(target.images)
-            pre = dice(np.asarray(pre_probs).argmax(axis=1), truth)
-        report.per_model_dice[am.source_id] = (pre, dice(p.argmax(axis=1), truth))
+            pre = dice(_labels(np.asarray(pre_probs)), truth)
+        report.per_model_dice[am.source_id] = (pre, dice(own, truth))
     post = [d for _, d in report.per_model_dice.values()]
-    masks["suda"] = probs[int(np.argmax(post))].argmax(axis=1).astype(np.uint8)
+    masks["suda"] = labels[int(np.argmax(post))]
     report.ensemble_dice = {mode: dice(mask, truth) for mode, mask in masks.items()}
     if with_bound:
         report.bound_lhs = mixture_target_ce(mixture, truth)
         report.bound_rhs = bound_right_hand_side(report.bound, weights.weights)
     return report, masks
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def emit_report(report: MetricsReport, path):
@@ -259,33 +252,33 @@ def emit_report(report: MetricsReport, path):
              f"seed: {report.seed}",
              f"oracle_mode: {str(report.oracle_mode).lower()}",
              f"aggregation: {report.aggregation}",
-             f"lambda_conf: {_fmt(report.lambda_conf)}",
+             f"lambda_conf: {report.lambda_conf}",
              f"uniform_fallback: {str(report.uniform_fallback).lower()}",
              f"target_hash: {report.target_hash}"]
-    lines += [f"{key}: {_fmt(report.settings[key])}" for key in sorted(report.settings)]
+    lines += [f"{key}: {report.settings[key]}" for key in sorted(report.settings)]
     if not report.oracle_mode:
         lines.append("e_C: not computable")
     if report.bound_lhs is not None:
-        lines += [f"bound_lhs: {_fmt(report.bound_lhs)}", f"bound_rhs: {_fmt(report.bound_rhs)}",
+        lines += [f"bound_lhs: {report.bound_lhs}", f"bound_rhs: {report.bound_rhs}",
                   f"bound_holds: {str(report.bound_lhs <= report.bound_rhs).lower()}"]
 
     lines += ["", "[weights]", "source_id,raw_count,weight"]
-    lines += [f"{sid},{c},{_fmt(float(w))}"
+    lines += [f"{sid},{c},{float(w)}"
               for sid, c, w in zip(report.source_ids, report.raw_counts, report.weights)]
     if report.bound:
         lines += ["", "[bound_terms]", "source_id,source_ce,swd_term,complexity_term,joint_ce"]
         for t in report.bound:
-            joint = "not computable" if t.joint_ce is None else _fmt(float(t.joint_ce))
-            lines.append(f"{t.source_id},{_fmt(float(t.source_ce))},{_fmt(float(t.swd_term))},"
-                         f"{_fmt(float(t.complexity))},{joint}")
+            joint = "not computable" if t.joint_ce is None else float(t.joint_ce)
+            lines.append(f"{t.source_id},{float(t.source_ce)},{float(t.swd_term)},"
+                         f"{float(t.complexity)},{joint}")
     if report.per_model_dice:
         lines += ["", "[per_model_dice]", "source_id,pre_adapt,post_adapt"]
         for sid in report.source_ids:
             pre, post = report.per_model_dice[sid]
-            lines.append(f"{sid},{_fmt(float(pre))},{_fmt(float(post))}")
+            lines.append(f"{sid},{float(pre)},{float(post)}")
     if report.ensemble_dice:
         lines += ["", "[dice]", "method,dice"]
-        lines += [f"{method},{_fmt(float(report.ensemble_dice[method]))}"
+        lines += [f"{method},{float(report.ensemble_dice[method])}"
                   for method in sorted(report.ensemble_dice)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -22,7 +22,7 @@ of each adapted model over the target images.
 import dataclasses
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 # Bound here only because perfbench/tracing.py patches this name on this
 # module and fails when it is missing.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -250,8 +250,10 @@ def _map_jobs(fn, workers, *iterables) -> list:
     oversubscribes the machine, and a node's GEMMs are too small to gain
     from a second thread. A spawned process copies the environment when it
     starts, so the variables hold for the pool's lifetime and are removed
-    on return. A job that raises cancels the jobs not yet started and its
-    exception propagates; every process has exited on return."""
+    on return. A job is submitted only when a process is free, so once a
+    job has raised no further job starts: the exception of the first
+    failed job in input order propagates, as in the calling process, once
+    the jobs already running end, and every process has exited on return."""
     jobs = list(zip(*iterables))
     processes = min(workers, len(jobs))
     if processes <= 1:
@@ -262,7 +264,15 @@ def _map_jobs(fn, workers, *iterables) -> list:
     try:
         with ProcessPoolExecutor(
                 processes, mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(fn, *zip(*jobs)))
+            futures = []
+            for args in jobs:  # submitted as processes come free: none waits in the pool
+                running = [f for f in futures if not f.done()]
+                if len(running) == processes:
+                    wait(running, return_when=FIRST_COMPLETED)
+                if any(f.done() and f.exception() for f in futures):
+                    break
+                futures.append(pool.submit(fn, *args))
+            return [f.result() for f in futures]
     finally:
         if blas_set_here:
             for var in _BLAS_THREAD_VARS:

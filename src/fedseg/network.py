@@ -73,6 +73,8 @@ class NetConfig:
         for name in ("depth", "in_channels", "num_classes", "base_width", "latent_dim"):
             if getattr(self, name) < 1:  # the message starts with the field it rejects
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.num_classes > 256:  # a label map is uint8
+            raise ValueError(f"num_classes must be <= 256, got {self.num_classes}")
 
 
 def _he_uniform(rng, shape, fan_in):

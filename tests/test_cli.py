@@ -356,6 +356,23 @@ def test_bad_net_line_in_the_run_report_names_file_and_field(dataset, trained_ru
     assert not (tmp_path / "ev").exists()
 
 
+def test_more_classes_than_a_uint8_label_in_the_run_report_names_file_and_field(
+        dataset, trained_run, tmp_path, capsys):
+    """A net of 257 classes would write class 256 as 0 in a uint8 mask, so
+    eval refuses it before anything is written."""
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    report = run / "report.txt"
+    report.write_text(report.read_text().replace("net.num_classes: 2\n",
+                                                 "net.num_classes: 257\n"))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset), "--run", str(run),
+                 "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert f"{report}: num_classes must be <= 256, got 257" in err, err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_checkpoint_that_does_not_fit_the_net_names_the_file(dataset, trained_run,
                                                              tmp_path, capsys):
     run = tmp_path / "run"

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedseg.ensembling import (EnsembleWeights, add_source, aggregate,
+from fedseg.ensembling import (EnsembleWeights, _labels, add_source, aggregate,
                                average_vote, compute_weights, popular_vote,
                                stack_probs)
 from fedseg.network import NetConfig, SegModel
-from helpers import aggregate_reference, average_vote_reference, popular_vote_reference
+from helpers import (aggregate_reference, average_vote_reference, popular_vote_reference,
+                     tie_break_argmax_reference)
 
 
 class StubModel:
@@ -236,7 +237,7 @@ def test_ensemble_modes_equal_the_whole_stack_formulas(case):
             assert np.array_equal(out.probs, ref.probs, equal_nan=True)
             assert np.array_equal(out.mask, ref.mask)
             votes = popular_vote(probs, seed)
-            assert votes.dtype == np.intp
+            assert votes.dtype == np.uint8
             assert np.array_equal(votes, popular_vote_reference(probs, seed))
             masks.append(out.mask)
         seeds_differ |= not np.array_equal(*masks)
@@ -264,3 +265,59 @@ def test_ensemble_mode_memory_does_not_grow_with_the_model_count(mode):
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
+
+def label_scores(n_classes, rank, seed):
+    """(4, n_classes, 3, 4[, 2]) scores of three kinds: distinct values,
+    values on a grid of halves (exact ties, also of the maximum), and the
+    grid with a NaN in the first, a middle and the last class."""
+    rng = np.random.default_rng(seed)
+    shape = (4, n_classes) + (3, 4, 2)[:rank]
+    grid = rng.integers(0, 3, size=shape) / 2.0
+    nan = grid.copy()
+    for image, c in enumerate({0, n_classes // 2, n_classes - 1}):
+        nan[image, c].flat[int(rng.integers(nan[image, c].size))] = np.nan
+    return {"distinct": rng.random(shape), "ties": grid, "nan": nan}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 5])
+def test_labels_equal_the_class_axis_argmax(n_classes, rank):
+    """The one class decision is argmax(axis=1) as uint8: the first maximum
+    wins and a NaN counts as the maximum."""
+    for seed in range(5):
+        for kind, scores in label_scores(n_classes, rank, seed).items():
+            labels = _labels(scores)
+            assert labels.dtype == np.uint8, kind
+            assert np.array_equal(labels, scores.argmax(axis=1)), kind
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+def test_labels_break_ties_as_the_tie_break_reference(n_classes, seed):
+    """With an rng, exact ties of the maximum break by the reference's
+    jitter draw, which leaves the rng in the same state; without a tie
+    nothing is drawn."""
+    for rank in (2, 3):
+        for kind, scores in label_scores(n_classes, rank, seed).items():
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            labels = _labels(scores, rng)
+            assert labels.dtype == np.uint8, kind
+            assert np.array_equal(labels, tie_break_argmax_reference(scores, ref_rng)), kind
+            assert rng.random() == ref_rng.random(), kind
+
+
+def test_aggregate_memory_is_its_mixture_and_one_term_buffer():
+    """aggregate holds the mixture and one term buffer of the same size at
+    most: the class decision after it holds only label-map-sized arrays.
+    4 KiB is left for the small Python objects of the call."""
+    rng = np.random.default_rng(0)
+    probs = np.ascontiguousarray(np.moveaxis(rng.dirichlet(np.ones(2), size=(3, 16, 32, 32)),
+                                             -1, 2))
+    weights = EnsembleWeights.from_counts([1, 2, 3], 0.5)
+    tracemalloc.start()
+    try:
+        out = aggregate(probs, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.probs.nbytes + 4096, (peak, out.probs.nbytes)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fedseg import evaluation
+from fedseg import ensembling, evaluation
 from fedseg.benchmark import make_benchmark_domains, run_benchmark
 from fedseg.evaluation import (MetricsReport, BoundTerm, bound_terms, complexity_term,
                                dice, emit_report, export_embeddings, mean_ce,
@@ -14,7 +14,8 @@ from fedseg.evaluation import (MetricsReport, BoundTerm, bound_terms, complexity
 from fedseg.sliced import EmbeddingBatch, sample_projections, swd2
 from fedseg.autodiff import Tensor, no_grad
 from fedseg.data import DomainShift, generate_domains
-from fedseg.ensembling import stack_probs
+from fedseg.ensembling import AdaptedModelSet, _labels, popular_vote, stack_probs
+from fedseg.federation import AuditLog, FederationResult, target_pass
 from fedseg.network import NetConfig, SegModel, embed
 from fedseg.training import AdaptedModel, TrainPlan
 from fedseg.util import derive_seed
@@ -212,6 +213,34 @@ def test_benchmark_predicts_twice_per_source(monkeypatch):
     # the bound's rows are the terms of its right-hand side
     assert evaluation.bound_right_hand_side(bench.bound, bench.result.weights.weights) == \
         bench.bound_rhs
+
+
+def test_evaluate_run_decides_each_models_classes_once(monkeypatch):
+    """In oracle mode evaluate_run takes one label map of each adapted model,
+    read by the majority vote, the post-adaptation Dice and the suda mask,
+    and one of each pretrained model; every mask is uint8 and equals the
+    public mode's."""
+    models, sources, target = bound_inputs(6)
+    plan = TrainPlan(seed=4)
+    result = target_pass(FederationResult(
+        adapted=AdaptedModelSet(models), weights=None, audit_log=AuditLog(),
+        pretrained={am.source_id: SegModel(am.model.config, seed=9) for am in models},
+        config=models[0].model.config, plan=plan, oracle_mode=True,
+        target_label_reads=0), target)
+    calls = count_calls(monkeypatch, evaluation, "_labels")
+    votes = count_calls(monkeypatch, ensembling, "_labels")
+    report, masks = evaluation.evaluate_run(result, sources, target, with_bound=False)
+    probs = result.target_probs
+    adapted = [k for k, p in enumerate(probs) for scores in calls + votes
+               if scores is not None and np.shares_memory(scores, p)]
+    assert adapted == list(range(len(models)))
+    assert len(calls) == 2 * len(models)
+    assert all(mask.dtype == np.uint8 for mask in masks.values())
+    tie_seed = derive_seed(plan.seed, "benchmark-ties")
+    assert np.array_equal(masks["pv"], popular_vote(probs, seed=tie_seed))
+    post = [report.per_model_dice[am.source_id][1] for am in models]
+    assert post == [dice(_labels(p), target.masks) for p in probs]
+    assert np.array_equal(masks["suda"], probs[int(np.argmax(post))].argmax(axis=1))
 
 
 def bound_inputs(n_images):

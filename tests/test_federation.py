@@ -227,13 +227,13 @@ def _fail_first(index, directory):
 
 
 def test_a_failing_job_cancels_the_jobs_not_yet_started(tmp_path):
-    """The job's own exception propagates, the last jobs never start, and no
-    process of the runner outlives it."""
+    """The job's own exception propagates, no job after the ones already
+    running starts, and no process of the runner outlives it."""
     jobs = 10
     with pytest.raises(ValueError, match="^job 0 failed$"):
         _map_jobs(_fail_first, 2, range(jobs), [str(tmp_path)] * jobs)
     started = {int(name) for name in os.listdir(tmp_path)}
-    assert 0 in started and not started & {7, 8, 9}, sorted(started)
+    assert 0 in started and started <= {0, 1}, sorted(started)
     assert multiprocessing.active_children() == []
 
 

@@ -66,6 +66,14 @@ def test_input_validation():
         model.forward(Tensor(np.zeros((1, 1, 15, 15))))
 
 
+def test_net_config_refuses_more_classes_than_a_uint8_label_holds():
+    """Label maps are uint8, so 256 classes is the most a net may have; the
+    message starts with the field, as the CLI's messages expect."""
+    assert NetConfig(num_classes=256).num_classes == 256
+    with pytest.raises(ValueError, match="^num_classes must be <= 256, got 257$"):
+        NetConfig(num_classes=257)
+
+
 def test_embed_shape_and_determinism():
     cfg = NetConfig(depth=2, base_width=4, latent_dim=8)
     model = SegModel(cfg, seed=6)
