@@ -1,9 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
+The engine holds the ops the pipeline records: add and mul (broadcasting),
+concat, tsum, log_softmax (the cross-entropy), the fused conv block below
+and upsample_nearest; sliced.swd2 and network.sample_sites build their own
+nodes on _make and _accumulate. max_pool is the reference of conv's pool.
+softmax records no node: the pipeline reads its values, never its gradient.
+
 The graph is define-by-run: every operation records its parents and a
 closure that routes the output gradient back to them. backward() on a
 scalar walks the graph once in reverse topological order. Leaf gradients
-accumulate across backward() calls until zero_grad().
+accumulate across backward() calls until Adam.zero_grad() clears them.
 
 Inside a `with no_grad():` block operations record no parents and no
 backward closure, so their outputs have requires_grad=False and every
@@ -128,15 +134,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -190,9 +189,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -268,17 +264,6 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), back)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "sub")
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), back)
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "mul")
@@ -288,18 +273,6 @@ def mul(a, b):
         _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), back)
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-    def back(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), back)
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -320,77 +293,35 @@ def concat(tensors, axis=0):
 
 # -- reductions ---------------------------------------------------------------
 
-def tsum(t, axis=None):
+def tsum(t):
     t = as_tensor(t)
     in_shape = t.shape
 
     def back(g):
-        if axis is None:
-            _accumulate(t, np.full(in_shape, g))
-        else:
-            _accumulate(t, np.broadcast_to(np.expand_dims(g, axis), in_shape).copy())
+        _accumulate(t, np.full(in_shape, g))
 
-    return _make(t.data.sum(axis=axis), (t,), back)
+    return _make(t.data.sum(), (t,), back)
 
 
-def tmean(t):
+# -- class-axis normalisation --------------------------------------------------
+
+def softmax(t, axis=1):
+    """Softmax along the class axis, as a Tensor that records no graph node:
+    the pipeline reads only its values (SegModel.predict_probs)."""
     t = as_tensor(t)
-    n = t.data.size
-    in_shape = t.shape
-
-    def back(g):
-        _accumulate(t, np.full(in_shape, g / n))
-
-    return _make(t.data.mean(), (t,), back)
-
-
-# -- nonlinearities -----------------------------------------------------------
-
-def _rectified(v):
-    """max(v, 0) as a fresh array; a NaN passes through and zeros are +0.0."""
-    out = np.maximum(v, 0.0)
-    out += 0.0  # -0.0 + 0.0 is +0.0, whichever zero maximum kept
-    return out
-
-
-def relu(t):
-    t = as_tensor(t)
-    mask = t.data > 0
-
-    def back(g):
-        _accumulate(t, g * mask)
-
-    return _make(_rectified(t.data), (t,), back)
-
-
-def _default_axis(t):
-    return 1 if t.ndim >= 2 else 0
-
-
-def softmax(t, axis=None):
-    """Softmax along the channel axis (axis 1 for stacked maps, 0 for vectors)."""
-    t = as_tensor(t)
-    ax = _default_axis(t) if axis is None else axis
-    shifted = t.data - t.data.max(axis=ax, keepdims=True)
+    shifted = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=ax, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=ax, keepdims=True)
-        _accumulate(t, y * (g - dot))
-
-    return _make(y, (t,), back)
+    return Tensor(e / e.sum(axis=axis, keepdims=True))
 
 
-def log_softmax(t, axis=None):
+def log_softmax(t, axis=1):
     t = as_tensor(t)
-    ax = _default_axis(t) if axis is None else axis
-    shifted = t.data - t.data.max(axis=ax, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
+    shifted = t.data - t.data.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
 
     def back(g):
-        _accumulate(t, g - np.exp(out) * g.sum(axis=ax, keepdims=True))
+        _accumulate(t, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
 
     return _make(out, (t,), back)
 
@@ -698,8 +629,7 @@ class Adam:
 
     Defaults follow the canonical recommendation: lr 1e-3, betas (0.9, 0.999),
     epsilon 1e-8. Both moments live in one flat buffer, so a step is a few
-    passes over every parameter at once; m[name] and v[name] are views of it
-    in each parameter's shape.
+    passes over every parameter at once.
     """
 
     def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
@@ -720,9 +650,6 @@ class Adam:
         self._slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
         self._moments = np.zeros((2, ends[-1]))
         self._grads = np.empty(ends[-1])
-        self.m, self.v = ({name: flat[sl].reshape(p.shape)
-                           for (name, p), sl in zip(self.params.items(), self._slices)}
-                          for flat in self._moments)
 
     def step(self):
         for name, p in self.params.items():

@@ -301,8 +301,11 @@ def _load_run(run_dir) -> FederationResult:
         return v
 
     try:
-        report = read_report(path)
-        header = report["header"]
+        report = read_report(path)  # a line it cannot parse names the file and line
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    header = report["header"]
+    try:
         config, plan = [cls(**{f.name: value(header, prefix + f.name, f.default)
                                for f in dataclasses.fields(cls)})
                         for cls, prefix in ((NetConfig, "net."), (TrainPlan, "plan."))]

@@ -285,11 +285,12 @@ def emit_report(report: MetricsReport, path):
 
 
 def read_report(path) -> dict:
-    """Parse a report back into {'header': dict, 'tables': {name: rows}}."""
+    """Parse a report back into {'header': dict, 'tables': {name: rows}}; a
+    header line without a colon raises ValueError naming the file and line."""
     header, tables = {}, {}
     table = None
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -299,6 +300,8 @@ def read_report(path) -> dict:
                 continue
             if table is not None:
                 table.append(line.split(","))
+            elif ":" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key: value', got {line!r}")
             else:
                 key, value = line.split(":", 1)
                 header[key.strip()] = value.strip()

@@ -100,12 +100,16 @@ class AuditLog:
                 parts = line.split(",")
                 if len(parts) != 6:
                     raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-                log.append(Message(
-                    sender=NodeId(parts[0], parts[1]),
-                    receiver=NodeId(parts[2], parts[3]),
-                    payload_kind=parts[4],
-                    byte_size=int(parts[5]),
-                ))
+                try:
+                    field = "from_kind"
+                    sender = NodeId(parts[0], parts[1])
+                    field = "to_kind"
+                    receiver = NodeId(parts[2], parts[3])
+                    field = "byte_size"
+                    size = int(parts[5])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: field '{field}': {exc}") from None
+                log.append(Message(sender, receiver, parts[4], size))
         return log
 
 

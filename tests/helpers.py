@@ -1,16 +1,16 @@
 """Shared test utilities: finite-difference gradients, error measures, call
-counters, the autodiff ops only reference graphs use (reshape, transpose,
-take_rows), the graph references of swd2 and sample_sites, the dense
-quantile matrix, the ensemble modes as they were before they streamed over
-the models, and the acceptance suite's benchmark seeds on federation's
+counters, the autodiff ops only reference graphs use (matmul, sub, reshape,
+transpose, take_rows), the graph references of swd2 and sample_sites, the
+dense quantile matrix, the ensemble modes as they were before they streamed
+over the models, and the acceptance suite's benchmark seeds on federation's
 job runner."""
 
 import os
 
 import numpy as np
 
-from fedseg.autodiff import (Tensor, _accumulate, _make, add, as_tensor, matmul, mul, sub,
-                             tsum)
+from fedseg.autodiff import (Tensor, _accumulate, _check_broadcast, _make, _unbroadcast, add,
+                             as_tensor, mul, tsum)
 from fedseg.benchmark import run_benchmark
 from fedseg.ensembling import AggregatedPrediction
 from fedseg.federation import _map_jobs
@@ -93,6 +93,29 @@ def count_target_passes(monkeypatch, images):
 
     monkeypatch.setattr(SegModel, "encode", encode)
     return passes
+
+
+def matmul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+
+    def back(g):
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
+
+    return _make(a.data @ b.data, (a, b), back)
+
+
+def sub(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    _check_broadcast(a, b, "sub")
+
+    def back(g):
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(-g, b.shape))
+
+    return _make(a.data - b.data, (a, b), back)
 
 
 def reshape(t, shape):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from fedseg.autodiff import (Adam, Tensor, add, concat, conv, deserialize_params,
-                             log_softmax, matmul, max_pool, mul, no_grad, relu,
-                             serialize_params, softmax, sub, tmean, tsum,
-                             upsample_nearest)
+                             log_softmax, max_pool, mul, no_grad, serialize_params, softmax,
+                             tsum, upsample_nearest)
 from fedseg.network import NetConfig, SegModel, ce_loss
-from helpers import gradient_check, max_rel_error, reshape, take_rows, transpose
+from helpers import (gradient_check, matmul, max_rel_error, reshape, sub, take_rows,
+                     transpose)
 
 
 def test_add_elementwise():
@@ -20,14 +20,16 @@ def test_add_elementwise():
 
 
 def test_softmax_uniform_on_equal_logits():
-    out = softmax(Tensor([0.0, 0.0, 0.0]))
+    out = softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
     np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_simplex_invariant():
     rng = np.random.default_rng(7)
-    logits = Tensor(rng.normal(scale=20, size=(3, 5, 4, 4)))
-    probs = softmax(logits, axis=1).data
+    logits = Tensor(rng.normal(scale=20, size=(3, 5, 4, 4)), requires_grad=True)
+    out = softmax(logits, axis=1)
+    assert not out.requires_grad and out._backward is None  # records no node
+    probs = out.data
     assert probs.min() >= 0
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -58,12 +60,6 @@ def test_backward_square_sum():
     np.testing.assert_allclose(x.grad, [6.0])
 
 
-def test_backward_mean():
-    x = Tensor(np.arange(4.0), requires_grad=True)
-    tmean(x).backward()
-    np.testing.assert_allclose(x.grad, [0.25] * 4)
-
-
 def test_backward_rejects_non_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
@@ -87,16 +83,17 @@ def test_broadcast_add_grad():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_graph_gradients_match_finite_differences(seed):
-    """Composite graphs mixing every differentiable op, <= 100 parameters."""
+    """Composite graphs mixing the differentiable ops, the fused conv block
+    among them."""
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
     w1 = Tensor(rng.normal(scale=0.5, size=(3, 2, 3, 3)), requires_grad=True)
-    b1 = Tensor(rng.normal(scale=0.1, size=(1, 3, 1, 1)), requires_grad=True)
+    b1 = Tensor(rng.normal(scale=0.1, size=3), requires_grad=True)
     w2 = Tensor(rng.normal(scale=0.5, size=(2, 3, 2, 2)), requires_grad=True)
     m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
     def f():
-        h = relu(add(conv(x, w1, padding=1), b1))
+        h = conv(x, w1, padding=1, b=b1, rectify=True)
         h = max_pool(h, 2)
         h = conv(h, w2)
         h = upsample_nearest(h, 2)
@@ -105,7 +102,7 @@ def test_random_graph_gradients_match_finite_differences(seed):
         mixed = concat([prod, matmul(Tensor(np.ones((5, 3))), transpose(m, (1, 0)))], axis=0)
         lp = log_softmax(mixed, axis=1)
         picked = take_rows(lp, np.array([0, 1, 2, 5, 7, 9, 12]))
-        return tmean(mul(sub(picked, 0.1), sub(picked, 0.1)))
+        return tsum(mul(sub(picked, 0.1), sub(picked, 0.1)))
 
     global rng2_const
     rng2_const = np.random.default_rng(seed + 100).normal(size=(2, 4))
@@ -118,16 +115,9 @@ def test_conv3d_gradients():
     w = Tensor(rng.normal(scale=0.4, size=(2, 2, 3, 3, 3)), requires_grad=True)
 
     def f():
-        return tmean(mul(conv(x, w, padding=1), conv(x, w, padding=1)))
+        return tsum(mul(conv(x, w, padding=1), conv(x, w, padding=1)))
 
     assert gradient_check(f, [x, w]) < 1e-4
-
-
-def test_relu_passes_nan_through():
-    out = relu(Tensor([np.nan, -1.0, -0.0, 0.0, 2.0])).data
-    assert np.isnan(out[0])
-    np.testing.assert_array_equal(out[1:], [0.0, 0.0, 0.0, 2.0])
-    assert not np.signbit(out[1:]).any()
 
 
 def direct_conv(x, w, padding):
@@ -274,7 +264,7 @@ def test_conv3d_per_axis_padding_gradients():
 
     def f():
         out = conv(x, w, padding=(1, 0, 0))
-        return tmean(mul(out, out))
+        return tsum(mul(out, out))
 
     assert gradient_check(f, [x, w]) < 1e-4
 
@@ -511,7 +501,7 @@ def test_forward_backward_deterministic():
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=(2, 1, 4, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
-        loss = tmean(mul(conv(x, w, padding=1), conv(x, w, padding=1)))
+        loss = tsum(mul(conv(x, w, padding=1), conv(x, w, padding=1)))
         loss.backward()
         return loss.item(), x.grad.copy(), w.grad.copy()
 
@@ -528,10 +518,10 @@ def test_forward_backward_deterministic():
 def test_no_grad_records_no_graph():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with no_grad():
-        out = relu(mul(w, 3.0))
+        out = tsum(mul(w, 3.0))
     assert not out.requires_grad
     assert out._parents == () and out._backward is None
-    np.testing.assert_array_equal(out.data, 3.0)
+    assert out.item() == 12.0
     assert mul(w, 3.0).requires_grad
 
 
@@ -612,14 +602,14 @@ def test_adam_two_steps_bookkeeping():
         p.grad = np.array([0.5])
         opt.step()
     assert opt.step_count == 2
-    assert np.isfinite(opt.m["p"]).all() and np.isfinite(opt.v["p"]).all()
+    assert np.isfinite(p.data).all()
 
 
 def test_adam_flat_buffer_matches_the_per_parameter_rule():
     """Three steps over parameters of several shapes, one of them 0-d,
-    against the per-parameter update written out: the same bits, and m and
-    v read per name. The parameters start at 0, so that no bit of the
-    update is lost to a larger parameter."""
+    against the per-parameter update written out: the same bits. The
+    parameters start at 0, so that no bit of the update is lost to a larger
+    parameter."""
     rng = np.random.default_rng(12)
     shapes = {"a": (2, 3), "b": (4,), "c": ()}
     params = {n: Tensor(np.zeros(s), requires_grad=True) for n, s in shapes.items()}
@@ -639,8 +629,6 @@ def test_adam_flat_buffer_matches_the_per_parameter_rule():
         opt.step()
         for n, p in params.items():
             assert np.array_equal(p.data, want[n]), (n, t)
-            assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n]), (n, t)
-            assert opt.m[n].shape == shapes[n]
 
 
 @pytest.mark.parametrize("name, value", [

@@ -608,6 +608,28 @@ def test_malformed_ensemble_names_file(dataset, trained_run, tmp_path, capsys, e
     assert complaint in err
 
 
+@pytest.mark.parametrize("bad, complaint", [
+    (b"garbage line without colon\n", ":5: expected 'key: value', "
+                                        "got 'garbage line without colon'"),
+    (b"net.depth\xff: 2\n", ": 'utf-8' codec can't decode byte 0xff"),
+], ids=["no-colon", "not-utf8"])
+def test_an_unparsable_run_report_line_names_file_and_line_once(dataset, trained_run,
+                                                                  tmp_path, capsys, bad,
+                                                                  complaint):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    report = run / "report.txt"
+    lines = report.read_bytes().splitlines(keepends=True)
+    report.write_bytes(b"".join(lines[:4] + [bad] + lines[4:]))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset), "--run", str(run),
+                 "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert f"{report}{complaint}" in err, err
+    assert err.count(str(report)) == 1, err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_sweep_lambda_csv_shape(dataset, tmp_path):
     out = tmp_path / "sw"
     assert main(["sweep", "--data", str(dataset), "--out", str(out),
@@ -636,6 +658,35 @@ def test_audit_command(dataset, tmp_path):
                    "s1,source,s2,source,unlabeled_images,64\n")
     assert main(["audit", "--log", str(bad)]) == 2
     assert main(["audit", "--log", str(tmp_path / "absent.log")]) == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "add-source"])
+@pytest.mark.parametrize("field, index, bad", [
+    ("byte_size", 5, "{}x"), ("from_kind", 1, "tgt"),
+], ids=["byte-size", "node-kind"])
+def test_a_bad_audit_log_field_names_file_line_and_field(trained_run, tmp_path, capsys,
+                                                         command, field, index, bad):
+    if command == "audit":
+        log = tmp_path / "audit.log"
+        shutil.copy(trained_run / "audit.log", log)
+        argv = ["audit", "--log", str(log)]
+    else:
+        manifest, run = two_source_run(tmp_path)
+        log = run / "audit.log"
+        argv = ["run", "--data", str(manifest), "--out", str(run), "--seed", "2",
+                "--add-source", "site_c", *FAST]
+    lines = log.read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[index] = bad.format(parts[index])
+    lines[1] = ",".join(parts)
+    log.write_text("\n".join(lines) + "\n")
+    before = tree_hashes(log.parent)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{log}:2: field '{field}': " in err, err
+    assert repr(parts[index]) in err, err
+    assert tree_hashes(log.parent) == before
 
 
 def test_unknown_flag_is_usage_error():

@@ -1,6 +1,7 @@
 """The package surface: every exported name resolves, no module imports a
-name it never uses, every private definition is read, the README's commands
-parse, and every name the benchmark's tracer wraps exists."""
+name it never uses, every private definition and every public function and
+class is read in the package, the README's commands parse, and every name
+the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -88,6 +89,24 @@ def test_every_private_definition_is_read_in_the_package():
     read = {name for tree in trees.values() for name in _reads(tree)}
     orphans = [f"{module}: {name}" for module, tree in trees.items()
                for name in _private_definitions(tree) if name not in read]
+    assert orphans == []
+
+
+# Read outside src/: perfbench, the acceptance suite and tools/ab_digest.py
+# run a benchmark seed through it.
+_READ_OUTSIDE_THE_PACKAGE = {"run_benchmark"}
+
+
+def test_every_public_definition_is_read_in_the_package():
+    """A public module-level function or class that only tests, demos or
+    tools call fails here; the package __init__ counts as a reader."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    orphans = [f"{module}: {node.name}" for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_") and node.name not in read
+               and node.name not in _READ_OUTSIDE_THE_PACKAGE]
     assert orphans == []
 
 

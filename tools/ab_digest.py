@@ -17,13 +17,15 @@ compared by repr, which round-trips them exactly. It exits 1 on any
 mismatch.
 
 --cli runs the command line instead, per seed and tree: `fedseg gen`, `run
---oracle --workers 1`, `eval --oracle` and `run --oracle --workers 2` into a
-directory of its own, at small flags (CLI_STEPS), each in a subprocess
-whose PYTHONPATH is the tree, with one BLAS thread. It
-compares every file they write byte for byte (datasets, checkpoints, step
-curves, masks, reports, embeddings, audit logs), apart from the timestamp:
-line of each report.txt, prints each file that differs or that only one
-tree wrote, and exits 1 on any difference.
+--oracle --workers 1`, `eval --oracle`, `run --oracle --workers 2`, a run on
+the manifest without one source followed by `run --add-source` of that
+source, and `sweep --parameter lambda`, each into a directory of its own, at
+small flags (CLI_STEPS), each in a subprocess whose PYTHONPATH is the tree,
+with one BLAS thread. It compares every file they write byte for byte
+(datasets, checkpoints, step curves, masks, reports, embeddings, audit logs,
+sweep tables), apart from the timestamp: line of each report.txt, prints
+each file that differs or that only one tree wrote, and exits 1 on any
+difference.
 """
 
 import argparse
@@ -57,9 +59,13 @@ def digest(tree, seed, corrupted, quick):
 
 # The commands of --cli, formatted with the output directories and the seed.
 # The run at --workers 2 trains its nodes on the spawn pool, which the
-# in-process mode cannot load a tree into.
-RUN_FLAGS = ["--oracle", "--epochs-pretrain", "2", "--epochs-adapt", "2", "--sites", "16",
-             "--seed", "{seed}"]
+# in-process mode cannot load a tree into. {data}/manifest_without.txt is the
+# manifest without ADDED, written after gen; the run on it is then extended
+# by ADDED.
+ADDED = "site_b"
+TRAIN_FLAGS = ["--epochs-pretrain", "2", "--epochs-adapt", "2", "--sites", "16",
+               "--seed", "{seed}"]
+RUN_FLAGS = ["--oracle", *TRAIN_FLAGS]
 CLI_STEPS = (
     ["gen", "--out", "{data}", "--images", "6", "--size", "16", "--seed", "{seed}"],
     ["run", "--data", "{data}/manifest.txt", "--out", "{run}", "--workers", "1", *RUN_FLAGS],
@@ -67,15 +73,32 @@ CLI_STEPS = (
      "--oracle"],
     ["run", "--data", "{data}/manifest.txt", "--out", "{pooled}", "--workers", "2",
      *RUN_FLAGS],
+    ["run", "--data", "{data}/manifest_without.txt", "--out", "{grown}", "--workers", "1",
+     *RUN_FLAGS],
+    ["run", "--data", "{data}/manifest.txt", "--out", "{grown}", "--workers", "1",
+     "--add-source", ADDED, *RUN_FLAGS],
+    ["sweep", "--data", "{data}/manifest.txt", "--out", "{sweep}", "--workers", "1",
+     "--parameter", "lambda", "--values", "0.3,0.7", *TRAIN_FLAGS],
 )
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def write_manifest_without(data_dir, source):
+    """data_dir/manifest_without.txt: data_dir/manifest.txt without the
+    stanza of source."""
+    with open(os.path.join(data_dir, "manifest.txt")) as fh:
+        head, *stanzas = fh.read().split("[domain ")
+    kept = [stanza for stanza in stanzas if not stanza.startswith(source + "]")]
+    with open(os.path.join(data_dir, "manifest_without.txt"), "w") as fh:
+        fh.write(head + "".join("[domain " + stanza for stanza in kept))
 
 
 def cli_outputs(src, seed, workdir):
     """{path relative to workdir: bytes} of every file CLI_STEPS write with
     the tree src, each report.txt without its timestamp: line."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **dict.fromkeys(BLAS_VARS, "1"))
-    dirs = {name: os.path.join(workdir, name) for name in ("data", "run", "eval", "pooled")}
+    dirs = {name: os.path.join(workdir, name)
+            for name in ("data", "run", "eval", "pooled", "grown", "sweep")}
     for step in CLI_STEPS:
         argv = [arg.format(seed=seed, **dirs) for arg in step]
         done = subprocess.run([sys.executable, "-m", "fedseg.cli", *argv], cwd=workdir,
@@ -83,6 +106,8 @@ def cli_outputs(src, seed, workdir):
         if done.returncode != 0:
             sys.exit(f"{src}: fedseg {step[0]} exited with {done.returncode}: "
                      f"{done.stderr.strip()}")
+        if step[0] == "gen":
+            write_manifest_without(dirs["data"], ADDED)
     files = {}
     for root, _, names in os.walk(workdir):
         for name in names:
@@ -126,7 +151,7 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true",
                         help="one pretrain and one adapt epoch")
     parser.add_argument("--cli", action="store_true",
-                        help="compare the files that gen, run and eval write")
+                        help="compare the files that gen, run, eval and sweep write")
     args = parser.parse_args(argv)
 
     if args.cli:
