@@ -8,10 +8,17 @@ identical runs only in the timestamp line.
 Evaluation modes that report Dice (oracle mode, sweeps, suda aggregation)
 read target labels; plain runs never do, which the audit counter verifies.
 
-A run directory is its report.txt and its checkpoints: eval and run
---add-source take the net, the plan, the source ids and the target's hash
-from the report's net.* and plan.* lines, [weights] table and target_hash
-line. Each TrainPlan/NetConfig field the CLI sets has one flag (_SETTINGS);
+_write_run is the one writer of a run directory and _load_run its one
+loader. run writes every source's checkpoints and step curve, report.txt,
+the masks of --aggregation, audit.log and embeddings.csv; run --add-source
+writes the new source's checkpoints and curve and rewrites the rest; eval
+writes report.txt, the masks and embeddings.csv into its --out. A run
+directory is its report.txt and its checkpoints: _load_run takes the net,
+the plan, the source ids and the target's hash from the report's net.* and
+plan.* lines, [weights] table and target_hash line, and for --add-source
+also the pretrained checkpoints and audit.log.
+
+Each TrainPlan/NetConfig field the CLI sets has one flag (_SETTINGS);
 a flag not given keeps the base value, TrainPlan()'s and NetConfig()'s for
 run and sweep, the run's for eval and --add-source, which exits 1 naming
 the field where a given flag differs from the run's. A value the plan or
@@ -209,84 +216,56 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# -- shared run/eval machinery ----------------------------------------------------
+# -- the run directory -------------------------------------------------------------
 
 
-def _write_outputs(out_dir, report, masks, mode, result):
-    """Report, masks, the audit log where the result has one, and the
-    embeddings sampled from the result's target latents."""
+def _write_run(out, result, report, masks, mode, trained=()):
+    """Write the evaluated run into out, after the evaluation, so an
+    evaluation that fails leaves out as it was: the checkpoints and step
+    curves of the `trained` models, then report.txt, the masks of `mode` (in
+    place of an earlier mode's or ensemble's), the audit log where the
+    result has one, and the embeddings sampled from its target latents."""
+    os.makedirs(out, exist_ok=True)
+    if trained:
+        os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
+        os.makedirs(os.path.join(out, "curves"), exist_ok=True)
+    for am in trained:
+        ckpt = os.path.join(out, "checkpoints", am.source_id)
+        save_params(result.pretrained[am.source_id].state_dict(),
+                    f"{ckpt}_pretrained.fpar")
+        save_params(am.model.state_dict(), f"{ckpt}_adapted.fpar")
+        write_step_log(am, os.path.join(out, "curves", f"{am.source_id}.csv"))
     report.aggregation = mode
-    emit_report(report, os.path.join(out_dir, "report.txt"))
-    mask_dir = os.path.join(out_dir, "masks", mode)
-    if os.path.isdir(os.path.dirname(mask_dir)):  # an earlier mode's or ensemble's
+    emit_report(report, os.path.join(out, "report.txt"))
+    mask_dir = os.path.join(out, "masks", mode)
+    if os.path.isdir(os.path.dirname(mask_dir)):
         shutil.rmtree(os.path.dirname(mask_dir))
     os.makedirs(mask_dir)
     for i, mask in enumerate(masks[mode]):
         write_raster(os.path.join(mask_dir, f"pred_{i:03d}.ndr"), mask)
     if result.audit_log is not None:
-        result.audit_log.write(os.path.join(out_dir, "audit.log"))
+        result.audit_log.write(os.path.join(out, "audit.log"))
     plan = result.plan
     batches = [sample_sites(z, plan.embed_sites,
                             seed=derive_seed(plan.seed, "export", am.source_id),
                             domain_tag=f"{am.source_id}/target_post")
                for am, z in zip(result.adapted.models, result.target_latents)]
-    export_embeddings(batches, os.path.join(out_dir, "embeddings.csv"))
+    export_embeddings(batches, os.path.join(out, "embeddings.csv"))
 
 
-def _write_run(args, result, trained, sources, target):
-    """Evaluate the run, then write the checkpoints and step logs of the
-    `trained` models and the evaluated outputs and audit log of the whole
-    run: an evaluation that fails leaves the run directory as it was."""
-    report, masks = evaluate_run(result, sources, target)
-    report.settings["audit.target_label_reads"] = target.label_reads
-    if not result.oracle_mode and target.label_reads != 0:
-        raise RuntimeError("target labels were read outside oracle mode")
-    for sub in ("checkpoints", "curves"):
-        os.makedirs(os.path.join(args.out, sub), exist_ok=True)
-    for am in trained:
-        ckpt = os.path.join(args.out, "checkpoints", am.source_id)
-        save_params(result.pretrained[am.source_id].state_dict(),
-                    f"{ckpt}_pretrained.fpar")
-        save_params(am.model.state_dict(), f"{ckpt}_adapted.fpar")
-        write_step_log(am, os.path.join(args.out, "curves", f"{am.source_id}.csv"))
-    _write_outputs(args.out, report, masks, args.aggregation, result)
-
-
-def cmd_run(args) -> int:
-    if args.aggregation == "suda" and not args.oracle:
-        raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
-    sources, target = _load_datasets(args.data, args.oracle)
-    workers = _workers(args, sources)
-    if args.add_source:
-        return _run_add_source(args, sources, target)
-    plan, config = _settings(args, TrainPlan(), NetConfig())
-    _prepare_out(args.out, args.force)
-    result = run_msuda(sources, target, plan, config, oracle_mode=args.oracle,
-                       workers=workers)
-    _write_run(args, result, result.adapted.models, sources, target)
-    print(f"run complete: {args.out} "
-          f"(weights {[round(w, 4) for w in result.weights.weights]})")
-    return 0
-
-
-def _checkpoint(run_dir, source_id, kind, config) -> SegModel:
-    path = os.path.join(run_dir, "checkpoints", f"{source_id}_{kind}.fpar")
-    if not os.path.exists(path):
-        raise UsageError(f"missing checkpoint {path}")
-    state = load_params(path)
-    model = SegModel(config, seed=0)
-    try:
-        model.load_state_dict(state)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return model
-
-
-def _load_run(run_dir) -> FederationResult:
-    """The run _write_run wrote to run_dir: report.txt's net, plan, [weights]
-    table (raw counts at plan.lambda_conf) and target_hash, and the adapted
-    checkpoints. A bad line or table raises ValueError naming the file and
-    the field. It runs no model and reads no audit log."""
+def _load_run(args, run_dir, sources, extend=False):
+    """The run _write_run wrote to run_dir, under the flags args was given,
+    and those of `sources` (datasets or manifest entries) that it was
+    trained on, in its order, then args.add_source where extend. It reads
+    report.txt's net, plan, [weights] table (raw counts at plan.lambda_conf)
+    and target_hash, and the adapted checkpoints; with extend also the
+    pretrained checkpoints and audit.log, and it refuses a flag that differs
+    from the run's and a report without a target_hash. A missing file or
+    source is a usage error; a bad line, table or checkpoint raises
+    ValueError naming the file and the field. It runs no model."""
+    by_id = {ds.domain_id: ds for ds in sources}
+    if extend and args.add_source not in by_id:
+        raise UsageError(f"--add-source {args.add_source!r} not in the manifest")
     path = os.path.join(run_dir, "report.txt")
     if not os.path.exists(path):
         raise UsageError(f"{run_dir} holds no report.txt (not a run directory?)")
@@ -299,6 +278,18 @@ def _load_run(run_dir) -> FederationResult:
         if type(v) is not type(default):
             raise ValueError(f"missing or bad field '{key}'")
         return v
+
+    def checkpoint(source_id, kind) -> SegModel:
+        ckpt = os.path.join(run_dir, "checkpoints", f"{source_id}_{kind}.fpar")
+        if not os.path.exists(ckpt):
+            raise UsageError(f"missing checkpoint {ckpt}")
+        state = load_params(ckpt)
+        model = SegModel(config, seed=0)
+        try:
+            model.load_state_dict(state)
+        except ValueError as exc:
+            raise ValueError(f"{ckpt}: {exc}") from None
+        return model
 
     try:
         report = read_report(path)  # a line it cannot parse names the file and line
@@ -319,62 +310,65 @@ def _load_run(run_dir) -> FederationResult:
         raise ValueError(f"{path}: {exc}") from None
     weights = EnsembleWeights.from_counts([int(row[1]) for row in rows], plan.lambda_conf,
                                           header.get("target_hash", ""))
-    models = [AdaptedModel(model=_checkpoint(run_dir, sid, "adapted", config),
-                           source_id=sid) for sid, _, _ in rows]
-    return FederationResult(adapted=AdaptedModelSet(models), weights=weights,
-                            audit_log=None, pretrained={}, config=config, plan=plan,
-                            oracle_mode=False, target_label_reads=0)
-
-
-def _run_sources(sources, ids):
-    by_id = {ds.domain_id: ds for ds in sources}
+    ids = [sid for sid, _, _ in rows]
+    models = [AdaptedModel(model=checkpoint(sid, "adapted"), source_id=sid) for sid in ids]
+    if extend and args.add_source in ids:
+        raise UsageError(f"source {args.add_source!r} already in the ensemble")
     missing = [sid for sid in ids if sid not in by_id]
     if missing:
         raise UsageError(f"manifest lacks source domains {missing} from the run")
-    return [by_id[sid] for sid in ids]
-
-
-def _run_add_source(args, sources, target) -> int:
-    """Extend the run in args.out by one source over the bus, under the run's
-    net and plan, which a given flag must not change."""
-    if args.add_source not in {ds.domain_id for ds in sources}:
-        raise UsageError(f"--add-source {args.add_source!r} not in the manifest")
-    run = _load_run(args.out)
-    ids = run.adapted.source_ids()
-    if args.add_source in ids:
-        raise UsageError(f"source {args.add_source!r} already in the ensemble")
-    run_sources = _run_sources(sources, ids + [args.add_source])
-    audit_path = os.path.join(args.out, "audit.log")
-    if not os.path.exists(audit_path):
+    audit_path = os.path.join(run_dir, "audit.log")
+    if extend and not os.path.exists(audit_path):
         raise UsageError(f"audit log not found: {audit_path} "
                          f"(--add-source extends the run's audit trail)")
-    report_path = os.path.join(args.out, "report.txt")
-    plan, config = _settings(args, run.plan, run.config)
-    for prefix, given, recorded in (("net.", config, run.config), ("plan.", plan, run.plan)):
-        for name, value in dataclasses.asdict(recorded).items():
-            if getattr(given, name) != value:
-                raise UsageError(
-                    f"--add-source: {prefix}{name} is {getattr(given, name)!r} by the "
-                    f"flags but {value!r} in {report_path}")
-    if not run.weights.target_hash:
-        raise ValueError(f"{report_path}: missing field 'target_hash'")
+    given_plan, given_config = _settings(args, plan, config)
+    run = FederationResult(adapted=AdaptedModelSet(models), weights=weights,
+                           audit_log=None, pretrained={}, config=config, plan=given_plan,
+                           oracle_mode=args.oracle, target_label_reads=0)
+    if not extend:
+        return run, [by_id[sid] for sid in ids]
+    for prefix, given, recorded in (("net.", given_config, config), ("plan.", given_plan, plan)):
+        for name, v in dataclasses.asdict(recorded).items():
+            if getattr(given, name) != v:
+                raise UsageError(f"--add-source: {prefix}{name} is {getattr(given, name)!r} "
+                                 f"by the flags but {v!r} in {path}")
+    if not weights.target_hash:
+        raise ValueError(f"{path}: missing field 'target_hash'")
+    run = dataclasses.replace(run, audit_log=AuditLog.read(audit_path),
+                              pretrained={sid: checkpoint(sid, "pretrained") for sid in ids})
+    return run, [by_id[sid] for sid in ids + [args.add_source]]
 
-    run = dataclasses.replace(
-        run, audit_log=AuditLog.read(audit_path), oracle_mode=args.oracle,
-        pretrained={sid: _checkpoint(args.out, sid, "pretrained", config) for sid in ids})
-    try:
-        result = extend_run(run, run_sources[-1], target)
-    except TargetMismatch as exc:
-        raise TargetMismatch(f"{report_path}: {exc}") from None
-    _write_run(args, result, result.adapted.models[-1:], run_sources, target)
-    print(f"added source {args.add_source}: weights "
-          f"{[round(w, 4) for w in result.weights.weights]}")
+
+def cmd_run(args) -> int:
+    """Train a run into args.out, or with args.add_source extend the one
+    there by that source over the bus, under the run's net and plan."""
+    sources, target = _load_datasets(args.data, args.oracle)
+    workers = _workers(args, sources)
+    if args.add_source:
+        run, sources = _load_run(args, args.out, sources, extend=True)
+        try:
+            result = extend_run(run, sources[-1], target)
+        except TargetMismatch as exc:
+            raise TargetMismatch(f"{os.path.join(args.out, 'report.txt')}: {exc}") from None
+        trained = result.adapted.models[-1:]
+    else:
+        plan, config = _settings(args, TrainPlan(), NetConfig())
+        _prepare_out(args.out, args.force)
+        result = run_msuda(sources, target, plan, config, oracle_mode=args.oracle,
+                           workers=workers)
+        trained = result.adapted.models
+    report, masks = evaluate_run(result, sources, target)
+    report.settings["audit.target_label_reads"] = target.label_reads
+    if not result.oracle_mode and target.label_reads != 0:
+        raise RuntimeError("target labels were read outside oracle mode")
+    _write_run(args.out, result, report, masks, args.aggregation, trained)
+    weights = [round(w, 4) for w in result.weights.weights]
+    print(f"added source {args.add_source}: weights {weights}" if args.add_source
+          else f"run complete: {args.out} (weights {weights})")
     return 0
 
 
 def cmd_eval(args) -> int:
-    if args.aggregation == "suda" and not args.oracle:
-        raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
     out_dir = args.out or os.path.join(args.run, "eval")
     if os.path.isdir(os.path.join(out_dir, "checkpoints")):
         raise UsageError(f"--out {out_dir} holds a run (checkpoints/); eval would "
@@ -382,14 +376,10 @@ def cmd_eval(args) -> int:
     source_entries, target_entry = _manifest_roles(args.data)  # no source is read
     target = load_domain(args.data, target_entry, read_masks=args.oracle)
     _check_target_finite(args.data, target_entry, target)
-    run = _load_run(args.run)
-    _run_sources(source_entries, run.adapted.source_ids())
-    plan, _ = _settings(args, run.plan, run.config)
-    result = target_pass(dataclasses.replace(run, plan=plan, oracle_mode=args.oracle),
-                         target)
-    os.makedirs(out_dir, exist_ok=True)
+    run, _ = _load_run(args, args.run, source_entries)
+    result = target_pass(run, target)
     report, masks = evaluate_run(result, None, target, with_bound=False)
-    _write_outputs(out_dir, report, masks, args.aggregation, result)
+    _write_run(out_dir, result, report, masks, args.aggregation)
     print(f"eval complete: {out_dir}")
     return 0
 
@@ -511,6 +501,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "aggregation", None) == "suda" and not args.oracle:
+            raise UsageError("--aggregation suda needs --oracle (selects by target Dice)")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import DomainDataset
-from .ensembling import _labels, _majority, aggregate, average_vote
+from .ensembling import EnsembleWeights, _labels, _majority, aggregate, average_vote
 from .network import _filled, ce_terms, sample_sites
 from .sliced import sample_projections, swd2
 from .training import pretrain
@@ -168,14 +168,10 @@ def measure_joint_error(source, target_labeled, plan, config) -> float:
 class MetricsReport:
     seed: int
     oracle_mode: bool
+    weights: EnsembleWeights                       # of source_ids, in order
     aggregation: str = "fmuda"
     settings: dict = field(default_factory=dict)   # flat config snapshot
-    raw_counts: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
     source_ids: list = field(default_factory=list)
-    lambda_conf: float = 0.3
-    uniform_fallback: bool = False
-    target_hash: str = ""                                   # of the weighted images
     per_model_dice: dict = field(default_factory=dict)      # id -> (pre, post)
     ensemble_dice: dict = field(default_factory=dict)       # method -> dice
     bound: list = field(default_factory=list)               # BoundTerm entries
@@ -196,16 +192,11 @@ def evaluate_run(result, sources, target, with_bound=True):
     """
     models, weights, plan = result.adapted.models, result.weights, result.plan
     probs, oracle_mode, seed = result.target_probs, result.oracle_mode, plan.seed
-    report = MetricsReport(seed=seed, oracle_mode=oracle_mode)
+    report = MetricsReport(seed=seed, oracle_mode=oracle_mode, weights=weights,
+                           source_ids=[m.source_id for m in models])
     report.settings = {f"plan.{k}": v for k, v in asdict(plan).items()}
     report.settings.update({f"net.{k}": v for k, v in asdict(result.config).items()})
     report.settings["audit.target_label_reads_before_eval"] = target.label_reads
-    report.source_ids = [m.source_id for m in models]
-    report.raw_counts = list(weights.raw_counts)
-    report.weights = list(weights.weights)
-    report.lambda_conf = weights.lambda_conf
-    report.uniform_fallback = weights.uniform_fallback
-    report.target_hash = weights.target_hash
 
     fmuda = aggregate(probs, weights)
     # the benchmark's seed labels: its acceptance figures depend on them
@@ -247,14 +238,15 @@ def evaluate_run(result, sources, target, with_bound=True):
 
 def emit_report(report: MetricsReport, path):
     """Write the report as a key: value header plus CSV tables."""
+    weights = report.weights
     lines = ["# fedseg run report", "format_version: 1",
              f"timestamp: {report.timestamp or time.strftime('%Y-%m-%dT%H:%M:%S')}",
              f"seed: {report.seed}",
              f"oracle_mode: {str(report.oracle_mode).lower()}",
              f"aggregation: {report.aggregation}",
-             f"lambda_conf: {report.lambda_conf}",
-             f"uniform_fallback: {str(report.uniform_fallback).lower()}",
-             f"target_hash: {report.target_hash}"]
+             f"lambda_conf: {weights.lambda_conf}",
+             f"uniform_fallback: {str(weights.uniform_fallback).lower()}",
+             f"target_hash: {weights.target_hash}"]
     lines += [f"{key}: {report.settings[key]}" for key in sorted(report.settings)]
     if not report.oracle_mode:
         lines.append("e_C: not computable")
@@ -264,7 +256,7 @@ def emit_report(report: MetricsReport, path):
 
     lines += ["", "[weights]", "source_id,raw_count,weight"]
     lines += [f"{sid},{c},{float(w)}"
-              for sid, c, w in zip(report.source_ids, report.raw_counts, report.weights)]
+              for sid, c, w in zip(report.source_ids, weights.raw_counts, weights.weights)]
     if report.bound:
         lines += ["", "[bound_terms]", "source_id,source_ce,swd_term,complexity_term,joint_ce"]
         for t in report.bound:

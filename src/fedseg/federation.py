@@ -92,9 +92,12 @@ class AuditLog:
     @classmethod
     def read(cls, path) -> "AuditLog":
         log = cls()
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # decoded per line, so an error can name it
             for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
+                try:
+                    line = raw.decode().strip()
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split(",")

@@ -662,8 +662,8 @@ def test_audit_command(dataset, tmp_path):
 
 @pytest.mark.parametrize("command", ["audit", "add-source"])
 @pytest.mark.parametrize("field, index, bad", [
-    ("byte_size", 5, "{}x"), ("from_kind", 1, "tgt"),
-], ids=["byte-size", "node-kind"])
+    ("byte_size", 5, b"{}x"), ("from_kind", 1, b"tgt"), (None, 5, b"{}\xff"),
+], ids=["byte-size", "node-kind", "not-utf8"])
 def test_a_bad_audit_log_field_names_file_line_and_field(trained_run, tmp_path, capsys,
                                                          command, field, index, bad):
     if command == "audit":
@@ -675,18 +675,86 @@ def test_a_bad_audit_log_field_names_file_line_and_field(trained_run, tmp_path, 
         log = run / "audit.log"
         argv = ["run", "--data", str(manifest), "--out", str(run), "--seed", "2",
                 "--add-source", "site_c", *FAST]
-    lines = log.read_text().splitlines()
-    parts = lines[1].split(",")
-    parts[index] = bad.format(parts[index])
-    lines[1] = ",".join(parts)
-    log.write_text("\n".join(lines) + "\n")
+    lines = log.read_bytes().splitlines()
+    parts = lines[1].split(b",")
+    parts[index] = bad.replace(b"{}", parts[index])
+    lines[1] = b",".join(parts)
+    log.write_bytes(b"\n".join(lines) + b"\n")
     before = tree_hashes(log.parent)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{log}:2: field '{field}': " in err, err
-    assert repr(parts[index]) in err, err
+    if field is None:  # a byte that no UTF-8 text holds
+        assert f"{log}:2: 'utf-8' codec can't decode byte 0xff" in err, err
+    else:
+        assert f"{log}:2: field '{field}': " in err, err
+        assert repr(parts[index].decode()) in err, err
     assert tree_hashes(log.parent) == before
+
+
+@pytest.fixture(scope="module")
+def grown_data(tmp_path_factory):
+    """two_source_run's manifest and run, to be copied before a change."""
+    return two_source_run(tmp_path_factory.mktemp("grown"))
+
+
+def report_line(key, value=None):
+    """An edit of a run's report: the key's line set to value, or dropped."""
+    def edit(run):
+        report = run / "report.txt"
+        lines = report.read_text().splitlines(True)
+        new = "" if value is None else f"{key}: {value}\n"
+        report.write_text("".join(new if line.startswith(f"{key}:") else line
+                                  for line in lines))
+    return edit
+
+
+def drop(rel):
+    return lambda run: (run / rel).unlink()
+
+
+@pytest.mark.parametrize("command, source, edit, complaint, code", [
+    ("eval", None, report_line("net.latent_dim"),
+     "{run}/report.txt: missing or bad field 'net.latent_dim'", 2),
+    ("eval", None, report_line("plan.epochs_adapt", "1.5"),
+     "{run}/report.txt: missing or bad field 'plan.epochs_adapt'", 2),
+    ("eval", None, report_line("plan.gamma"),
+     "{run}/report.txt: missing or bad field 'plan.gamma'", 2),
+    ("eval", None, drop("checkpoints/site_b_adapted.fpar"),
+     "missing checkpoint {run}/checkpoints/site_b_adapted.fpar", 1),
+    ("add-source", "site_c", report_line("plan.swd_L", "'8'"),
+     "{run}/report.txt: missing or bad field 'plan.swd_L'", 2),
+    ("add-source", "site_c", drop("checkpoints/site_a_pretrained.fpar"),
+     "missing checkpoint {run}/checkpoints/site_a_pretrained.fpar", 1),
+    ("add-source", "site_x", None, "--add-source 'site_x' not in the manifest", 1),
+    ("add-source", "site_b", None, "source 'site_b' already in the ensemble", 1),
+    ("add-source", "site_c", drop("audit.log"), "audit log not found: {run}/audit.log", 1),
+], ids=["eval-missing-net-line", "eval-float-plan-line", "eval-missing-plan-line",
+        "eval-missing-adapted-checkpoint", "add-source-string-plan-line",
+        "add-source-missing-pretrained-checkpoint", "add-source-not-in-manifest",
+        "add-source-already-in-ensemble", "add-source-without-audit-log"])
+def test_a_run_directory_the_loader_refuses_names_the_file_or_field(
+        grown_data, tmp_path, capsys, command, source, edit, complaint, code):
+    """Each refusal of a run directory, of its report, checkpoints and audit
+    log, exits with its code, names what it refuses and writes nothing."""
+    manifest, grown = grown_data
+    run = tmp_path / "run"
+    shutil.copytree(grown, run)
+    if edit is not None:
+        edit(run)
+    if command == "eval":
+        argv = ["eval", "--data", str(manifest), "--run", str(run),
+                "--out", str(tmp_path / "ev")]
+    else:
+        argv = ["run", "--data", str(manifest), "--out", str(run), "--seed", "2",
+                "--add-source", source, *FAST]
+    before = tree_hashes(run)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert complaint.format(run=run) in err, err
+    assert tree_hashes(run) == before
+    assert not (tmp_path / "ev").exists()
 
 
 def test_unknown_flag_is_usage_error():

@@ -14,7 +14,8 @@ from fedseg.evaluation import (MetricsReport, BoundTerm, bound_terms, complexity
 from fedseg.sliced import EmbeddingBatch, sample_projections, swd2
 from fedseg.autodiff import Tensor, no_grad
 from fedseg.data import DomainShift, generate_domains
-from fedseg.ensembling import AdaptedModelSet, _labels, popular_vote, stack_probs
+from fedseg.ensembling import (AdaptedModelSet, EnsembleWeights, _labels, popular_vote,
+                               stack_probs)
 from fedseg.federation import AuditLog, FederationResult, target_pass
 from fedseg.network import NetConfig, SegModel, embed
 from fedseg.training import AdaptedModel, TrainPlan
@@ -89,13 +90,11 @@ def test_complexity_term_range_validation():
         complexity_term(0, 10, xi=0.5, zeta=1.0)
 
 
-def _sample_report(oracle: bool) -> MetricsReport:
-    report = MetricsReport(seed=3, oracle_mode=oracle, aggregation="fmuda")
+def _sample_report(oracle: bool, counts=(30, 10)) -> MetricsReport:
+    report = MetricsReport(seed=3, oracle_mode=oracle, aggregation="fmuda",
+                           source_ids=["site_a", "site_b"],
+                           weights=EnsembleWeights.from_counts(list(counts), 0.85))
     report.settings = {"plan.gamma": 2.0, "net.depth": 2}
-    report.source_ids = ["site_a", "site_b"]
-    report.raw_counts = [30, 10]
-    report.weights = [0.75, 0.25]
-    report.lambda_conf = 0.85
     report.bound = [
         BoundTerm("site_a", 0.123456789012345, 0.01, 0.9,
                   joint_ce=0.2 if oracle else None),
@@ -117,10 +116,17 @@ def test_report_round_trip_full_precision(tmp_path):
     back = read_report(path)
     assert back["header"]["seed"] == "3"
     assert float(back["header"]["bound_rhs"]) == 1.9
+    assert back["header"]["lambda_conf"] == "0.85"
+    assert back["header"]["uniform_fallback"] == "false"
     weights_rows = back["tables"]["weights"][1:]
     assert weights_rows[0] == ["site_a", "30", "0.75"]
     bound_rows = back["tables"]["bound_terms"][1:]
     assert float(bound_rows[0][1]) == 0.123456789012345
+    # no confident pixel anywhere: equal weights, flagged
+    emit_report(_sample_report(oracle=True, counts=(0, 0)), path)
+    back = read_report(path)
+    assert back["header"]["uniform_fallback"] == "true"
+    assert back["tables"]["weights"][1:] == [["site_a", "0", "0.5"], ["site_b", "0", "0.5"]]
 
 
 def test_report_non_oracle_has_literal_marker(tmp_path):

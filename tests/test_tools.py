@@ -49,8 +49,8 @@ def test_ab_digest_finds_a_tree_bit_identical_to_itself():
 def test_ab_digest_cli_finds_a_tree_byte_identical_to_itself():
     """gen, run, eval and sweep write the same files with one tree twice,
     apart from the reports' timestamps: a dataset, a run, an eval directory,
-    a run on two worker processes, a run extended by --add-source and a
-    lambda sweep table."""
+    a label-free pv eval directory, a run on two worker processes, a run
+    extended by --add-source and a lambda sweep table."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_digest.py"), str(SRC), str(SRC),
          "--cli", "--seeds", "0"],
@@ -58,7 +58,7 @@ def test_ab_digest_cli_finds_a_tree_byte_identical_to_itself():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert re.fullmatch(r"cli seed 0: \d+ files, 0 differ", lines[0]), lines
-    # gen (with the manifest without one source), run, eval, run, the grown
-    # run, sweep
-    assert int(lines[0].split()[3]) >= 38 + 15 + 8 + 15 + 15 + 1, lines
+    # gen (with the manifest without one source), run, eval, the pv eval,
+    # run, the grown run, sweep
+    assert int(lines[0].split()[3]) >= 38 + 15 + 8 + 8 + 15 + 15 + 1, lines
     assert lines[1:] == ["all files identical: yes"]

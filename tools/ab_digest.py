@@ -17,15 +17,15 @@ compared by repr, which round-trips them exactly. It exits 1 on any
 mismatch.
 
 --cli runs the command line instead, per seed and tree: `fedseg gen`, `run
---oracle --workers 1`, `eval --oracle`, `run --oracle --workers 2`, a run on
-the manifest without one source followed by `run --add-source` of that
-source, and `sweep --parameter lambda`, each into a directory of its own, at
-small flags (CLI_STEPS), each in a subprocess whose PYTHONPATH is the tree,
-with one BLAS thread. It compares every file they write byte for byte
-(datasets, checkpoints, step curves, masks, reports, embeddings, audit logs,
-sweep tables), apart from the timestamp: line of each report.txt, prints
-each file that differs or that only one tree wrote, and exits 1 on any
-difference.
+--oracle --workers 1`, `eval --oracle`, a label-free `eval --aggregation pv`,
+`run --oracle --workers 2`, a run on the manifest without one source followed
+by `run --add-source` of that source, and `sweep --parameter lambda`, each
+into a directory of its own, at small flags (CLI_STEPS), each in a
+subprocess whose PYTHONPATH is the tree, with one BLAS thread. It compares
+every file they write byte for byte (datasets, checkpoints, step curves,
+masks, reports, embeddings, audit logs, sweep tables), apart from the
+timestamp: line of each report.txt, prints each file that differs or that
+only one tree wrote, and exits 1 on any difference.
 """
 
 import argparse
@@ -71,6 +71,8 @@ CLI_STEPS = (
     ["run", "--data", "{data}/manifest.txt", "--out", "{run}", "--workers", "1", *RUN_FLAGS],
     ["eval", "--data", "{data}/manifest.txt", "--run", "{run}", "--out", "{eval}",
      "--oracle"],
+    ["eval", "--data", "{data}/manifest.txt", "--run", "{run}", "--out", "{voted}",
+     "--aggregation", "pv"],
     ["run", "--data", "{data}/manifest.txt", "--out", "{pooled}", "--workers", "2",
      *RUN_FLAGS],
     ["run", "--data", "{data}/manifest_without.txt", "--out", "{grown}", "--workers", "1",
@@ -98,7 +100,7 @@ def cli_outputs(src, seed, workdir):
     the tree src, each report.txt without its timestamp: line."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **dict.fromkeys(BLAS_VARS, "1"))
     dirs = {name: os.path.join(workdir, name)
-            for name in ("data", "run", "eval", "pooled", "grown", "sweep")}
+            for name in ("data", "run", "eval", "voted", "pooled", "grown", "sweep")}
     for step in CLI_STEPS:
         argv = [arg.format(seed=seed, **dirs) for arg in step]
         done = subprocess.run([sys.executable, "-m", "fedseg.cli", *argv], cwd=workdir,
