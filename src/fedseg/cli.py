@@ -16,7 +16,7 @@ writes report.txt, the masks and embeddings.csv into its --out. A run
 directory is its report.txt and its checkpoints: _load_run takes the net,
 the plan, the source ids and the target's hash from the report's net.* and
 plan.* lines, [weights] table and target_hash line, and for --add-source
-also the pretrained checkpoints and audit.log.
+also audit.log and each record's pretrained checkpoint (am.pretrained).
 
 Each TrainPlan/NetConfig field the CLI sets has one flag (_SETTINGS);
 a flag not given keeps the base value, TrainPlan()'s and NetConfig()'s for
@@ -153,7 +153,8 @@ def _check_target_finite(manifest_path, entry, target):
 def _prepare_out(path, force):
     if os.path.isdir(path) and os.listdir(path) and not force:
         raise UsageError(f"output directory {path} is not empty (use --force)")
-    os.makedirs(path, exist_ok=True)
+    if os.path.lexists(path) and not os.path.isdir(path):
+        os.makedirs(path)  # the writer's FileExistsError, raised before any work
 
 
 # -- gen -----------------------------------------------------------------------
@@ -231,8 +232,7 @@ def _write_run(out, result, report, masks, mode, trained=()):
         os.makedirs(os.path.join(out, "curves"), exist_ok=True)
     for am in trained:
         ckpt = os.path.join(out, "checkpoints", am.source_id)
-        save_params(result.pretrained[am.source_id].state_dict(),
-                    f"{ckpt}_pretrained.fpar")
+        save_params(am.pretrained.state_dict(), f"{ckpt}_pretrained.fpar")
         save_params(am.model.state_dict(), f"{ckpt}_adapted.fpar")
         write_step_log(am, os.path.join(out, "curves", f"{am.source_id}.csv"))
     report.aggregation = mode
@@ -322,9 +322,9 @@ def _load_run(args, run_dir, sources, extend=False):
         raise UsageError(f"audit log not found: {audit_path} "
                          f"(--add-source extends the run's audit trail)")
     given_plan, given_config = _settings(args, plan, config)
-    run = FederationResult(adapted=AdaptedModelSet(models), weights=weights,
-                           audit_log=None, pretrained={}, config=config, plan=given_plan,
-                           oracle_mode=args.oracle, target_label_reads=0)
+    run = FederationResult(adapted=AdaptedModelSet(models), weights=weights, audit_log=None,
+                           config=config, plan=given_plan, oracle_mode=args.oracle,
+                           target_label_reads=0)
     if not extend:
         return run, [by_id[sid] for sid in ids]
     for prefix, given, recorded in (("net.", given_config, config), ("plan.", given_plan, plan)):
@@ -334,8 +334,9 @@ def _load_run(args, run_dir, sources, extend=False):
                                  f"by the flags but {v!r} in {path}")
     if not weights.target_hash:
         raise ValueError(f"{path}: missing field 'target_hash'")
-    run = dataclasses.replace(run, audit_log=AuditLog.read(audit_path),
-                              pretrained={sid: checkpoint(sid, "pretrained") for sid in ids})
+    run.audit_log = AuditLog.read(audit_path)
+    for am in models:
+        am.pretrained = checkpoint(am.source_id, "pretrained")
     return run, [by_id[sid] for sid in ids + [args.add_source]]
 
 
@@ -410,6 +411,7 @@ def cmd_sweep(args) -> int:
         mixed = aggregate(probs, confidence_weights(probs, variant.lambda_conf))
         rows.append((value, dice(mixed.mask, truth)))
 
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"sweep_{args.parameter}.csv")
     with open(csv_path, "w") as fh:
         fh.write("value,dice\n")

@@ -67,18 +67,9 @@ class AggregatedPrediction:
 
 @dataclass
 class AdaptedModelSet:
-    """The per-source adapted models, in a fixed order."""
+    """The per-source records (training.AdaptedModel), in a fixed order."""
 
     models: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def source_ids(self):
-        return [m.source_id for m in self.models]
 
 
 def _as_image_batch(images) -> np.ndarray:

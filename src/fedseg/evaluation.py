@@ -19,6 +19,7 @@ it reads the result's one pass of each model over the target images (kept
 by federation.target_pass), its probabilities and its latent fields. Its
 masks are uint8; the vote, Dice and suda share one label map per model.
 It keeps the fmuda mixture only in oracle mode, where the bound reads it.
+The pre-adaptation Dice runs am.pretrained, where a record holds one.
 
 The passes over a labeled dataset stream its image stack: mean_ce puts each
 slice's CE terms into one buffer and sums it once, bit for bit the sum
@@ -185,8 +186,8 @@ def evaluate_run(result, sources, target, with_bound=True):
     federation.FederationResult, from its models, weights, plan, config,
     oracle mode and target pass. Per-model Dice, the masks and the bound's
     left-hand side read target_probs, the bound's target codes
-    target_latents. In oracle mode each pretrained snapshot (by source id,
-    where present) runs once for the pre-adaptation Dice. Returns
+    target_latents. In oracle mode each record's pretrained model (where it
+    holds one) runs once for the pre-adaptation Dice. Returns
     (MetricsReport, {mode: uint8 mask}); the suda mask needs oracle mode. Tie
     breaks and bound projections draw from seeds derived from plan.seed.
     """
@@ -223,9 +224,8 @@ def evaluate_run(result, sources, target, with_bound=True):
     truth = target.masks
     for am, own in zip(models, labels):
         pre = float("nan")
-        if am.source_id in result.pretrained:
-            pre_probs = result.pretrained[am.source_id].predict_probs(target.images)
-            pre = dice(_labels(np.asarray(pre_probs)), truth)
+        if am.pretrained is not None:
+            pre = dice(_labels(np.asarray(am.pretrained.predict_probs(target.images))), truth)
         report.per_model_dice[am.source_id] = (pre, dice(own, truth))
     post = [d for _, d in report.per_model_dice.values()]
     masks["suda"] = labels[int(np.argmax(post))]

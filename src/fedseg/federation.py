@@ -12,7 +12,7 @@ Per-node RNG streams derive from the node name plus the master seed, so the
 result is independent of scheduling order. _map_jobs is the one runner of
 such independent jobs: with workers > 1 the source nodes train in spawned
 processes. A node receives only its own dataset and the bus copy of the
-target images, and returns its trained models.
+target images, and returns its one record, a training.AdaptedModel.
 
 run_msuda and extend_run (and the CLI's eval) end in target_pass: the
 weights, probabilities and latent fields of a result all come from one pass
@@ -177,7 +177,6 @@ class FederationResult:
     adapted: AdaptedModelSet
     weights: EnsembleWeights
     audit_log: AuditLog
-    pretrained: dict            # source_id -> SegModel snapshot before adaptation
     config: NetConfig
     plan: TrainPlan
     oracle_mode: bool
@@ -230,17 +229,17 @@ def _finite(model, source_id, kind):
 
 def _train_on_node(dataset, received_images, plan: TrainPlan, config: NetConfig):
     """Pretrain on the node's own data, then adapt toward the received target
-    images. Runs entirely within the node, in the caller's process or in a
-    worker process; pretrain and adapt are looked up on this module. A model
-    left with a non-finite parameter stops the node (_finite), so no run
-    writes a checkpoint that a later load refuses."""
+    images: adapt's record. Runs entirely within the node, in the caller's
+    process or in a worker process; pretrain and adapt are looked up on this
+    module. A model left with a non-finite parameter stops the node
+    (_finite), so no run writes a checkpoint that a later load refuses."""
     local_plan = dataclasses.replace(
         plan, seed=derive_seed(plan.seed, "node", dataset.domain_id))
     pre = _finite(pretrain(dataset, local_plan, config), dataset.domain_id, "pretrained")
     target_view = DomainDataset(received_images, None, domain_id="target-view")
     adapted = adapt(pre, dataset, target_view, local_plan)
     _finite(adapted.model, dataset.domain_id, "adapted")
-    return pre, adapted
+    return adapted
 
 
 # A BLAS library sizes its thread pool from these when it loads.
@@ -292,14 +291,14 @@ def _federate(bus: MessageBus, target: DomainDataset, sources, plan: TrainPlan,
     the node pretrains and adapts locally, and its adapted parameters come
     back. Every image send precedes training; parameter sends follow in
     source order. _map_jobs trains the nodes on up to `workers` processes.
-    Returns (pretrained, adapted) per source."""
+    Returns each source's AdaptedModel."""
     target_id = NodeId(target.domain_id, "target")
     node_ids = [NodeId(ds.domain_id, "source") for ds in sources]
     received = [bus.send(target_id, node_id, "unlabeled_images", target.images)
                 for node_id in node_ids]
     n = len(sources)
     trained = _map_jobs(_train_on_node, workers, sources, received, [plan] * n, [config] * n)
-    for node_id, (_, adapted) in zip(node_ids, trained):
+    for node_id, adapted in zip(node_ids, trained):
         bus.send(node_id, target_id, "model_params",
                  serialize_params(adapted.model.state_dict()))
     return trained
@@ -312,7 +311,7 @@ def target_pass(result: FederationResult, target: DomainDataset) -> FederationRe
     are not finite raises FloatingPointError naming its source."""
     latents = []
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the model
-        probs = stack_probs(result.adapted.models, target.images, latents)
+        probs = stack_probs([am.model for am in result.adapted.models], target.images, latents)
     for am, model_probs in zip(result.adapted.models, probs):  # a mask per slice, not stack
         if not np.isfinite(model_probs).all():
             raise FloatingPointError(f"source '{am.source_id}': non-finite target probabilities")
@@ -339,9 +338,8 @@ def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
     bus = MessageBus()
     trained = _federate(bus, target, sources, plan, config, workers)
     return target_pass(FederationResult(
-        adapted=AdaptedModelSet([adapted for _, adapted in trained]), weights=None,
-        audit_log=bus.log, config=config, plan=plan, oracle_mode=oracle_mode,
-        pretrained={ds.domain_id: pre for ds, (pre, _) in zip(sources, trained)},
+        adapted=AdaptedModelSet(trained), weights=None, audit_log=bus.log,
+        config=config, plan=plan, oracle_mode=oracle_mode,
         target_label_reads=target.label_reads - reads_before), target)
 
 
@@ -353,10 +351,10 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
     untouched, and target_pass counts every model anew, so the prior raw
     counts come out as the run had them. A target whose images differ from
     the ones the run's weights were counted on raises TargetMismatch before
-    anything is trained or sent. The result's audit log is a copy of the
-    run's, extended; the run's own is left as it was, also on failure.
+    anything is trained or sent. The result's model list and audit log are
+    copies of the run's, extended; the run's stay as they were, also on failure.
     """
-    if new_source.domain_id in result.adapted.source_ids():
+    if any(am.source_id == new_source.domain_id for am in result.adapted.models):
         raise ValueError(f"source '{new_source.domain_id}' already in the run")
     _validate_domains([new_source], target, result.config.num_classes)
     if hash_images(target.images) != result.weights.target_hash:
@@ -366,10 +364,8 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
 
     bus = MessageBus()
     bus.log = AuditLog(result.audit_log.records)  # the run's trail, extended
-    [(pre, adapted)] = _federate(bus, target, [new_source], result.plan,
-                                 result.config, workers=1)
+    trained = _federate(bus, target, [new_source], result.plan, result.config, workers=1)
     return target_pass(dataclasses.replace(
-        result, adapted=AdaptedModelSet(list(result.adapted.models) + [adapted]),
-        audit_log=bus.log, pretrained={**result.pretrained, new_source.domain_id: pre},
+        result, adapted=AdaptedModelSet(result.adapted.models + trained), audit_log=bus.log,
         target_label_reads=result.target_label_reads + (target.label_reads - reads_before)),
         target)

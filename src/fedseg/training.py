@@ -74,16 +74,14 @@ class EpochRecord:
 
 @dataclass
 class AdaptedModel:
-    """A source-adapted model plus its adaptation trace."""
+    """One source's record: its adapted and pretrained models and its trace."""
 
     model: SegModel
     source_id: str
+    pretrained: SegModel = None
     history: list = field(default_factory=list)           # EpochRecord per epoch
     step_records: list = field(default_factory=list)      # (step, ce, swd, total)
     target_label_reads: int = 0
-
-    def predict_probs(self, images, latents=None):
-        return self.model.predict_probs(images, latents)
 
 
 def _train(model, plan, phase, domain_id, epochs, n, rng, step_loss):
@@ -140,7 +138,7 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
 
     Per step the objective is ce(source batch) + gamma * swd2 between the
     source and target embedding batches, with fresh projections each step.
-    The input model is left untouched; a warm-started copy is trained.
+    The input model is left untouched, kept as the record's pretrained; a copy is trained.
     """
     if not source.has_masks:
         raise ValueError(f"adapt requires source labels, '{source.domain_id}' has none")
@@ -181,6 +179,7 @@ def adapt(model: SegModel, source: DomainDataset, target_unlabeled: DomainDatase
     return AdaptedModel(
         model=adapted,
         source_id=source.domain_id,
+        pretrained=model,
         history=[EpochRecord(float(np.mean([ce for _, ce, _, _ in records])),
                              float(np.mean([swd for _, _, swd, _ in records])))
                  for records in epochs],

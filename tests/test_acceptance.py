@@ -152,7 +152,7 @@ def test_criterion_3_jensen_random_and_trained(base_runs):
     _, target = make_benchmark_domains(bench.seed, corrupted=False)
     images = target.images
     labels = target.masks
-    stacked = np.stack([m.predict_probs(images) for m in bench.result.adapted.models])
+    stacked = np.stack([am.model.predict_probs(images) for am in bench.result.adapted.models])
     w = np.asarray(bench.result.weights.weights)
     picked = np.take_along_axis(stacked, labels[None, :, None, ...], axis=2)[:, :, 0]
     mixture = np.einsum("k,kbhw->bhw", w, picked)

@@ -920,7 +920,49 @@ def test_a_run_whose_evaluation_fails_writes_nothing(dataset, tmp_path, capsys,
                  "--workers", "1", *FAST]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "[run] error: [Errno 28] No space left on device"]
-    assert os.listdir(out) == []  # no checkpoints/ or curves/
+    assert not out.exists()  # no checkpoints/ or curves/, nor an empty --out
+
+
+@pytest.mark.parametrize("argv, twice, complaint", [
+    (["run", "--depth", "5"], False,
+     "[run] error: spatial shape (16, 16) must be divisible by 32 (depth 5)"),
+    (["run"], True, "[run] error: duplicate domain id 'site_a'"),
+    (["sweep", "--parameter", "L", "--values", "2", "--depth", "5"], False,
+     "[sweep] error: spatial shape (16, 16) must be divisible by 32 (depth 5)"),
+], ids=["run-depth", "run-duplicate-domain", "sweep-depth"])
+def test_a_run_or_sweep_that_fails_before_writing_leaves_no_out(dataset, tmp_path, capsys,
+                                                               argv, twice, complaint):
+    """--out is made by the first write, so a command that fails before it
+    leaves no empty directory behind."""
+    data = dataset
+    if twice:  # a manifest whose first stanza, site_a's, comes twice
+        head, first, *rest = dataset.read_text().split("[domain ")
+        assert first.startswith("site_a]")
+        data = dataset.parent / f"manifest_{tmp_path.name}.txt"
+        data.write_text(head + "".join("[domain " + s for s in [first, first, *rest]))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([argv[0], "--data", str(data), "--out", str(out), *FAST, *argv[1:]]) == 2
+    assert capsys.readouterr().err.splitlines() == [complaint]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["gen"], ["run"], ["sweep", "--parameter", "L",
+                                                     "--values", "2"]],
+                         ids=["gen", "run", "sweep"])
+def test_an_out_that_is_a_file_fails_before_any_work(dataset, tmp_path, capsys,
+                                                     monkeypatch, argv):
+    """A --out that is a file fails with the error the first write would
+    raise, before any training, and is left as it was."""
+    out = tmp_path / "out"
+    out.write_text("kept")
+    calls = count_calls(monkeypatch, cli, "run_msuda")
+    capsys.readouterr()
+    data = [] if argv[0] == "gen" else ["--data", str(dataset), *FAST]
+    assert main([*argv, "--out", str(out), *data]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"[{argv[0]}] error: [Errno 17] File exists: '{out}'"]
+    assert calls == [] and out.read_text() == "kept"
 
 
 def test_an_add_source_whose_evaluation_fails_leaves_the_run_as_it_was(

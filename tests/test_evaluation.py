@@ -214,7 +214,7 @@ def test_benchmark_predicts_twice_per_source(monkeypatch):
     models = bench.result.adapted.models
     n = len(models)
     assert passes[:n] == [am.model for am in models]
-    assert passes[-n:] == [bench.result.pretrained[am.source_id] for am in models]
+    assert passes[-n:] == [am.pretrained for am in models]
     assert len({id(m) for m in passes}) == len(passes) == 3 * n
     # the bound's rows are the terms of its right-hand side
     assert evaluation.bound_right_hand_side(bench.bound, bench.result.weights.weights) == \
@@ -227,10 +227,11 @@ def test_evaluate_run_decides_each_models_classes_once(monkeypatch):
     and one of each pretrained model; every mask is uint8 and equals the
     public mode's."""
     models, sources, target = bound_inputs(6)
+    for am in models:
+        am.pretrained = SegModel(am.model.config, seed=9)
     plan = TrainPlan(seed=4)
     result = target_pass(FederationResult(
         adapted=AdaptedModelSet(models), weights=None, audit_log=AuditLog(),
-        pretrained={am.source_id: SegModel(am.model.config, seed=9) for am in models},
         config=models[0].model.config, plan=plan, oracle_mode=True,
         target_label_reads=0), target)
     calls = count_calls(monkeypatch, evaluation, "_labels")
@@ -266,7 +267,7 @@ def test_bound_terms_encodes_each_source_stack_once(monkeypatch):
     target pass, with no encoder pass of their own."""
     models, sources, target = bound_inputs(6)
     latents = []
-    stack_probs(models, target.images, latents)
+    stack_probs([am.model for am in models], target.images, latents)
     calls = count_calls(monkeypatch, SegModel, "encode")
     bound_terms(models, sources, target, latents, swd_L=8, embed_sites=16, seed=3)
     assert len(calls) == len(sources)
@@ -277,7 +278,7 @@ def test_bound_terms_equal_the_two_pass_terms():
     bit for bit, also over a stack of more than one inference slice."""
     models, sources, target = bound_inputs(20)
     latents = []
-    stack_probs(models, target.images, latents)
+    stack_probs([am.model for am in models], target.images, latents)
     terms = bound_terms(models, sources, target, latents, swd_L=8, embed_sites=16,
                         seed=3)
     proj = sample_projections(8, 8, seed=derive_seed(3, "bound-projections"))

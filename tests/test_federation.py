@@ -113,7 +113,7 @@ def test_run_msuda_single_source_degenerates_to_uda():
     sources, target = quick_setup(n_sources=1)
     result = run_msuda(sources, target, quick_plan(), CFG)
     assert result.weights.weights == [1.0]
-    assert len(result.adapted) == 1
+    assert len(result.adapted.models) == 1
 
 
 def test_run_msuda_audit_log_clean():
@@ -238,15 +238,14 @@ def test_a_failing_job_cancels_the_jobs_not_yet_started(tmp_path):
 
 
 def test_a_node_returns_its_models_without_gradients():
-    """A node's result leaves its process pickled: the parameters of its two
+    """A node's record leaves its process pickled: the parameters of its two
     models and the adaptation records, not the last step's gradients, which
     used to double its size."""
     sources, target = quick_setup(n_sources=1)
     result = _train_on_node(sources[0], target.images,
                             quick_plan(epochs_pretrain=1, epochs_adapt=1),
                             default_net_config())
-    pre, adapted = result
-    params = [p for m in (pre, adapted.model) for p in m.parameters().values()]
+    params = [p for m in (result.pretrained, result.model) for p in m.parameters().values()]
     assert all(p.grad is None for p in params)
     assert len(pickle.dumps(result)) < 1.05 * sum(p.data.nbytes for p in params)
 
@@ -278,14 +277,23 @@ def test_run_msuda_validation():
 
 
 def test_extend_run_trains_only_new_source():
+    """The prior models come out byte-identical, and the run passed in keeps
+    its list of records; every record holds the pretrained model its
+    adaptation started from."""
     sources, target = quick_setup(n_sources=3)
     plan = quick_plan()
     first = run_msuda(sources[:2], target, plan, CFG)
+    records = list(first.adapted.models)
     before = [serialize_params(m.model.state_dict()) for m in first.adapted.models]
     extended = extend_run(first, sources[2], target)
     after = [serialize_params(m.model.state_dict()) for m in extended.adapted.models[:2]]
     assert before == after  # prior models byte-identical
-    assert len(extended.adapted) == 3
+    assert len(extended.adapted.models) == 3
+    assert len(first.adapted.models) == 2
+    assert all(a is b for a, b in zip(first.adapted.models, records))
+    for am in extended.adapted.models:
+        assert serialize_params(am.pretrained.state_dict()) != \
+            serialize_params(am.model.state_dict())
     assert extended.weights.raw_counts[:2] == first.weights.raw_counts
     assert audit_check(extended.audit_log).ok
     # extension reuses the same audit trail: 2+1 image broadcasts, 2+1 params
@@ -375,8 +383,7 @@ def test_target_pass_memory_does_not_grow_with_the_stack_beyond_its_result():
     models = [AdaptedModel(SegModel(CFG, seed=s), f"s{s}") for s in range(3)]
     run = federation.FederationResult(
         adapted=AdaptedModelSet(models), weights=None, audit_log=AuditLog(),
-        pretrained={}, config=CFG, plan=TrainPlan(), oracle_mode=False,
-        target_label_reads=0)
+        config=CFG, plan=TrainPlan(), oracle_mode=False, target_label_reads=0)
 
     def beyond_result(n):
         target = DomainDataset(np.random.default_rng(n).normal(size=(n, 1, 16, 16)),

@@ -10,20 +10,21 @@ corrupted=True) for every seed, under its own benchmark.default_plan(seed);
 --quick cuts that plan to one pretrain and one adapt epoch.
 
 Per run it prints whether the trees agree bit for bit on the model bytes
-(every adapted and pretrained model), the adaptation step records, the
-per-epoch history, the Dice values (per model before and after adaptation,
-and per ensemble mode) and the bound (its terms, lhs and rhs). Floats are
-compared by repr, which round-trips them exactly. It exits 1 on any
-mismatch.
+(every adapted model, then every pretrained one in sorted source order, read
+from the records or from a tree's older FederationResult.pretrained dict),
+the adaptation step records, the per-epoch history, the Dice values (per
+model before and after adaptation, and per ensemble mode) and the bound (its
+terms, lhs and rhs). Floats are compared by repr, which round-trips them
+exactly. It exits 1 on any mismatch.
 
 --cli runs the command line instead, per seed and tree: `fedseg gen`, `run
 --oracle --workers 1`, `eval --oracle`, a label-free `eval --aggregation pv`,
 `run --oracle --workers 2`, a run on the manifest without one source followed
-by `run --add-source` of that source, and `sweep --parameter lambda`, each
-into a directory of its own, at small flags (CLI_STEPS), each in a
-subprocess whose PYTHONPATH is the tree, with one BLAS thread. It compares
-every file they write byte for byte (datasets, checkpoints, step curves,
-masks, reports, embeddings, audit logs, sweep tables), apart from the
+by `run --add-source` of that source, `sweep --parameter lambda` and `sweep
+--parameter L`, each into a directory of its own, at small flags (CLI_STEPS),
+each in a subprocess whose PYTHONPATH is the tree, with one BLAS thread. It
+compares every file they write byte for byte (datasets, checkpoints, step
+curves, masks, reports, embeddings, audit logs, sweep tables), apart from the
 timestamp: line of each report.txt, prints each file that differs or that
 only one tree wrote, and exits 1 on any difference.
 """
@@ -38,6 +39,16 @@ import tempfile
 from ab_steps import load_tree
 
 
+def pretrained_models(result):
+    """The result's pretrained models in sorted source order: from its
+    records (AdaptedModel.pretrained), or from the source-keyed
+    FederationResult.pretrained dict of a tree that has one."""
+    by_id = getattr(result, "pretrained", None)
+    if by_id is None:
+        by_id = {am.source_id: am.pretrained for am in result.adapted.models}
+    return [by_id[sid] for sid in sorted(by_id)]
+
+
 def digest(tree, seed, corrupted, quick):
     """The compared quantities of one benchmark run, as bytes or reprs."""
     bench_mod, serialize = tree["benchmark"], tree["autodiff"].serialize_params
@@ -48,8 +59,7 @@ def digest(tree, seed, corrupted, quick):
     result = bench.result
     return {
         "models": [serialize(am.model.state_dict()) for am in result.adapted.models]
-                  + [serialize(result.pretrained[sid].state_dict())
-                     for sid in sorted(result.pretrained)],
+                  + [serialize(model.state_dict()) for model in pretrained_models(result)],
         "step_records": repr([am.step_records for am in result.adapted.models]),
         "history": repr([am.history for am in result.adapted.models]),
         "dice": repr((bench.pre_dice, bench.post_dice, bench.mode_dice)),
@@ -81,6 +91,8 @@ CLI_STEPS = (
      "--add-source", ADDED, *RUN_FLAGS],
     ["sweep", "--data", "{data}/manifest.txt", "--out", "{sweep}", "--workers", "1",
      "--parameter", "lambda", "--values", "0.3,0.7", *TRAIN_FLAGS],
+    ["sweep", "--data", "{data}/manifest.txt", "--out", "{lsweep}", "--workers", "1",
+     "--parameter", "L", "--values", "2,3", *TRAIN_FLAGS],
 )
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -100,7 +112,8 @@ def cli_outputs(src, seed, workdir):
     the tree src, each report.txt without its timestamp: line."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **dict.fromkeys(BLAS_VARS, "1"))
     dirs = {name: os.path.join(workdir, name)
-            for name in ("data", "run", "eval", "voted", "pooled", "grown", "sweep")}
+            for name in ("data", "run", "eval", "voted", "pooled", "grown", "sweep",
+                         "lsweep")}
     for step in CLI_STEPS:
         argv = [arg.format(seed=seed, **dirs) for arg in step]
         done = subprocess.run([sys.executable, "-m", "fedseg.cli", *argv], cwd=workdir,
