@@ -24,8 +24,7 @@ def main():
         label = "corrupted second source" if corrupted else "two healthy sources"
         print(f"=== {label} ===")
         sources, target = make_benchmark_domains(seed=0, corrupted=corrupted)
-        result = run_msuda(sources, target, default_plan(seed=0), config,
-                           oracle_mode=True, workers=2)
+        result = run_msuda(sources, target, default_plan(seed=0), config, workers=2)
 
         print("audit:", "pass" if audit_check(result.audit_log).ok else "FAIL")
         for message in result.audit_log.records:

@@ -14,7 +14,7 @@ accumulate across backward() calls until Adam.zero_grad() clears them.
 Inside a `with no_grad():` block operations record no parents and no
 backward closure, so their outputs have requires_grad=False and every
 intermediate array can be freed as soon as the next op has read it. The
-switch is thread-local: another thread keeps building graphs meanwhile.
+switch is one module-level flag: nodes train in processes, not threads.
 Inference uses it; training never does.
 
 conv copies its padded input once, into a row-major flat buffer
@@ -99,16 +99,10 @@ import functools
 import itertools
 import math
 import struct
-import threading
 
 import numpy as np
 
-
-class _GradMode(threading.local):
-    enabled = True  # each thread starts with graph recording on
-
-
-_grad_mode = _GradMode()
+_grad_enabled = True  # no_grad switches graph recording off
 
 
 class Tensor:
@@ -203,18 +197,18 @@ def as_tensor(x) -> Tensor:
 
 @contextlib.contextmanager
 def no_grad():
-    """Build no autodiff graph in this thread until the block exits."""
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = False
+    """Build no autodiff graph until the block exits."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
     try:
         yield
     finally:
-        _grad_mode.enabled = previous
+        _grad_enabled = previous
 
 
 def _recording(parents):
     """Whether an op on these parents records a graph node."""
-    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _make(data, parents, backward_fn):

@@ -95,8 +95,6 @@ class BenchmarkResult:
     result: FederationResult
     pre_dice: dict = field(default_factory=dict)    # source_id -> dice before adapt
     post_dice: dict = field(default_factory=dict)   # source_id -> dice after adapt
-    swd_first: dict = field(default_factory=dict)   # source_id -> first-epoch mean
-    swd_last: dict = field(default_factory=dict)    # source_id -> final-epoch mean
     mode_dice: dict = field(default_factory=dict)   # fmuda/av/pv/suda -> dice
     bound: list = field(default_factory=list)       # evaluation.BoundTerm per source
     bound_lhs: float = float("nan")
@@ -108,16 +106,14 @@ def run_benchmark(seed: int = 0, corrupted: bool = False, workers: int = 1,
     """One oracle-mode benchmark run with all acceptance quantities measured."""
     sources, target = make_benchmark_domains(seed, corrupted)
     result = run_msuda(sources, target, plan or default_plan(seed), default_net_config(),
-                       oracle_mode=True, workers=workers)
+                       workers=workers)
 
-    report, _ = evaluate_run(result, sources, target, with_bound=with_bound)
+    report, _ = evaluate_run(result, sources if with_bound else None, target)
     bench = BenchmarkResult(seed=seed, corrupted=corrupted, result=result,
                             mode_dice=report.ensemble_dice, bound=report.bound)
     for am in result.adapted.models:
         bench.pre_dice[am.source_id], bench.post_dice[am.source_id] = \
             report.per_model_dice[am.source_id]
-        bench.swd_first[am.source_id] = am.history[0].swd
-        bench.swd_last[am.source_id] = am.history[-1].swd
     if with_bound:
         bench.bound_lhs, bench.bound_rhs = report.bound_lhs, report.bound_rhs
     return bench

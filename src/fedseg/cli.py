@@ -5,8 +5,9 @@ Exit codes are a stable scripting contract: 0 success, 1 usage error
 eval and sweep take --seed and are reproducible; reports differ across
 identical runs only in the timestamp line.
 
-Evaluation modes that report Dice (oracle mode, sweeps, suda aggregation)
-read target labels; plain runs never do, which the audit counter verifies.
+--oracle reads the target's mask files, and a target with labels makes
+evaluate_run an oracle evaluation (Dice, suda); sweeps read them too. Plain
+runs read no target label, which the audit counter verifies.
 
 _write_run is the one writer of a run directory and _load_run its one
 loader. run writes every source's checkpoints and step curve, report.txt,
@@ -133,11 +134,11 @@ def _manifest_roles(manifest_path):
     return sources, targets[0]
 
 
-def _load_datasets(manifest_path, oracle_mode):
+def _load_datasets(manifest_path, read_masks):
     """The source datasets and the target of a manifest."""
     entries, target = _manifest_roles(manifest_path)
     return ([load_domain(manifest_path, e, read_masks=True) for e in entries],
-            load_domain(manifest_path, target, read_masks=oracle_mode))
+            load_domain(manifest_path, target, read_masks=read_masks))
 
 
 def _check_target_finite(manifest_path, entry, target):
@@ -323,8 +324,7 @@ def _load_run(args, run_dir, sources, extend=False):
                          f"(--add-source extends the run's audit trail)")
     given_plan, given_config = _settings(args, plan, config)
     run = FederationResult(adapted=AdaptedModelSet(models), weights=weights, audit_log=None,
-                           config=config, plan=given_plan, oracle_mode=args.oracle,
-                           target_label_reads=0)
+                           config=config, plan=given_plan)
     if not extend:
         return run, [by_id[sid] for sid in ids]
     for prefix, given, recorded in (("net.", given_config, config), ("plan.", given_plan, plan)):
@@ -355,12 +355,11 @@ def cmd_run(args) -> int:
     else:
         plan, config = _settings(args, TrainPlan(), NetConfig())
         _prepare_out(args.out, args.force)
-        result = run_msuda(sources, target, plan, config, oracle_mode=args.oracle,
-                           workers=workers)
+        result = run_msuda(sources, target, plan, config, workers=workers)
         trained = result.adapted.models
     report, masks = evaluate_run(result, sources, target)
     report.settings["audit.target_label_reads"] = target.label_reads
-    if not result.oracle_mode and target.label_reads != 0:
+    if not target.has_masks and target.label_reads != 0:
         raise RuntimeError("target labels were read outside oracle mode")
     _write_run(args.out, result, report, masks, args.aggregation, trained)
     weights = [round(w, 4) for w in result.weights.weights]
@@ -379,7 +378,7 @@ def cmd_eval(args) -> int:
     _check_target_finite(args.data, target_entry, target)
     run, _ = _load_run(args, args.run, source_entries)
     result = target_pass(run, target)
-    report, masks = evaluate_run(result, None, target, with_bound=False)
+    report, masks = evaluate_run(result, None, target)
     _write_run(out_dir, result, report, masks, args.aggregation)
     print(f"eval complete: {out_dir}")
     return 0
@@ -398,7 +397,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--values: {exc}") from None
 
-    sources, target = _load_datasets(args.data, oracle_mode=True)
+    sources, target = _load_datasets(args.data, read_masks=True)
     workers = _workers(args, sources)
     _prepare_out(args.out, args.force)
     truth = target.masks
@@ -406,8 +405,7 @@ def cmd_sweep(args) -> int:
     rows, probs = [], None
     for value, variant in zip(parsed, variants):
         if probs is None or args.parameter != "lambda":  # lambda reweights one run
-            probs = run_msuda(sources, target, variant, config, oracle_mode=True,
-                              workers=workers).target_probs
+            probs = run_msuda(sources, target, variant, config, workers=workers).target_probs
         mixed = aggregate(probs, confidence_weights(probs, variant.lambda_conf))
         rows.append((value, dice(mixed.mask, truth)))
 

@@ -5,8 +5,9 @@ post-softmax class probability exceeds the confidence threshold; weights are
 the normalized raw counts. Aggregation mixes the models' per-pixel
 probability distributions with those weights, so the result stays on the
 probability simplex. Popular vote and uniform averaging are provided as
-baselines, and a new source can be folded in by computing only its own raw
-count and renormalizing.
+baselines. A new source joins through federation.extend_run, whose target
+pass counts every model anew: the run's counts come out as they were, with
+the new source's appended and all renormalized (EnsembleWeights.from_counts).
 
 Every ensemble quantity is a function of one array: the probability stack
 (n_models, batch, classes, *spatial) that stack_probs builds by running each
@@ -19,10 +20,9 @@ models: it adds one model's weighted probabilities or votes at a time into
 one (batch, classes, *spatial) buffer, so it holds no temporary that grows
 with the number of models. The models are added in the order in which
 numpy sums over the model axis, so the results are those sums, bit for bit.
-compute_weights and add_source take models (anything with
-predict_probs(images) -> (batch, classes, *spatial)) for a caller that holds
-no stack. All image arguments are batches; pass a single image as a batch
-of one. Every class decision is a uint8 label map from _labels.
+A model is anything with predict_probs(images, latents=None) -> (batch,
+classes, *spatial). All image arguments are batches; pass a single image as
+a batch of one. Every class decision is a uint8 label map from _labels.
 """
 
 from dataclasses import dataclass, field
@@ -89,8 +89,7 @@ def stack_probs(models, images, latents=None) -> np.ndarray:
         raise ValueError("need at least one model")
     stack = None
     for k, m in enumerate(models):
-        p = np.asarray(m.predict_probs(images) if latents is None
-                       else m.predict_probs(images, latents))
+        p = np.asarray(m.predict_probs(images, latents))
         if stack is None:
             stack = np.empty((len(models),) + p.shape, dtype=p.dtype)
         elif p.shape != stack.shape[1:]:
@@ -118,27 +117,11 @@ def confidence_weights(probs, lambda_conf: float, target_hash: str = "") -> Ense
 
 
 def compute_weights(models, target_images, lambda_conf: float) -> EnsembleWeights:
-    """confidence_weights of the models' probabilities on the target images."""
+    """confidence_weights of the models' probabilities on the target images.
+    Nothing in the package calls it; perfbench/tracing.py wraps this name."""
     images = _as_image_batch(target_images)
     return confidence_weights(stack_probs(models, images), lambda_conf,
                               hash_images(images))
-
-
-def add_source(models, weights: EnsembleWeights, new_model,
-               target_images) -> EnsembleWeights:
-    """Fold one new adapted model into existing weights.
-
-    Only the new model's raw count is computed; existing counts are reused
-    verbatim and the whole vector renormalized. The target image set must be
-    the one the existing weights were computed on.
-    """
-    images = _as_image_batch(target_images)
-    target_hash = hash_images(images)
-    if weights.target_hash and target_hash != weights.target_hash:
-        raise ValueError("target image set differs from the one weights were computed on")
-    new_probs = np.asarray(new_model.predict_probs(images))
-    counts = list(weights.raw_counts) + [_confident_pixels(new_probs, weights.lambda_conf)]
-    return EnsembleWeights.from_counts(counts, weights.lambda_conf, target_hash)
 
 
 def _labels(scores, rng=None) -> np.ndarray:

@@ -18,8 +18,10 @@ from it. It takes a federation.FederationResult and runs no adapted model:
 it reads the result's one pass of each model over the target images (kept
 by federation.target_pass), its probabilities and its latent fields. Its
 masks are uint8; the vote, Dice and suda share one label map per model.
-It keeps the fmuda mixture only in oracle mode, where the bound reads it.
-The pre-adaptation Dice runs am.pretrained, where a record holds one.
+Its settings follow from its inputs: oracle mode from target.has_masks, the
+bound from sources given. It keeps the fmuda mixture only for the oracle
+bound, which reads it. The pre-adaptation Dice runs am.pretrained where a
+record holds one, and is None (not computable) where it does not.
 
 The passes over a labeled dataset stream its image stack: mean_ce puts each
 slice's CE terms into one buffer and sums it once, bit for bit the sum
@@ -181,18 +183,20 @@ class MetricsReport:
     timestamp: str = ""
 
 
-def evaluate_run(result, sources, target, with_bound=True):
+def evaluate_run(result, sources, target):
     """The report and the masks of every aggregation mode of a
-    federation.FederationResult, from its models, weights, plan, config,
-    oracle mode and target pass. Per-model Dice, the masks and the bound's
-    left-hand side read target_probs, the bound's target codes
+    federation.FederationResult, from its models, weights, plan, config and
+    target pass. A target with labels is oracle mode; sources (the run's, in
+    its order) or None decide the bound. Per-model Dice, the masks and the
+    bound's left-hand side read target_probs, the bound's target codes
     target_latents. In oracle mode each record's pretrained model (where it
     holds one) runs once for the pre-adaptation Dice. Returns
     (MetricsReport, {mode: uint8 mask}); the suda mask needs oracle mode. Tie
     breaks and bound projections draw from seeds derived from plan.seed.
     """
     models, weights, plan = result.adapted.models, result.weights, result.plan
-    probs, oracle_mode, seed = result.target_probs, result.oracle_mode, plan.seed
+    probs, oracle_mode, seed = result.target_probs, target.has_masks, plan.seed
+    with_bound = sources is not None
     report = MetricsReport(seed=seed, oracle_mode=oracle_mode, weights=weights,
                            source_ids=[m.source_id for m in models])
     report.settings = {f"plan.{k}": v for k, v in asdict(plan).items()}
@@ -223,9 +227,8 @@ def evaluate_run(result, sources, target, with_bound=True):
 
     truth = target.masks
     for am, own in zip(models, labels):
-        pre = float("nan")
-        if am.pretrained is not None:
-            pre = dice(_labels(np.asarray(am.pretrained.predict_probs(target.images))), truth)
+        pre = None if am.pretrained is None else dice(
+            _labels(np.asarray(am.pretrained.predict_probs(target.images))), truth)
         report.per_model_dice[am.source_id] = (pre, dice(own, truth))
     post = [d for _, d in report.per_model_dice.values()]
     masks["suda"] = labels[int(np.argmax(post))]
@@ -267,7 +270,8 @@ def emit_report(report: MetricsReport, path):
         lines += ["", "[per_model_dice]", "source_id,pre_adapt,post_adapt"]
         for sid in report.source_ids:
             pre, post = report.per_model_dice[sid]
-            lines.append(f"{sid},{float(pre)},{float(post)}")
+            pre = "not computable" if pre is None else float(pre)
+            lines.append(f"{sid},{pre},{float(post)}")
     if report.ensemble_dice:
         lines += ["", "[dice]", "method,dice"]
         lines += [f"{method},{float(report.ensemble_dice[method])}"

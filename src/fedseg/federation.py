@@ -16,7 +16,9 @@ target images, and returns its one record, a training.AdaptedModel.
 
 run_msuda and extend_run (and the CLI's eval) end in target_pass: the
 weights, probabilities and latent fields of a result all come from one pass
-of each adapted model over the target images.
+of each adapted model over the target images. A result holds no evaluation
+setting: training reads no target label, and the target's own label_reads
+counter shows it; whether the target holds labels decides oracle mode.
 """
 
 import dataclasses
@@ -179,8 +181,6 @@ class FederationResult:
     audit_log: AuditLog
     config: NetConfig
     plan: TrainPlan
-    oracle_mode: bool
-    target_label_reads: int
     # the one pass of the adapted models over the target images
     target_probs: np.ndarray = None  # (models, batch, classes, *spatial)
     target_latents: list = None      # per model
@@ -322,25 +322,23 @@ def target_pass(result: FederationResult, target: DomainDataset) -> FederationRe
 
 
 def run_msuda(sources, target, plan: TrainPlan, config: NetConfig,
-              oracle_mode: bool = False, workers: int = 1) -> FederationResult:
+              workers: int = 1) -> FederationResult:
     """Per-source pretrain + adapt, then confidence-weighted ensembling.
 
     Target images are broadcast to every source node over the bus; adapted
     model parameters flow back to the target node, where target_pass runs
     each model once on the target images for the weights and the evaluation.
-    oracle_mode is recorded for the evaluation; training never reads target
-    labels. workers > 1 trains the source nodes in separate processes.
+    Training never reads target labels. workers > 1 trains the source nodes
+    in separate processes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     _validate_domains(sources, target, config.num_classes)
-    reads_before = target.label_reads
     bus = MessageBus()
     trained = _federate(bus, target, sources, plan, config, workers)
     return target_pass(FederationResult(
         adapted=AdaptedModelSet(trained), weights=None, audit_log=bus.log,
-        config=config, plan=plan, oracle_mode=oracle_mode,
-        target_label_reads=target.label_reads - reads_before), target)
+        config=config, plan=plan), target)
 
 
 def extend_run(result: FederationResult, new_source: DomainDataset,
@@ -360,12 +358,9 @@ def extend_run(result: FederationResult, new_source: DomainDataset,
     if hash_images(target.images) != result.weights.target_hash:
         raise TargetMismatch(f"target domain '{target.domain_id}': images differ from "
                              f"the ones the run's weights were counted on")
-    reads_before = target.label_reads
-
     bus = MessageBus()
     bus.log = AuditLog(result.audit_log.records)  # the run's trail, extended
     trained = _federate(bus, target, [new_source], result.plan, result.config, workers=1)
     return target_pass(dataclasses.replace(
-        result, adapted=AdaptedModelSet(result.adapted.models + trained), audit_log=bus.log,
-        target_label_reads=result.target_label_reads + (target.label_reads - reads_before)),
-        target)
+        result, adapted=AdaptedModelSet(result.adapted.models + trained),
+        audit_log=bus.log), target)

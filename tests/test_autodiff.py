@@ -1,8 +1,6 @@
 """Tensor ops, reverse-mode gradients against finite differences, Adam,
 and the parameter archive."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -535,31 +533,6 @@ def test_no_grad_restores_state_after_exception():
             raise RuntimeError("inside the block")
     out = mul(w, 2.0)
     assert out.requires_grad and out._parents
-
-
-def test_no_grad_is_thread_local():
-    w = Tensor(np.ones(3), requires_grad=True)
-    held, done = threading.Event(), threading.Event()
-    seen = {}
-
-    def holder():
-        with no_grad():
-            held.set()
-            done.wait(timeout=30)
-            seen["a"] = mul(w, 2.0).requires_grad
-
-    def other():
-        held.wait(timeout=30)
-        out = mul(w, 2.0)
-        seen["b"] = out.requires_grad and len(out._parents) == 2
-        done.set()
-
-    threads = [threading.Thread(target=holder), threading.Thread(target=other)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert seen == {"a": False, "b": True}
 
 
 def test_backward_after_predict_fills_every_grad():

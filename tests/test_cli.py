@@ -327,6 +327,52 @@ def test_eval_defaults_to_the_seed_and_sites_of_the_run(dataset, tmp_path):
         report_hash(tmp_path / "b" / "report.txt")
 
 
+# The report lines an `eval --oracle` of an untouched run may write otherwise
+# than the run: eval evaluates without sources, so without the bound, and it
+# loads no pretrained checkpoint, so each pre_adapt cell is not computable.
+_EVAL_ONLY_DIFFERS_IN = ("timestamp", "bound_lhs", "bound_rhs", "bound_holds",
+                         "audit.target_label_reads")
+
+
+def eval_comparable(path, pre_adapt=None):
+    """report.txt without the lines above, its blank lines and [bound_terms];
+    with pre_adapt, every [per_model_dice] row carries that pre_adapt cell."""
+    lines, table = [], None
+    for line in open(path).read().splitlines():
+        if line.startswith("["):
+            table = line
+        listed = table is None and line.split(":")[0] in _EVAL_ONLY_DIFFERS_IN
+        if not line or listed or table == "[bound_terms]":
+            continue
+        if table == "[per_model_dice]" and pre_adapt and not line.startswith(("[", "source_id")):
+            sid, _, post = line.split(",")
+            line = f"{sid},{pre_adapt},{post}"
+        lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["fmuda", "after-add-source"])
+def test_eval_oracle_of_an_untouched_run_writes_what_the_run_wrote(dataset, tmp_path,
+                                                                   extended):
+    if extended:
+        manifest, out = two_source_run(tmp_path)
+        assert main(["run", "--data", str(manifest), "--out", str(out),
+                     "--add-source", "site_c", "--oracle"]) == 0
+    else:
+        manifest, out = dataset, tmp_path / "run"
+        assert main(["run", "--data", str(manifest), "--out", str(out), "--seed", "4",
+                     "--oracle", *FAST]) == 0
+    assert main(["eval", "--data", str(manifest), "--run", str(out), "--oracle"]) == 0
+    masks = sorted(os.listdir(out / "masks" / "fmuda"))
+    assert masks == sorted(os.listdir(out / "eval" / "masks" / "fmuda")) and masks
+    for rel in ["embeddings.csv"] + [f"masks/fmuda/{name}" for name in masks]:
+        assert file_hash(out / "eval" / rel) == file_hash(out / rel), rel
+    rows = read_report(out / "report.txt")["tables"]["per_model_dice"][1:]
+    assert len(rows) == 2 + extended and all(float(pre) >= 0 for _, pre, _ in rows)
+    assert eval_comparable(out / "eval" / "report.txt") == \
+        eval_comparable(out / "report.txt", pre_adapt="not computable")
+
+
 def test_eval_of_a_run_without_its_report_names_the_file(dataset, trained_run,
                                                          tmp_path, capsys):
     run = tmp_path / "run"

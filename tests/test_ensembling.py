@@ -1,13 +1,14 @@
-"""Confidence weights, aggregation, the vote baselines, and incremental
-source addition, exercised with fixed probability stacks and stub models."""
+"""Confidence weights, aggregation, the vote baselines, and a new source's
+count folded into the weights, exercised with fixed probability stacks and
+stub models."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedseg.ensembling import (EnsembleWeights, _labels, add_source, aggregate,
-                               average_vote, compute_weights, popular_vote,
+from fedseg.ensembling import (EnsembleWeights, _labels, aggregate, average_vote,
+                               compute_weights, confidence_weights, popular_vote,
                                stack_probs)
 from fedseg.network import NetConfig, SegModel
 from helpers import (aggregate_reference, average_vote_reference, popular_vote_reference,
@@ -20,7 +21,7 @@ class StubModel:
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
 
-    def predict_probs(self, images):
+    def predict_probs(self, images, latents=None):
         return self.probs
 
 
@@ -142,34 +143,14 @@ def test_average_vote_equals_uniform_aggregate():
     np.testing.assert_array_equal(single.probs, a)
 
 
-def test_add_source_hand_normalization():
-    models = [confident_stub(30), confident_stub(10)]
-    w = compute_weights(models, IMAGES, lambda_conf=0.9)
-    updated = add_source(models, w, confident_stub(40), IMAGES)
-    assert updated.raw_counts == [30, 10, 40]
-    assert updated.weights == [0.375, 0.125, 0.5]
-
-
-def test_add_source_duplicate_model_same_count():
-    models = [confident_stub(25)]
-    w = compute_weights(models, IMAGES, lambda_conf=0.9)
-    updated = add_source(models, w, confident_stub(25), IMAGES)
-    assert updated.raw_counts == [25, 25]
-
-
-def test_add_source_never_confident_model_gets_zero():
-    models = [confident_stub(30), confident_stub(10)]
-    w = compute_weights(models, IMAGES, lambda_conf=0.9)
-    updated = add_source(models, w, confident_stub(0, peak=0.7), IMAGES)
+def test_an_appended_count_keeps_the_ratio_of_the_counts_before_it():
+    counts = confidence_weights(stack_probs([confident_stub(30), confident_stub(10)],
+                                            IMAGES), 0.9).raw_counts
+    never = confidence_weights(stack_probs([confident_stub(0, peak=0.7)], IMAGES), 0.9)
+    updated = EnsembleWeights.from_counts(counts + never.raw_counts, 0.9)
+    assert updated.raw_counts == [30, 10, 0]
     assert updated.weights[2] == 0.0
     assert updated.weights[0] / updated.weights[1] == pytest.approx(3.0)
-
-
-def test_add_source_target_mismatch_rejected():
-    models = [confident_stub(30)]
-    w = compute_weights(models, IMAGES, lambda_conf=0.9)
-    with pytest.raises(ValueError, match="target image set"):
-        add_source(models, w, confident_stub(5), np.ones((1, 1, 40)))
 
 
 def test_jensen_inequality_on_random_stubs():

@@ -16,7 +16,7 @@ from fedseg.autodiff import Tensor, no_grad
 from fedseg.data import DomainShift, generate_domains
 from fedseg.ensembling import (AdaptedModelSet, EnsembleWeights, _labels, popular_vote,
                                stack_probs)
-from fedseg.federation import AuditLog, FederationResult, target_pass
+from fedseg.federation import AuditLog, FederationResult, run_msuda, target_pass
 from fedseg.network import NetConfig, SegModel, embed
 from fedseg.training import AdaptedModel, TrainPlan
 from fedseg.util import derive_seed
@@ -232,11 +232,10 @@ def test_evaluate_run_decides_each_models_classes_once(monkeypatch):
     plan = TrainPlan(seed=4)
     result = target_pass(FederationResult(
         adapted=AdaptedModelSet(models), weights=None, audit_log=AuditLog(),
-        config=models[0].model.config, plan=plan, oracle_mode=True,
-        target_label_reads=0), target)
+        config=models[0].model.config, plan=plan), target)
     calls = count_calls(monkeypatch, evaluation, "_labels")
     votes = count_calls(monkeypatch, ensembling, "_labels")
-    report, masks = evaluation.evaluate_run(result, sources, target, with_bound=False)
+    report, masks = evaluation.evaluate_run(result, None, target)
     probs = result.target_probs
     adapted = [k for k, p in enumerate(probs) for scores in calls + votes
                if scores is not None and np.shares_memory(scores, p)]
@@ -248,6 +247,35 @@ def test_evaluate_run_decides_each_models_classes_once(monkeypatch):
     post = [report.per_model_dice[am.source_id][1] for am in models]
     assert post == [dice(_labels(p), target.masks) for p in probs]
     assert np.array_equal(masks["suda"], probs[int(np.argmax(post))].argmax(axis=1))
+
+
+def test_evaluate_run_takes_oracle_mode_from_the_target_and_the_bound_from_sources(
+        monkeypatch, tmp_path):
+    """A labeled target makes the evaluation an oracle one; an unlabeled
+    copy of it does not, and reads none of its labels. The bound runs only
+    where sources are given, and its joint error only in oracle mode."""
+    shifts = [DomainShift(1.0, 0.0, 0.02, 0.0, seed=1), DomainShift(0.4, 0.45, 0.02, 0.0, seed=2)]
+    source, target = generate_domains(3, 2, 4, (16, 16), shifts)
+    plan = TrainPlan(epochs_pretrain=1, epochs_adapt=1, batch_size=4, swd_L=4, embed_sites=8)
+    result = run_msuda([source], target, plan, NetConfig(depth=1, base_width=4, latent_dim=4))
+
+    def no_joint_error(*args):
+        raise AssertionError("measure_joint_error ran")
+    monkeypatch.setattr(evaluation, "measure_joint_error", no_joint_error)
+    report, masks = evaluation.evaluate_run(result, None, target)
+    assert report.oracle_mode and report.per_model_dice and report.ensemble_dice
+    assert "suda" in masks and report.bound == [] and report.bound_lhs is None
+
+    reads = target.label_reads
+    unlabeled = target.unlabeled_copy()
+    report, masks = evaluation.evaluate_run(result, None, unlabeled)
+    assert not report.oracle_mode and set(masks) == {"fmuda", "av", "pv"}
+    assert not report.per_model_dice and not report.ensemble_dice
+    emit_report(report, tmp_path / "report.txt")
+    assert "e_C: not computable" in (tmp_path / "report.txt").read_text().splitlines()
+    bounded, _ = evaluation.evaluate_run(result, [source], unlabeled)
+    assert [t.joint_ce for t in bounded.bound] == [None] and bounded.bound_lhs is None
+    assert target.label_reads == reads
 
 
 def bound_inputs(n_images):

@@ -129,8 +129,7 @@ def test_run_msuda_audit_log_clean():
 
 def test_run_msuda_non_oracle_never_reads_target_labels():
     sources, target = quick_setup(n_sources=2)
-    result = run_msuda(sources, target, quick_plan(), CFG)
-    assert result.target_label_reads == 0
+    run_msuda(sources, target, quick_plan(), CFG)
     assert target.label_reads == 0
 
 
@@ -383,7 +382,7 @@ def test_target_pass_memory_does_not_grow_with_the_stack_beyond_its_result():
     models = [AdaptedModel(SegModel(CFG, seed=s), f"s{s}") for s in range(3)]
     run = federation.FederationResult(
         adapted=AdaptedModelSet(models), weights=None, audit_log=AuditLog(),
-        config=CFG, plan=TrainPlan(), oracle_mode=False, target_label_reads=0)
+        config=CFG, plan=TrainPlan())
 
     def beyond_result(n):
         target = DomainDataset(np.random.default_rng(n).normal(size=(n, 1, 16, 16)),

@@ -50,7 +50,8 @@ def test_ab_digest_cli_finds_a_tree_byte_identical_to_itself():
     """gen, run, eval and sweep write the same files with one tree twice,
     apart from the reports' timestamps: a dataset, a run, an eval directory,
     a label-free pv eval directory, a run on two worker processes, a run
-    extended by --add-source, a lambda sweep table and an L sweep table."""
+    extended by --add-source, the same label-free, a lambda sweep table and
+    an L sweep table."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_digest.py"), str(SRC), str(SRC),
          "--cli", "--seeds", "0"],
@@ -59,6 +60,6 @@ def test_ab_digest_cli_finds_a_tree_byte_identical_to_itself():
     lines = done.stdout.splitlines()
     assert re.fullmatch(r"cli seed 0: \d+ files, 0 differ", lines[0]), lines
     # gen (with the manifest without one source), run, eval, the pv eval,
-    # run, the grown run, the lambda sweep, the L sweep
-    assert int(lines[0].split()[3]) >= 38 + 15 + 8 + 8 + 15 + 15 + 1 + 1, lines
+    # run, the grown run, the label-free grown run, the lambda sweep, the L sweep
+    assert int(lines[0].split()[3]) >= 38 + 15 + 8 + 8 + 15 + 15 + 15 + 1 + 1, lines
     assert lines[1:] == ["all files identical: yes"]

@@ -20,8 +20,9 @@ exactly. It exits 1 on any mismatch.
 --cli runs the command line instead, per seed and tree: `fedseg gen`, `run
 --oracle --workers 1`, `eval --oracle`, a label-free `eval --aggregation pv`,
 `run --oracle --workers 2`, a run on the manifest without one source followed
-by `run --add-source` of that source, `sweep --parameter lambda` and `sweep
---parameter L`, each into a directory of its own, at small flags (CLI_STEPS),
+by `run --add-source` of that source, the same two label-free (without
+--oracle), `sweep --parameter lambda` and `sweep --parameter L`, each into a
+directory of its own, at small flags (CLI_STEPS),
 each in a subprocess whose PYTHONPATH is the tree, with one BLAS thread. It
 compares every file they write byte for byte (datasets, checkpoints, step
 curves, masks, reports, embeddings, audit logs, sweep tables), apart from the
@@ -70,8 +71,8 @@ def digest(tree, seed, corrupted, quick):
 # The commands of --cli, formatted with the output directories and the seed.
 # The run at --workers 2 trains its nodes on the spawn pool, which the
 # in-process mode cannot load a tree into. {data}/manifest_without.txt is the
-# manifest without ADDED, written after gen; the run on it is then extended
-# by ADDED.
+# manifest without ADDED, written after gen; the runs on it are then extended
+# by ADDED, with target labels ({grown}) and without ({plain}).
 ADDED = "site_b"
 TRAIN_FLAGS = ["--epochs-pretrain", "2", "--epochs-adapt", "2", "--sites", "16",
                "--seed", "{seed}"]
@@ -89,6 +90,10 @@ CLI_STEPS = (
      *RUN_FLAGS],
     ["run", "--data", "{data}/manifest.txt", "--out", "{grown}", "--workers", "1",
      "--add-source", ADDED, *RUN_FLAGS],
+    ["run", "--data", "{data}/manifest_without.txt", "--out", "{plain}", "--workers", "1",
+     *TRAIN_FLAGS],
+    ["run", "--data", "{data}/manifest.txt", "--out", "{plain}", "--workers", "1",
+     "--add-source", ADDED, *TRAIN_FLAGS],
     ["sweep", "--data", "{data}/manifest.txt", "--out", "{sweep}", "--workers", "1",
      "--parameter", "lambda", "--values", "0.3,0.7", *TRAIN_FLAGS],
     ["sweep", "--data", "{data}/manifest.txt", "--out", "{lsweep}", "--workers", "1",
@@ -112,8 +117,8 @@ def cli_outputs(src, seed, workdir):
     the tree src, each report.txt without its timestamp: line."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **dict.fromkeys(BLAS_VARS, "1"))
     dirs = {name: os.path.join(workdir, name)
-            for name in ("data", "run", "eval", "voted", "pooled", "grown", "sweep",
-                         "lsweep")}
+            for name in ("data", "run", "eval", "voted", "pooled", "grown", "plain",
+                         "sweep", "lsweep")}
     for step in CLI_STEPS:
         argv = [arg.format(seed=seed, **dirs) for arg in step]
         done = subprocess.run([sys.executable, "-m", "fedseg.cli", *argv], cwd=workdir,
